@@ -25,6 +25,7 @@ from .risk_dominance import (
 )
 from .ewl import (
     JointDistribution,
+    Phase,
     PhaseThresholds,
     QuantumNeReport,
     QuantumPayoffMatrix,
@@ -35,6 +36,7 @@ from .ewl import (
     initial_state,
     joint_distribution,
     pure_quantum_matrix,
+    resolve_phase,
     strategy_operator,
     thresholds,
 )

@@ -31,6 +31,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _cell(value) -> str:
+    """CSV cell text: blank for None, 12 significant digits for floats."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors follow the exit-code contract."""
 
@@ -38,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _params_from(args) -> DilemmaParams:
-    return DilemmaParams(args.dg, args.dr)
 
 
 def _gamma_from(args) -> float | None:
@@ -87,48 +90,40 @@ def _ne_labels(records, labels) -> list[str]:
 # classify / ne
 
 
+def _pure_ne(params: DilemmaParams, gamma: float | None):
+    """Phase label, pure NEs and action labels; the quantum game when gamma is given."""
+    if gamma is None:
+        matrix = game_core.build_dilemma_matrix(params)
+        return "classical", game_core.enumerate_pure_ne(matrix), matrix.labels
+    report = ewl.classify_quantum_ne(params, gamma)
+    return report.phase, report.equilibria, ("Q", "D")
+
+
+def _ne_payload(records, labels) -> dict:
+    return {"pure_ne": _ne_labels(records, labels),
+            "pure_ne_payoffs": [list(rec.payoffs) for rec in records]}
+
+
 def cmd_classify(args) -> int:
-    params = _params_from(args)
+    params = DilemmaParams(args.dg, args.dr)
     cls = game_core.classify_dilemma(params)
-    matrix = game_core.build_dilemma_matrix(params)
-    records = game_core.enumerate_pure_ne(matrix)
-    payload = {
-        "d_g": params.d_g,
-        "d_r": params.d_r,
-        "class": cls.kind.value,
-        "boundary": cls.boundary,
-        "pure_ne": _ne_labels(records, matrix.labels),
-        "pure_ne_payoffs": [list(rec.payoffs) for rec in records],
-    }
+    _, records, labels = _pure_ne(params, None)
+    payload = {"d_g": params.d_g, "d_r": params.d_r, "class": cls.kind.value,
+               "boundary": cls.boundary, **_ne_payload(records, labels)}
     _emit_report(payload, args)
     return EXIT_OK
 
 
 def cmd_ne(args) -> int:
-    params = _params_from(args)
+    params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
+    phase, records, labels = _pure_ne(params, gamma)
+    payload = {"d_g": params.d_g, "d_r": params.d_r}
     if gamma is None:
-        matrix = game_core.build_dilemma_matrix(params)
-        records = game_core.enumerate_pure_ne(matrix)
-        payload = {
-            "d_g": params.d_g,
-            "d_r": params.d_r,
-            "mode": "classical",
-            "pure_ne": _ne_labels(records, matrix.labels),
-            "pure_ne_payoffs": [list(rec.payoffs) for rec in records],
-        }
+        payload["mode"] = "classical"
     else:
-        report = ewl.classify_quantum_ne(params, gamma)
-        labels = ("Q", "D")
-        payload = {
-            "d_g": params.d_g,
-            "d_r": params.d_r,
-            "gamma": gamma,
-            "mode": "quantum",
-            "phase": report.phase,
-            "pure_ne": _ne_labels(report.equilibria, labels),
-            "pure_ne_payoffs": [list(rec.payoffs) for rec in report.equilibria],
-        }
+        payload.update(gamma=gamma, mode="quantum", phase=phase)
+    payload.update(_ne_payload(records, labels))
     _emit_report(payload, args)
     return EXIT_OK
 
@@ -157,7 +152,7 @@ def _classical_rde(params: DilemmaParams):
 
 
 def cmd_rde(args) -> int:
-    params = _params_from(args)
+    params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
     if gamma is None:
         outcome, deltas = _classical_rde(params)
@@ -190,7 +185,7 @@ def cmd_rde(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    params = _params_from(args)
+    params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
     if gamma is None:
         raise QpdError("sensitivity requires --gamma")
@@ -245,17 +240,9 @@ def _sweep_row(dg: float, dr: float, gamma: float, quantities) -> dict:
         row["boundary"] = int(cls.boundary)
 
     if "ne" in quantities:
-        if quantum_regime:
-            report = ewl.classify_quantum_ne(params, gamma)
-            row["ne_phase"] = report.phase
-            row["ne_count"] = len(report.equilibria)
-            row["ne_list"] = "|".join(_ne_labels(report.equilibria, ("Q", "D")))
-        else:
-            matrix = game_core.build_dilemma_matrix(params)
-            records = game_core.enumerate_pure_ne(matrix)
-            row["ne_phase"] = "classical"
-            row["ne_count"] = len(records)
-            row["ne_list"] = "|".join(_ne_labels(records, matrix.labels))
+        row["ne_phase"], records, labels = _pure_ne(params, gamma if quantum_regime else None)
+        row["ne_count"] = len(records)
+        row["ne_list"] = "|".join(_ne_labels(records, labels))
 
     if "rde" in quantities:
         if quantum_regime:
@@ -326,16 +313,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            cells = []
-            for key in header:
-                value = row[key]
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(_fmt(value))
-                else:
-                    cells.append(str(value))
-            writer.writerow(cells)
+            writer.writerow([_cell(row[key]) for key in header])
         text = buf.getvalue()
     _write_output(text, args.out)
     return EXIT_OK
@@ -537,7 +515,6 @@ def build_parser() -> _Parser:
                    help=f"comma-separated subset of {{{','.join(_QUANTITIES)}}}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tables", help="reproduce the reference tables with pass/fail lines")

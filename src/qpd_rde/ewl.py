@@ -15,17 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRegime
-from .game_core import (
-    DilemmaParams,
-    NashEquilibriumRecord,
-    PayoffMatrix2x2,
-    enumerate_pure_ne,
-)
+from .game_core import DilemmaParams, NashEquilibriumRecord, PayoffMatrix2x2, StrategyProfile
 
 __all__ = [
     "JointDistribution",
     "QuantumPayoffMatrix",
     "PhaseThresholds",
+    "Phase",
     "QuantumNeReport",
     "initial_state",
     "strategy_operator",
@@ -35,15 +31,16 @@ __all__ = [
     "expected_payoff_quantum",
     "pure_quantum_matrix",
     "thresholds",
+    "resolve_phase",
     "classify_quantum_ne",
     "grid_best_response_gain",
 ]
 
 GAMMA_MAX = math.pi / 2
 
-# Identity tolerance for exact algebraic relations; threshold membership uses
-# the same scale since the angles come from one arcsin evaluation.
-IDENTITY_TOL = 1e-12
+# The one angle tolerance of the phase structure: within it of gamma1 or
+# gamma2 every entry point reports the boundary phase.
+PHASE_TOL = 1e-9
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -89,6 +86,21 @@ class PhaseThresholds:
     gamma1: float | None
     gamma2: float | None
     gamma_star: float | None
+
+
+@dataclass(frozen=True)
+class Phase:
+    """Where gamma sits in the quantum PD phase structure of a (d_g, d_r) pair.
+
+    ``band`` is the pair's two-NE band, "transitional" (d_g > d_r) or
+    "coexistence" (d_r > d_g), and None when d_g == d_r. On a "boundary",
+    ``seam`` names the threshold within PHASE_TOL of gamma: "lower" or "upper".
+    """
+
+    name: str
+    band: str | None
+    seam: str | None
+    thresholds: PhaseThresholds
 
 
 @dataclass(frozen=True)
@@ -157,13 +169,17 @@ def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: fl
     return pay_a, pay_b
 
 
+def _pure_payoffs(params: DilemmaParams, gamma: float) -> tuple[float, float]:
+    """Off-diagonal payoffs (pi_q, pi_d) of the pure-quantum matrix."""
+    s2 = math.sin(gamma) ** 2
+    total = 1.0 + params.d_r + params.d_g
+    return -params.d_r + total * s2, 1.0 + params.d_g - total * s2
+
+
 def pure_quantum_matrix(params: DilemmaParams, gamma: float) -> QuantumPayoffMatrix:
     """Payoff matrix over the pure quantum strategies Q and D."""
     _check_gamma(gamma)
-    dg, dr = params.d_g, params.d_r
-    s2 = math.sin(gamma) ** 2
-    pi_q = -dr + (1.0 + dr + dg) * s2
-    pi_d = 1.0 + dg - (1.0 + dr + dg) * s2
+    pi_q, pi_d = _pure_payoffs(params, gamma)
     entries = [
         [(1.0, 1.0), (pi_q, pi_d)],
         [(pi_d, pi_q), (0.0, 0.0)],
@@ -195,32 +211,52 @@ def thresholds(params: DilemmaParams) -> PhaseThresholds:
     )
 
 
-def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
-    """Phase label and pure-quantum-strategy NEs at the given entanglement.
+def resolve_phase(params: DilemmaParams, gamma: float) -> Phase:
+    """The phase of the quantum PD at this angle; every phase decision goes here.
 
-    NE sets are found by the weak best-response check on the pure-quantum
-    matrix, which reproduces the closed-interval phase structure: at an exact
-    threshold the adjacent sets merge through payoff ties.
+    Checks gamma's domain and the regime (d_g > 0 and d_r > 0). Within
+    PHASE_TOL of gamma1 or gamma2 the phase is "boundary"; otherwise it is
+    "classical-like" below both thresholds, "fully-quantum" above both, and
+    the pair's band between them.
     """
     _check_gamma(gamma)
     if params.d_g <= 0.0 or params.d_r <= 0.0:
         raise OutOfRegime("quantum PD regime requires d_g > 0 and d_r > 0")
     thr = thresholds(params)
-    lo, hi = min(thr.gamma1, thr.gamma2), max(thr.gamma1, thr.gamma2)
+    lo, hi = sorted((thr.gamma1, thr.gamma2))
+    band = (None if params.d_g == params.d_r
+            else "transitional" if params.d_g > params.d_r else "coexistence")
+    if abs(gamma - lo) <= PHASE_TOL:
+        return Phase("boundary", band, "lower", thr)
+    if abs(gamma - hi) <= PHASE_TOL:
+        return Phase("boundary", band, "upper", thr)
+    if gamma < lo:
+        return Phase("classical-like", band, None, thr)
+    if gamma > hi:
+        return Phase("fully-quantum", band, None, thr)
+    return Phase(band, band, None, thr)
 
-    if min(abs(gamma - thr.gamma1), abs(gamma - thr.gamma2)) <= IDENTITY_TOL:
-        phase = "boundary"
-    elif gamma < lo:
-        phase = "classical-like"
-    elif gamma > hi:
-        phase = "fully-quantum"
-    elif params.d_g > params.d_r:
-        phase = "transitional"
-    else:
-        phase = "coexistence"
 
-    matrix = pure_quantum_matrix(params, gamma).matrix
-    return QuantumNeReport(phase, enumerate_pure_ne(matrix, tol=IDENTITY_TOL))
+def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
+    """Phase label and pure-quantum-strategy NEs at the given entanglement.
+
+    (Q,Q) is an NE for gamma >= gamma2, (D,D) for gamma <= gamma1, and (Q,D)
+    and (D,Q) for gamma1 <= gamma <= gamma2, each bound widened by PHASE_TOL,
+    so at a seam the adjacent sets merge. Listed in row-major order.
+    """
+    phase = resolve_phase(params, gamma)
+    g1, g2 = phase.thresholds.gamma1, phase.thresholds.gamma2
+    pi_q, pi_d = _pure_payoffs(params, gamma)
+    mixed = g1 - PHASE_TOL <= gamma <= g2 + PHASE_TOL
+    cells = [
+        (gamma >= g2 - PHASE_TOL, 1.0, 1.0, (1.0, 1.0)),
+        (mixed, 1.0, 0.0, (pi_q, pi_d)),
+        (mixed, 0.0, 1.0, (pi_d, pi_q)),
+        (gamma <= g1 + PHASE_TOL, 0.0, 0.0, (0.0, 0.0)),
+    ]
+    return QuantumNeReport(phase.name, [
+        NashEquilibriumRecord(StrategyProfile(p, q), payoffs, "pure")
+        for is_ne, p, q, payoffs in cells if is_ne])
 
 
 def grid_best_response_gain(params: DilemmaParams, p: float, q: float, gamma: float,

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
-from .ewl import thresholds
+from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase
+from .ewl import PHASE_TOL, Phase, _check_gamma, resolve_phase, thresholds
 from .game_core import DilemmaParams, StrategyProfile
 from .risk_dominance import DeviationLossPair, RdeOutcome
 
@@ -38,8 +36,8 @@ __all__ = [
     "unilateral_deviation_payoffs",
 ]
 
-PHASE_EPS = 1e-9
-TIE_EPS = 1e-9
+_RDE_DD = RdeOutcome("pure", StrategyProfile(0.0, 0.0), (0.0, 0.0), "(D,D)")
+_RDE_QQ = RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(Q,Q)")
 
 
 @dataclass(frozen=True)
@@ -76,30 +74,22 @@ def _strength_sum(params: DilemmaParams) -> float:
     return 1.0 + params.d_r + params.d_g
 
 
-def _transitional_band(params: DilemmaParams) -> tuple[float, float]:
-    if not (params.d_g > params.d_r > 0.0):
-        raise OutOfPhase("transitional phase requires d_g > d_r > 0")
-    thr = thresholds(params)
-    return thr.gamma1, thr.gamma2
+def _in_band(params: DilemmaParams, gamma: float, band: str) -> Phase:
+    """The resolved phase, which must lie on the pair's closed ``band``."""
+    phase = resolve_phase(params, gamma)
+    if phase.band != band or phase.name not in (band, "boundary"):
+        raise OutOfPhase(f"gamma={gamma} outside the {band} band of "
+                         f"(d_g, d_r) = ({params.d_g}, {params.d_r})")
+    return phase
 
 
-def _check_transitional(params: DilemmaParams, gamma: float) -> None:
-    g1, g2 = _transitional_band(params)
-    if not (g1 - PHASE_EPS <= gamma <= g2 + PHASE_EPS):
-        raise OutOfPhase(f"gamma={gamma} outside transitional band [{g1}, {g2}]")
-
-
-def _coexistence_band(params: DilemmaParams) -> tuple[float, float]:
-    if not (params.d_r > params.d_g > 0.0):
-        raise OutOfPhase("coexistence phase requires d_r > d_g > 0")
-    thr = thresholds(params)
-    return thr.gamma2, thr.gamma1
-
-
-def _check_coexistence(params: DilemmaParams, gamma: float) -> None:
-    g2, g1 = _coexistence_band(params)
-    if not (g2 - PHASE_EPS <= gamma <= g1 + PHASE_EPS):
-        raise OutOfPhase(f"gamma={gamma} outside coexistence band [{g2}, {g1}]")
+def _p_star(params: DilemmaParams, gamma: float, phase: Phase) -> float:
+    """Transitional mixing probability, snapped to 0 or 1 on a seam."""
+    if phase.seam is not None:
+        return 0.0 if phase.seam == "lower" else 1.0
+    t = ((-params.d_r + _strength_sum(params) * math.sin(gamma) ** 2)
+         / (params.d_g - params.d_r))
+    return min(1.0, max(0.0, t))
 
 
 def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
@@ -108,14 +98,14 @@ def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRis
     At D(x)Q only the defector bears risk; the payoffs are affine in the
     deviating parameter, so the maximum loss is attained at an endpoint.
     """
-    _check_transitional(params, gamma)
+    _in_band(params, gamma, "transitional")
     loss = 1.0 + params.d_g - _strength_sum(params) * math.sin(gamma) ** 2
     return SituRisk(loss, 0.0), SituRisk(0.0, loss)
 
 
 def situ_risk_coexistence(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
     """Situ risks at the symmetric NEs, returned as (at D(x)D, at Q(x)Q)."""
-    _check_coexistence(params, gamma)
+    _in_band(params, gamma, "coexistence")
     loss = 1.0 + params.d_r - _strength_sum(params) * math.sin(gamma) ** 2
     return SituRisk(0.0, 0.0), SituRisk(loss, loss)
 
@@ -127,27 +117,23 @@ def deviation_losses_quantum(params: DilemmaParams, gamma: float, phase: str
     ``phase="transitional"`` returns the pairs at (Q(x)D, D(x)Q);
     ``phase="coexistence"`` returns the pairs at (Q(x)Q, D(x)D).
     """
+    if phase not in ("transitional", "coexistence"):
+        raise ValueError(f"phase must be 'transitional' or 'coexistence', got {phase!r}")
+    _in_band(params, gamma, phase)
     s2 = math.sin(gamma) ** 2
     total = _strength_sum(params)
     if phase == "transitional":
-        _check_transitional(params, gamma)
         loss_hi = params.d_g - total * s2          # deviation loss of the defector
         loss_lo = -params.d_r + total * s2         # deviation loss of the cooperator
         return DeviationLossPair(loss_lo, loss_hi), DeviationLossPair(loss_hi, loss_lo)
-    if phase == "coexistence":
-        _check_coexistence(params, gamma)
-        loss_qq = -params.d_g + total * s2
-        loss_dd = params.d_r - total * s2
-        return DeviationLossPair(loss_qq, loss_qq), DeviationLossPair(loss_dd, loss_dd)
-    raise ValueError(f"phase must be 'transitional' or 'coexistence', got {phase!r}")
+    loss_qq = -params.d_g + total * s2
+    loss_dd = params.d_r - total * s2
+    return DeviationLossPair(loss_qq, loss_qq), DeviationLossPair(loss_dd, loss_dd)
 
 
 def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> float:
-    """Mixing probability of the transitional RDE, clamped to [0, 1] at the seams."""
-    _check_transitional(params, gamma)
-    t = ((-params.d_r + _strength_sum(params) * math.sin(gamma) ** 2)
-         / (params.d_g - params.d_r))
-    return min(1.0, max(0.0, t))
+    """Mixing probability of the transitional RDE: exactly 0 at the lower seam, 1 at the upper."""
+    return _p_star(params, gamma, _in_band(params, gamma, "transitional"))
 
 
 def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
@@ -156,48 +142,46 @@ def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
     return RdeOutcome("mixed", StrategyProfile(t, t), rde_expected_payoff(params, gamma))
 
 
-def rde_coexistence(params: DilemmaParams, gamma: float, tie_eps: float = TIE_EPS) -> RdeOutcome:
+def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
     """Coexistence-phase RDE: D(x)D below gamma_star, Q(x)Q above, U(0.5) pair at it."""
-    _check_coexistence(params, gamma)
-    g_star = thresholds(params).gamma_star
-    if abs(gamma - g_star) <= tie_eps:
+    g_star = _in_band(params, gamma, "coexistence").thresholds.gamma_star
+    if abs(gamma - g_star) <= PHASE_TOL:
         pay = (2.0 + params.d_g - params.d_r) / 4.0
         return RdeOutcome("mixed", StrategyProfile(0.5, 0.5), (pay, pay), "U(0.5)xU(0.5)")
-    if gamma < g_star:
-        return RdeOutcome("pure", StrategyProfile(0.0, 0.0), (0.0, 0.0), "(D,D)")
-    return RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(Q,Q)")
+    return _RDE_DD if gamma < g_star else _RDE_QQ
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:
     """Phase label and RDE of the quantum PD at any entanglement angle.
 
     Outside the multi-equilibrium bands the game has a unique pure NE, which is
-    trivially the selection. Requires the quantum-dilemma regime (d_g, d_r > 0).
+    trivially the selection. On a seam the RDE is the pure limit both sides
+    share: (D,D) at the lower threshold, (Q,Q) at the upper one. Requires the
+    quantum-dilemma regime (d_g, d_r > 0).
     """
-    if params.d_g <= 0.0 or params.d_r <= 0.0:
-        raise OutOfRegime("quantum PD regime requires d_g > 0 and d_r > 0")
-    thr = thresholds(params)
-    lo, hi = min(thr.gamma1, thr.gamma2), max(thr.gamma1, thr.gamma2)
-    if params.d_g > params.d_r and lo - PHASE_EPS <= gamma <= hi + PHASE_EPS:
-        return "transitional", rde_transitional(params, gamma)
-    if params.d_r > params.d_g and lo - PHASE_EPS <= gamma <= hi + PHASE_EPS:
-        return "coexistence", rde_coexistence(params, gamma)
-    if gamma < lo:
-        return "classical-like", RdeOutcome("pure", StrategyProfile(0.0, 0.0), (0.0, 0.0), "(D,D)")
-    if gamma > hi:
-        return "fully-quantum", RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(Q,Q)")
-    # d_g == d_r exactly at the common threshold: both deviation-loss products vanish.
-    raise DegenerateDenominator("RDE undefined at the common threshold when d_g equals d_r")
+    phase = resolve_phase(params, gamma)
+    if phase.name == "transitional":
+        return phase.name, rde_transitional(params, gamma)
+    if phase.name == "coexistence":
+        return phase.name, rde_coexistence(params, gamma)
+    if phase.name == "boundary" and phase.band is None:
+        # d_g == d_r at the common threshold: both deviation-loss products vanish.
+        raise DegenerateDenominator("RDE undefined at the common threshold when d_g equals d_r")
+    if phase.name == "classical-like" or phase.seam == "lower":
+        return phase.name, _RDE_DD
+    return phase.name, _RDE_QQ
 
 
 def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityReport:
     """Closed-form partials of p* with respect to d_g, d_r and gamma."""
-    _check_transitional(params, gamma)
+    phase = _in_band(params, gamma, "transitional")
     dg, dr = params.d_g, params.d_r
     s2 = math.sin(gamma) ** 2
     gap2 = (dg - dr) ** 2
+    if gap2 == 0.0:
+        raise DegenerateDenominator("(d_g - d_r)^2 underflows; the partials are undefined")
     return SensitivityReport(
-        p_star=transitional_mixing_probability(params, gamma),
+        p_star=_p_star(params, gamma, phase),
         partial_dg=(dr - (1.0 + 2.0 * dr) * s2) / gap2,
         partial_dr=(-dg + (1.0 + 2.0 * dg) * s2) / gap2,
         partial_gamma=2.0 * _strength_sum(params) * math.sin(gamma) * math.cos(gamma) / (dg - dr),
@@ -214,8 +198,7 @@ def sensitivity_critical_angles(params: DilemmaParams) -> CriticalAngles:
     )
 
 
-def sensitivity_indices(params: DilemmaParams, gamma: float, tie_eps: float = TIE_EPS
-                        ) -> SensitivityReport:
+def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityReport:
     """Full sensitivity report: elasticities S_x = (dp*/dx) x / p*.
 
     ``semi_elasticity_gamma`` is (dp*/dgamma)/p*, reported alongside the
@@ -223,7 +206,7 @@ def sensitivity_indices(params: DilemmaParams, gamma: float, tie_eps: float = TI
     """
     partials = sensitivity_partials(params, gamma)
     p_star = partials.p_star
-    if p_star <= tie_eps:
+    if p_star == 0.0:
         raise DegenerateBase("sensitivity indices undefined where p* vanishes")
     return SensitivityReport(
         p_star=p_star,
@@ -249,22 +232,21 @@ def group_benefit_threshold(params: DilemmaParams) -> float | None:
     """Smallest transitional angle where the RDE's group benefit beats the other NEs.
 
     The condition is sin(2 gamma) > sqrt(2(d_r + 2 d_r d_g + d_g))/(1+d_r+d_g);
-    the lower crossing is bracketed on the rising part of sin(2 gamma). Returns
-    None when the condition never holds on the band.
+    the lower crossing on the rising part of sin(2 gamma) is asin(rhs)/2.
+    Returns None when the condition never holds on the band.
     """
-    g1, g2 = _transitional_band(params)
+    if not (params.d_g > params.d_r > 0.0):
+        raise OutOfPhase("group-benefit threshold requires d_g > d_r > 0")
+    thr = thresholds(params)
+    g1, g2 = thr.gamma1, thr.gamma2
     dg, dr = params.d_g, params.d_r
     rhs = math.sqrt(2.0 * (dr + 2.0 * dr * dg + dg)) / _strength_sum(params)
-
-    def gap(gamma: float) -> float:
-        return math.sin(2.0 * gamma) - rhs
-
-    if gap(g1) > 0.0:
+    if math.sin(2.0 * g1) > rhs:
         return g1
     peak = min(g2, math.pi / 4)
-    if peak <= g1 or gap(peak) <= 0.0:
+    if peak <= g1 or math.sin(2.0 * peak) <= rhs:
         return None
-    return float(brentq(gap, g1, peak, xtol=1e-14))
+    return math.asin(rhs) / 2.0
 
 
 def unilateral_deviation_payoffs(params: DilemmaParams, gamma: float, fixed_a: str,
@@ -274,6 +256,7 @@ def unilateral_deviation_payoffs(params: DilemmaParams, gamma: float, fixed_a: s
     ``fixed_a`` is "D", "Q" or "half" (A plays U(0.5)). Closed forms; they
     coincide with the general expected payoff at p in {0, 1, 0.5}.
     """
+    _check_gamma(gamma)
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q}")
     dg, dr = params.d_g, params.d_r

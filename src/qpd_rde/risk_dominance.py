@@ -32,10 +32,9 @@ __all__ = [
     "rde_staghunt",
 ]
 
+# The one payoff-tie tolerance: deviation-loss products this close select the
+# mixed profile, and a best-response shortfall this small still counts as an NE.
 TIE_EPS = 1e-9
-
-# Tolerance for the NE precondition check; exact ties are legitimate weak NEs.
-_NE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class RdeOutcome:
 
 def _require_ne(matrix: PayoffMatrix2x2, cells) -> None:
     for row, col in cells:
-        if not matrix.is_pure_ne(row, col, tol=_NE_TOL):
+        if not matrix.is_pure_ne(row, col, tol=TIE_EPS):
             la, lb = matrix.labels[row], matrix.labels[col]
             raise NotAnEquilibrium(f"cell ({la},{lb}) is not a Nash equilibrium")
 
@@ -96,32 +95,32 @@ def _mixed_outcome(matrix: PayoffMatrix2x2, p: float, q: float) -> RdeOutcome:
     return RdeOutcome("mixed", profile, matrix.expected_payoffs(p, q))
 
 
-def select_rde_symmetric(matrix: PayoffMatrix2x2, tie_eps: float = TIE_EPS) -> RdeOutcome:
+def select_rde_symmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:
     """Risk-dominant selection between the diagonal NEs (C,C) and (D,D)."""
     cc, dd = deviation_losses_symmetric(matrix)
     diff = cc.product - dd.product
-    if diff > tie_eps:
+    if diff > TIE_EPS:
         return _pure_outcome(matrix, 0, 0)
-    if diff < -tie_eps:
+    if diff < -TIE_EPS:
         return _pure_outcome(matrix, 1, 1)
     denom_p = cc.loss_b + dd.loss_b
     denom_q = cc.loss_a + dd.loss_a
-    if abs(denom_p) <= tie_eps or abs(denom_q) <= tie_eps:
+    if abs(denom_p) <= TIE_EPS or abs(denom_q) <= TIE_EPS:
         raise DegenerateDenominator("tie with vanishing loss sums; mixed profile undefined")
     return _mixed_outcome(matrix, dd.loss_b / denom_p, dd.loss_a / denom_q)
 
 
-def select_rde_asymmetric(matrix: PayoffMatrix2x2, tie_eps: float = TIE_EPS) -> RdeOutcome:
+def select_rde_asymmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:
     """Risk-dominant selection between the off-diagonal NEs (C,D) and (D,C)."""
     cd, dc = deviation_losses_asymmetric(matrix)
     diff = cd.product - dc.product
-    if diff > tie_eps:
+    if diff > TIE_EPS:
         return _pure_outcome(matrix, 0, 1)
-    if diff < -tie_eps:
+    if diff < -TIE_EPS:
         return _pure_outcome(matrix, 1, 0)
     denom_p = cd.loss_b + dc.loss_b
     denom_q = dc.loss_a + cd.loss_a
-    if abs(denom_p) <= tie_eps or abs(denom_q) <= tie_eps:
+    if abs(denom_p) <= TIE_EPS or abs(denom_q) <= TIE_EPS:
         raise DegenerateDenominator("tie with vanishing loss sums; mixed profile undefined")
     return _mixed_outcome(matrix, dc.loss_b / denom_p, cd.loss_a / denom_q)
 
@@ -135,14 +134,14 @@ def rde_chicken(params: DilemmaParams) -> RdeOutcome:
     return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
 
 
-def rde_staghunt(params: DilemmaParams, tie_eps: float = TIE_EPS) -> RdeOutcome:
+def rde_staghunt(params: DilemmaParams) -> RdeOutcome:
     """Closed-form stag-hunt RDE: (C,C) if |d_g|>d_r, (D,D) if |d_g|<d_r, else (0.5, 0.5)."""
     if classify_dilemma(params).kind is not DilemmaKind.SH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a stag-hunt game")
     matrix = build_dilemma_matrix(params)
     diff = abs(params.d_g) - params.d_r
-    if diff > tie_eps:
+    if diff > TIE_EPS:
         return _pure_outcome(matrix, 0, 0)
-    if diff < -tie_eps:
+    if diff < -TIE_EPS:
         return _pure_outcome(matrix, 1, 1)
     return _mixed_outcome(matrix, 0.5, 0.5)

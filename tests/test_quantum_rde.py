@@ -452,6 +452,8 @@ def test_unilateral_deviation_validation():
         unilateral_deviation_payoffs(COEX, 0.5, "X", 0.5)
     with pytest.raises(ValueError):
         unilateral_deviation_payoffs(COEX, 0.5, "D", 1.5)
+    with pytest.raises(ValueError):
+        unilateral_deviation_payoffs(COEX, 5.0, "D", 0.5)
 
 
 # ---------------------------------------------------------------------------
