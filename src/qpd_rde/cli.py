@@ -296,11 +296,10 @@ def cmd_sweep(args) -> int:
 
     dgs = _axis(args.dg, args.dg_range, "dg", -1.0, 1.0)
     drs = _axis(args.dr, args.dr_range, "dr", -1.0, 1.0)
-    gammas = _axis(args.gamma, args.gamma_range, "gamma", 0.0, math.pi / 2)
+    gammas = _axis(args.gamma, args.gamma_range, "gamma", 0.0,
+                   90.0 if args.degrees else math.pi / 2)
     if args.degrees:
         gammas = [math.radians(g) for g in gammas]
-        if any(not (0.0 <= g <= math.pi / 2) for g in gammas):
-            raise QpdError("gamma range must lie within [0, 90] degrees")
 
     rows = [_sweep_row(dg, dr, g, quantities)
             for dg in dgs for dr in drs for g in gammas]

@@ -156,14 +156,22 @@ def joint_distribution(p: float, q: float, gamma: float) -> JointDistribution:
     )
 
 
+def _strength_sum(params: DilemmaParams) -> float:
+    return 1.0 + params.d_r + params.d_g
+
+
+def _shift(params: DilemmaParams, gamma: float) -> float:
+    """Entanglement shift x = (1+d_r+d_g) sin^2(gamma); every payoff is affine in it."""
+    return _strength_sum(params) * math.sin(gamma) ** 2
+
+
 def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:
     """Expected payoffs; the entanglement term is antisymmetric between players."""
     _check_prob(p, "p")
     _check_prob(q, "q")
     _check_gamma(gamma)
     dg, dr = params.d_g, params.d_r
-    s2 = math.sin(gamma) ** 2
-    shift = (1.0 + dr + dg) * (p - q) * s2
+    shift = (p - q) * _shift(params, gamma)
     pay_a = (dr - dg) * p * q - dr * p + (1.0 + dg) * q + shift
     pay_b = (dr - dg) * p * q - dr * q + (1.0 + dg) * p - shift
     return pay_a, pay_b
@@ -171,9 +179,8 @@ def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: fl
 
 def _pure_payoffs(params: DilemmaParams, gamma: float) -> tuple[float, float]:
     """Off-diagonal payoffs (pi_q, pi_d) of the pure-quantum matrix."""
-    s2 = math.sin(gamma) ** 2
-    total = 1.0 + params.d_r + params.d_g
-    return -params.d_r + total * s2, 1.0 + params.d_g - total * s2
+    x = _shift(params, gamma)
+    return -params.d_r + x, 1.0 + params.d_g - x
 
 
 def pure_quantum_matrix(params: DilemmaParams, gamma: float) -> QuantumPayoffMatrix:
@@ -201,7 +208,7 @@ def thresholds(params: DilemmaParams) -> PhaseThresholds:
     leaves [0, 1] is reported as None.
     """
     dg, dr = params.d_g, params.d_r
-    s = 1.0 + dr + dg
+    s = _strength_sum(params)
     if s <= 0.0:
         return PhaseThresholds(None, None, None)
     return PhaseThresholds(

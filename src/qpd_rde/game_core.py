@@ -8,10 +8,9 @@ cooperator) and ``d_r`` (loss from cooperating against a defector), both in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 __all__ = [
     "DilemmaParams",
@@ -61,45 +60,48 @@ class PayoffMatrix2x2:
 
     ``entries`` is row-major, one ``(a, b)`` payoff pair per cell; row index is
     player A's action, column index player B's. Row/column 0 carry the first
-    action label (C by default).
+    action label (C by default). ``a`` and ``b`` hold each player's payoffs as
+    row-major tuples, indexed ``a[row][col]``.
     """
 
     def __init__(self, entries, labels=("C", "D")):
-        arr = np.asarray(entries, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValueError(f"expected 2x2 entries of payoff pairs, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        try:
+            ((a00, b00), (a01, b01)), ((a10, b10), (a11, b11)) = entries
+        except (TypeError, ValueError):
+            raise ValueError("expected 2x2 entries of payoff pairs") from None
+        self.a = ((float(a00), float(a01)), (float(a10), float(a11)))
+        self.b = ((float(b00), float(b01)), (float(b10), float(b11)))
+        if not all(map(math.isfinite, self.a[0] + self.a[1] + self.b[0] + self.b[1])):
             raise ValueError("payoff entries must be finite")
-        self.a = arr[:, :, 0].copy()
-        self.b = arr[:, :, 1].copy()
-        self.a.setflags(write=False)
-        self.b.setflags(write=False)
         self.labels = (str(labels[0]), str(labels[1]))
 
     def payoff(self, row: int, col: int) -> tuple[float, float]:
-        return float(self.a[row, col]), float(self.b[row, col])
+        return self.a[row][col], self.b[row][col]
 
     def expected_payoffs(self, p: float, q: float) -> tuple[float, float]:
         """Expected payoff pair when A (B) plays the first action with weight p (q)."""
-        w = np.outer([p, 1.0 - p], [q, 1.0 - q])
-        return float(np.sum(self.a * w)), float(np.sum(self.b * w))
+        w = (p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q))
+        # Row-major, left to right from 0.0 (so a sum of -0.0 terms is 0.0).
+        return tuple(0.0 + m[0][0] * w[0] + m[0][1] * w[1] + m[1][0] * w[2] + m[1][1] * w[3]
+                     for m in (self.a, self.b))
 
     def is_pure_ne(self, row: int, col: int, tol: float = 0.0) -> bool:
         """Weak best-response check of the cell; ties within tol count."""
-        return (self.a[row, col] >= self.a[1 - row, col] - tol
-                and self.b[row, col] >= self.b[row, 1 - col] - tol)
+        return (self.a[row][col] >= self.a[1 - row][col] - tol
+                and self.b[row][col] >= self.b[row][1 - col] - tol)
 
     def scaled(self, k: float) -> "PayoffMatrix2x2":
-        entries = np.stack([self.a * k, self.b * k], axis=-1)
+        entries = [[(x * k, y * k) for x, y in zip(ra, rb)] for ra, rb in zip(self.a, self.b)]
         return PayoffMatrix2x2(entries, self.labels)
 
     def with_swapped_labels(self) -> "PayoffMatrix2x2":
         """Consistently permute both players' action labels."""
-        entries = np.stack([self.a[::-1, ::-1], self.b[::-1, ::-1]], axis=-1)
+        entries = [list(zip(ra[::-1], rb[::-1])) for ra, rb in zip(self.a[::-1], self.b[::-1])]
         return PayoffMatrix2x2(entries, (self.labels[1], self.labels[0]))
 
     def __repr__(self):
-        return f"PayoffMatrix2x2(labels={self.labels}, a={self.a.tolist()}, b={self.b.tolist()})"
+        return (f"PayoffMatrix2x2(labels={self.labels}, a={[list(r) for r in self.a]}, "
+                f"b={[list(r) for r in self.b]})")
 
 
 class DilemmaKind(Enum):

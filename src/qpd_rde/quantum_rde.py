@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase
-from .ewl import PHASE_TOL, Phase, _check_gamma, resolve_phase, thresholds
+from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
+from .ewl import (PHASE_TOL, Phase, _shift, _strength_sum, expected_payoff_quantum,
+                  resolve_phase, thresholds)
 from .game_core import DilemmaParams, StrategyProfile
 from .risk_dominance import DeviationLossPair, RdeOutcome
 
@@ -70,10 +71,6 @@ class CriticalAngles:
     gamma_r: float
 
 
-def _strength_sum(params: DilemmaParams) -> float:
-    return 1.0 + params.d_r + params.d_g
-
-
 def _in_band(params: DilemmaParams, gamma: float, band: str) -> Phase:
     """The resolved phase, which must lie on the pair's closed ``band``."""
     phase = resolve_phase(params, gamma)
@@ -87,8 +84,7 @@ def _p_star(params: DilemmaParams, gamma: float, phase: Phase) -> float:
     """Transitional mixing probability, snapped to 0 or 1 on a seam."""
     if phase.seam is not None:
         return 0.0 if phase.seam == "lower" else 1.0
-    t = ((-params.d_r + _strength_sum(params) * math.sin(gamma) ** 2)
-         / (params.d_g - params.d_r))
+    t = (-params.d_r + _shift(params, gamma)) / (params.d_g - params.d_r)
     return min(1.0, max(0.0, t))
 
 
@@ -99,14 +95,14 @@ def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRis
     deviating parameter, so the maximum loss is attained at an endpoint.
     """
     _in_band(params, gamma, "transitional")
-    loss = 1.0 + params.d_g - _strength_sum(params) * math.sin(gamma) ** 2
+    loss = 1.0 + params.d_g - _shift(params, gamma)
     return SituRisk(loss, 0.0), SituRisk(0.0, loss)
 
 
 def situ_risk_coexistence(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
     """Situ risks at the symmetric NEs, returned as (at D(x)D, at Q(x)Q)."""
     _in_band(params, gamma, "coexistence")
-    loss = 1.0 + params.d_r - _strength_sum(params) * math.sin(gamma) ** 2
+    loss = 1.0 + params.d_r - _shift(params, gamma)
     return SituRisk(0.0, 0.0), SituRisk(loss, loss)
 
 
@@ -120,14 +116,13 @@ def deviation_losses_quantum(params: DilemmaParams, gamma: float, phase: str
     if phase not in ("transitional", "coexistence"):
         raise ValueError(f"phase must be 'transitional' or 'coexistence', got {phase!r}")
     _in_band(params, gamma, phase)
-    s2 = math.sin(gamma) ** 2
-    total = _strength_sum(params)
+    x = _shift(params, gamma)
     if phase == "transitional":
-        loss_hi = params.d_g - total * s2          # deviation loss of the defector
-        loss_lo = -params.d_r + total * s2         # deviation loss of the cooperator
+        loss_hi = params.d_g - x          # deviation loss of the defector
+        loss_lo = -params.d_r + x         # deviation loss of the cooperator
         return DeviationLossPair(loss_lo, loss_hi), DeviationLossPair(loss_hi, loss_lo)
-    loss_qq = -params.d_g + total * s2
-    loss_dd = params.d_r - total * s2
+    loss_qq = -params.d_g + x
+    loss_dd = params.d_r - x
     return DeviationLossPair(loss_qq, loss_qq), DeviationLossPair(loss_dd, loss_dd)
 
 
@@ -139,7 +134,9 @@ def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> floa
 def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
     """Transitional-phase RDE: both players quantum-cooperate with probability p*."""
     t = transitional_mixing_probability(params, gamma)
-    return RdeOutcome("mixed", StrategyProfile(t, t), rde_expected_payoff(params, gamma))
+    dg, dr = params.d_g, params.d_r
+    pay = (dr - dg) * t * t + (1.0 - dr + dg) * t
+    return RdeOutcome("mixed", StrategyProfile(t, t), (pay, pay))
 
 
 def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
@@ -191,7 +188,7 @@ def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityRepo
 def sensitivity_critical_angles(params: DilemmaParams) -> CriticalAngles:
     """Sign-change angles of the d_g and d_r partials."""
     if params.d_g <= 0.0 or params.d_r <= 0.0:
-        raise OutOfPhase("critical angles require d_g > 0 and d_r > 0")
+        raise OutOfRegime("critical angles require d_g > 0 and d_r > 0")
     return CriticalAngles(
         gamma_g=math.asin(math.sqrt(params.d_r / (1.0 + 2.0 * params.d_r))),
         gamma_r=math.asin(math.sqrt(params.d_g / (1.0 + 2.0 * params.d_g))),
@@ -222,10 +219,7 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
 
 def rde_expected_payoff(params: DilemmaParams, gamma: float) -> tuple[float, float]:
     """Equal expected payoffs of the transitional RDE."""
-    t = transitional_mixing_probability(params, gamma)
-    dg, dr = params.d_g, params.d_r
-    pay = (dr - dg) * t * t + (1.0 - dr + dg) * t
-    return pay, pay
+    return rde_transitional(params, gamma).payoffs
 
 
 def group_benefit_threshold(params: DilemmaParams) -> float | None:
@@ -253,24 +247,10 @@ def unilateral_deviation_payoffs(params: DilemmaParams, gamma: float, fixed_a: s
                                  q: float) -> tuple[float, float]:
     """Payoff pair when A holds a fixed strategy and B plays U(q).
 
-    ``fixed_a`` is "D", "Q" or "half" (A plays U(0.5)). Closed forms; they
-    coincide with the general expected payoff at p in {0, 1, 0.5}.
+    ``fixed_a`` is "D", "Q" or "half" (A plays U(0.5)): the general expected
+    payoff at p in {0, 1, 0.5}.
     """
-    _check_gamma(gamma)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    dg, dr = params.d_g, params.d_r
-    s2 = math.sin(gamma) ** 2
-    total = _strength_sum(params)
-    if fixed_a == "D":
-        return (1.0 + dg - total * s2) * q, (-dr + total * s2) * q
-    if fixed_a == "half":
-        # reduces to (q + (dg-dr)/4, (2+dg-dr)/4) when total*s2 = (dg+dr)/2
-        pay_a = (0.5 * (dr - dg) + 1.0 + dg - total * s2) * q - 0.5 * dr + 0.5 * total * s2
-        pay_b = (0.5 * (dr - dg) - dr + total * s2) * q + 0.5 * (1.0 + dg) - 0.5 * total * s2
-        return pay_a, pay_b
-    if fixed_a == "Q":
-        pay_a = (1.0 + dr - total * s2) * q - dr + total * s2
-        pay_b = (-dg + total * s2) * q + 1.0 + dg - total * s2
-        return pay_a, pay_b
-    raise ValueError(f"fixed_a must be 'D', 'Q' or 'half', got {fixed_a!r}")
+    p = {"D": 0.0, "Q": 1.0, "half": 0.5}.get(fixed_a)
+    if p is None:
+        raise ValueError(f"fixed_a must be 'D', 'Q' or 'half', got {fixed_a!r}")
+    return expected_payoff_quantum(params, p, q, gamma)

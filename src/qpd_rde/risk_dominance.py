@@ -59,31 +59,6 @@ class RdeOutcome:
     label: str | None = None
 
 
-def _require_ne(matrix: PayoffMatrix2x2, cells) -> None:
-    for row, col in cells:
-        if not matrix.is_pure_ne(row, col, tol=TIE_EPS):
-            la, lb = matrix.labels[row], matrix.labels[col]
-            raise NotAnEquilibrium(f"cell ({la},{lb}) is not a Nash equilibrium")
-
-
-def deviation_losses_symmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossPair, DeviationLossPair]:
-    """Deviation losses at the diagonal NEs, returned as (at (C,C), at (D,D))."""
-    _require_ne(matrix, [(0, 0), (1, 1)])
-    a, b = matrix.a, matrix.b
-    cc = DeviationLossPair(float(a[0, 0] - a[1, 0]), float(b[0, 0] - b[0, 1]))
-    dd = DeviationLossPair(float(a[1, 1] - a[0, 1]), float(b[1, 1] - b[1, 0]))
-    return cc, dd
-
-
-def deviation_losses_asymmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossPair, DeviationLossPair]:
-    """Deviation losses at the off-diagonal NEs, returned as (at (C,D), at (D,C))."""
-    _require_ne(matrix, [(0, 1), (1, 0)])
-    a, b = matrix.a, matrix.b
-    cd = DeviationLossPair(float(a[0, 1] - a[1, 1]), float(b[0, 1] - b[0, 0]))
-    dc = DeviationLossPair(float(a[1, 0] - a[0, 0]), float(b[1, 0] - b[1, 1]))
-    return cd, dc
-
-
 def _pure_outcome(matrix: PayoffMatrix2x2, row: int, col: int) -> RdeOutcome:
     profile = StrategyProfile(p=1.0 - row, q=1.0 - col)
     label = f"({matrix.labels[row]},{matrix.labels[col]})"
@@ -95,34 +70,56 @@ def _mixed_outcome(matrix: PayoffMatrix2x2, p: float, q: float) -> RdeOutcome:
     return RdeOutcome("mixed", profile, matrix.expected_payoffs(p, q))
 
 
-def select_rde_symmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:
-    """Risk-dominant selection between the diagonal NEs (C,C) and (D,D)."""
-    cc, dd = deviation_losses_symmetric(matrix)
-    diff = cc.product - dd.product
+def _losses(matrix: PayoffMatrix2x2, cells) -> tuple[DeviationLossPair, DeviationLossPair]:
+    """Deviation losses at the two NE cells, in the order given."""
+    for row, col in cells:
+        if not matrix.is_pure_ne(row, col, tol=TIE_EPS):
+            la, lb = matrix.labels[row], matrix.labels[col]
+            raise NotAnEquilibrium(f"cell ({la},{lb}) is not a Nash equilibrium")
+    a, b = matrix.a, matrix.b
+    return tuple(DeviationLossPair(a[r][c] - a[1 - r][c], b[r][c] - b[r][1 - c])
+                 for r, c in cells)
+
+
+def _select(matrix: PayoffMatrix2x2, cells) -> RdeOutcome:
+    """Risk-dominant selection between the two NE cells.
+
+    On a tie A plays its first action with weight B's loss at the NE where A
+    plays its second action, over the sum of B's losses; B likewise.
+    """
+    first, second = _losses(matrix, cells)
+    diff = first.product - second.product
     if diff > TIE_EPS:
-        return _pure_outcome(matrix, 0, 0)
+        return _pure_outcome(matrix, *cells[0])
     if diff < -TIE_EPS:
-        return _pure_outcome(matrix, 1, 1)
-    denom_p = cc.loss_b + dd.loss_b
-    denom_q = cc.loss_a + dd.loss_a
+        return _pure_outcome(matrix, *cells[1])
+    denom_p = first.loss_b + second.loss_b
+    denom_q = first.loss_a + second.loss_a
     if abs(denom_p) <= TIE_EPS or abs(denom_q) <= TIE_EPS:
         raise DegenerateDenominator("tie with vanishing loss sums; mixed profile undefined")
-    return _mixed_outcome(matrix, dd.loss_b / denom_p, dd.loss_a / denom_q)
+    at_a_second = second if cells[1][0] else first
+    at_b_second = second if cells[1][1] else first
+    return _mixed_outcome(matrix, at_a_second.loss_b / denom_p, at_b_second.loss_a / denom_q)
+
+
+def deviation_losses_symmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossPair, DeviationLossPair]:
+    """Deviation losses at the diagonal NEs, returned as (at (C,C), at (D,D))."""
+    return _losses(matrix, ((0, 0), (1, 1)))
+
+
+def deviation_losses_asymmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossPair, DeviationLossPair]:
+    """Deviation losses at the off-diagonal NEs, returned as (at (C,D), at (D,C))."""
+    return _losses(matrix, ((0, 1), (1, 0)))
+
+
+def select_rde_symmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:
+    """Risk-dominant selection between the diagonal NEs (C,C) and (D,D)."""
+    return _select(matrix, ((0, 0), (1, 1)))
 
 
 def select_rde_asymmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:
     """Risk-dominant selection between the off-diagonal NEs (C,D) and (D,C)."""
-    cd, dc = deviation_losses_asymmetric(matrix)
-    diff = cd.product - dc.product
-    if diff > TIE_EPS:
-        return _pure_outcome(matrix, 0, 1)
-    if diff < -TIE_EPS:
-        return _pure_outcome(matrix, 1, 0)
-    denom_p = cd.loss_b + dc.loss_b
-    denom_q = dc.loss_a + cd.loss_a
-    if abs(denom_p) <= TIE_EPS or abs(denom_q) <= TIE_EPS:
-        raise DegenerateDenominator("tie with vanishing loss sums; mixed profile undefined")
-    return _mixed_outcome(matrix, dc.loss_b / denom_p, cd.loss_a / denom_q)
+    return _select(matrix, ((0, 1), (1, 0)))
 
 
 def rde_chicken(params: DilemmaParams) -> RdeOutcome:

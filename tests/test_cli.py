@@ -197,6 +197,19 @@ def test_sweep_range_validation(capsys):
     assert "range" in err
 
 
+def test_sweep_degree_range_is_bounded_in_degrees(capsys):
+    code, out, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2",
+                         "--gamma-range", "0", "90", "3", "--degrees")
+    assert code == 0, err
+    gammas = [row["gamma"] for row in csv.DictReader(io.StringIO(out))]
+    assert gammas == [f"{math.radians(d):.12g}" for d in (0, 45, 90)]
+
+    code, _, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2",
+                       "--gamma-range", "0", "91", "3", "--degrees")
+    assert code == 1
+    assert "range" in err
+
+
 def test_sweep_out_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.5",

@@ -1,11 +1,15 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from qpd_rde import game_core, quantum_rde, risk_dominance
 from qpd_rde.game_core import (
     DilemmaKind,
     DilemmaParams,
+    PayoffMatrix2x2,
     StrategyProfile,
     build_dilemma_matrix,
     classify_dilemma,
@@ -156,3 +160,48 @@ def test_matrix_helpers():
     assert swapped.payoff(1, 1) == (1.0, 1.0)
     scaled = matrix.scaled(2.0)
     assert scaled.payoff(0, 1) == pytest.approx((-0.4, 3.8), abs=1e-15)
+
+
+@pytest.mark.parametrize("entries", [
+    [[(1, 1), (0, 0)]],                                     # one row
+    [[(1, 1), (0, 0)], [(1, 1), (0, 0)], [(1, 1), (0, 0)]],  # three rows
+    [[(1, 1), (0, 0), (2, 2)], [(1, 1), (0, 0), (2, 2)]],   # three columns
+    [[1.0, 0.0], [1.0, 0.0]],                               # scalar cells
+    [[(1, 1), 0.0], [(1, 1), (0, 0)]],                      # one scalar cell
+    [[(1, 1, 1), (0, 0, 0)], [(1, 1, 1), (0, 0, 0)]],       # triples
+    [[(1, 1), (0,)], [(1, 1), (0, 0)]],                     # one short cell
+    3.0,
+])
+def test_payoff_matrix_rejects_bad_shape(entries):
+    with pytest.raises(ValueError):
+        PayoffMatrix2x2(entries)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row,col,player", [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)])
+def test_payoff_matrix_rejects_non_finite(bad, row, col, player):
+    entries = [[[1.0, 1.0], [0.0, 2.0]], [[2.0, 0.0], [0.5, 0.5]]]
+    entries[row][col][player] = bad
+    with pytest.raises(ValueError):
+        PayoffMatrix2x2(entries)
+
+
+def test_payoff_matrix_rows_are_row_major_tuples():
+    matrix = PayoffMatrix2x2([[(1, 2), (3, 4)], [(5, 6), (7, 8)]])
+    assert matrix.a == ((1.0, 3.0), (5.0, 7.0))
+    assert matrix.b == ((2.0, 4.0), (6.0, 8.0))
+    assert matrix.payoff(1, 0) == (5.0, 6.0)
+    assert matrix.expected_payoffs(0.25, 0.5) == (
+        0.125 * 1 + 0.125 * 3 + 0.375 * 5 + 0.375 * 7,
+        0.125 * 2 + 0.125 * 4 + 0.375 * 6 + 0.375 * 8)
+
+
+@pytest.mark.parametrize("module", [game_core, risk_dominance, quantum_rde])
+def test_closed_form_modules_do_not_import_numpy(module):
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported

@@ -2,25 +2,36 @@
 
 Points are drawn both uniformly and on purpose on the seams: d_g or d_r in
 {0, +-1}, d_g == d_r, and gamma at 0, pi/2, gamma1, gamma2 or gamma_star,
-each also shifted by +-5e-10 and +-PHASE_TOL. Hypothesis runs derandomized,
+each also shifted by +-5e-10 and +-PHASE_TOL. Also covered: the players'
+payoff antisymmetry, the [0, 1] domain of every strategy weight, and the
+classical two-NE selection on chicken games. Hypothesis runs derandomized,
 so every run draws the same examples.
 """
 
 import inspect
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpd_rde import ewl, quantum_rde
 from qpd_rde.errors import DegenerateBase, DegenerateDenominator
-from qpd_rde.ewl import PHASE_TOL, classify_quantum_ne, resolve_phase, thresholds
-from qpd_rde.game_core import DilemmaParams
+from qpd_rde.ewl import (
+    PHASE_TOL,
+    classify_quantum_ne,
+    expected_payoff_quantum,
+    resolve_phase,
+    thresholds,
+)
+from qpd_rde.game_core import DilemmaParams, PayoffMatrix2x2, StrategyProfile, build_dilemma_matrix
 from qpd_rde.quantum_rde import (
     select_rde_quantum,
     sensitivity_indices,
     transitional_mixing_probability,
+    unilateral_deviation_payoffs,
 )
+from qpd_rde.risk_dominance import select_rde_asymmetric, select_rde_symmetric
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -149,3 +160,73 @@ def test_gamma_outside_domain_raises(point, gamma):
         except ValueError:
             continue
         raise AssertionError(f"{fn.__name__} accepted gamma={gamma}")
+
+
+unit = st.floats(0.0, 1.0)
+angle = st.floats(0.0, math.pi / 2)
+
+
+@SETTINGS
+@given(st.builds(DilemmaParams, any_strength, any_strength), unit, unit, angle)
+def test_payoffs_are_antisymmetric_under_player_swap(params, p, q, gamma):
+    assert expected_payoff_quantum(params, p, q, gamma)[0] == pytest.approx(
+        expected_payoff_quantum(params, q, p, gamma)[1], abs=1e-12)
+
+
+# Every public function taking a strategy weight, with that weight as argument.
+WEIGHT_CALLS = {
+    "StrategyProfile p": lambda params, t, gamma: StrategyProfile(t, 0.5),
+    "StrategyProfile q": lambda params, t, gamma: StrategyProfile(0.5, t),
+    "strategy_operator t": lambda params, t, gamma: ewl.strategy_operator(t),
+    "final_state p": lambda params, t, gamma: ewl.final_state(t, 0.5, gamma),
+    "final_state q": lambda params, t, gamma: ewl.final_state(0.5, t, gamma),
+    "joint_distribution p": lambda params, t, gamma: ewl.joint_distribution(t, 0.5, gamma),
+    "joint_distribution q": lambda params, t, gamma: ewl.joint_distribution(0.5, t, gamma),
+    "expected_payoff_quantum p": lambda params, t, gamma: expected_payoff_quantum(params, t, 0.5, gamma),
+    "expected_payoff_quantum q": lambda params, t, gamma: expected_payoff_quantum(params, 0.5, t, gamma),
+    "grid_best_response_gain p":
+        lambda params, t, gamma: ewl.grid_best_response_gain(params, t, 0.5, gamma, grid=3),
+    "grid_best_response_gain q":
+        lambda params, t, gamma: ewl.grid_best_response_gain(params, 0.5, t, gamma, grid=3),
+    "unilateral_deviation_payoffs q":
+        lambda params, t, gamma: unilateral_deviation_payoffs(params, gamma, "half", t),
+}
+
+
+@SETTINGS
+@given(st.builds(DilemmaParams, any_strength, any_strength), angle,
+       st.one_of(st.floats(-10.0, 10.0).filter(lambda t: not 0.0 <= t <= 1.0),
+                 st.sampled_from((math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0),
+                                  math.inf, -math.inf, math.nan))))
+def test_weight_outside_unit_interval_raises(params, gamma, t):
+    for name, call in WEIGHT_CALLS.items():
+        try:
+            call(params, t, gamma)
+        except ValueError:
+            continue
+        raise AssertionError(f"{name} accepted {t}")
+
+
+def swap_b_columns(matrix):
+    return PayoffMatrix2x2([[(matrix.a[r][1 - c], matrix.b[r][1 - c]) for c in range(2)]
+                            for r in range(2)], matrix.labels)
+
+
+@SETTINGS
+@given(st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)),
+       st.one_of(st.floats(-1.0, 0.0, exclude_max=True), st.just(-1.0)))
+def test_asymmetric_selection_is_symmetric_selection_with_b_columns_swapped(d_g, d_r):
+    """Chicken's off-diagonal NEs always tie; swapping B's columns puts them on the diagonal."""
+    matrix = build_dilemma_matrix(DilemmaParams(d_g, d_r))
+    swapped = swap_b_columns(matrix)
+    try:
+        asym = select_rde_asymmetric(matrix)
+    except DegenerateDenominator:
+        with pytest.raises(DegenerateDenominator):
+            select_rde_symmetric(swapped)
+        return
+    sym = select_rde_symmetric(swapped)
+    assert asym.kind == sym.kind == "mixed"
+    assert asym.profile.p == pytest.approx(sym.profile.p, abs=1e-12)
+    assert asym.profile.q == pytest.approx(1.0 - sym.profile.q, abs=1e-12)
+    assert asym.payoffs == pytest.approx(sym.payoffs, abs=1e-12)

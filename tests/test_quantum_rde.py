@@ -310,6 +310,12 @@ def test_critical_angle_small_dr_limit():
     assert angles.gamma_g < 2e-3
 
 
+@pytest.mark.parametrize("dg,dr", [(0.0, 0.5), (0.5, 0.0), (-0.3, 0.5), (0.5, -0.3)])
+def test_critical_angles_out_of_regime(dg, dr):
+    with pytest.raises(OutOfRegime):
+        sensitivity_critical_angles(DilemmaParams(dg, dr))
+
+
 def test_sensitivity_indices_reference_values():
     report = sensitivity_indices(TRANS, math.pi / 6)
     assert report.index_dg == pytest.approx(-0.593, abs=0.005)
