@@ -11,9 +11,8 @@ import csv
 import io
 import json
 import math
+import random
 import sys
-
-import numpy as np
 
 from . import ewl, game_core, quantum_rde, risk_dominance
 from .errors import QpdError
@@ -133,39 +132,37 @@ def cmd_ne(args) -> int:
 
 
 def _classical_rde(params: DilemmaParams):
-    """RDE (or unique NE) of the classical dilemma, with deviation-loss products."""
+    """Class and RDE (or unique NE) of the classical dilemma."""
     kind = game_core.classify_dilemma(params).kind
-    matrix = game_core.build_dilemma_matrix(params)
     if kind is game_core.DilemmaKind.CH:
-        cd, dc = risk_dominance.deviation_losses_asymmetric(matrix)
-        return risk_dominance.rde_chicken(params), {"delta_cd": cd.product, "delta_dc": dc.product}
+        return kind, risk_dominance.rde_chicken(params)
     if kind is game_core.DilemmaKind.SH:
-        cc, dd = risk_dominance.deviation_losses_symmetric(matrix)
-        return risk_dominance.rde_staghunt(params), {"delta_cc": cc.product, "delta_dd": dd.product}
-    if kind is game_core.DilemmaKind.PD:
-        outcome = risk_dominance.RdeOutcome("pure", StrategyProfile(0.0, 0.0),
-                                            matrix.payoff(1, 1), "(D,D)")
-    else:  # TRIVIAL: cooperation dominates
-        outcome = risk_dominance.RdeOutcome("pure", StrategyProfile(1.0, 1.0),
-                                            matrix.payoff(0, 0), "(C,C)")
-    return outcome, {}
+        return kind, risk_dominance.rde_staghunt(params)
+    # PD: defection dominates; TRIVIAL: cooperation dominates.
+    t, cell, label = (0.0, 1, "(D,D)") if kind is game_core.DilemmaKind.PD else (1.0, 0, "(C,C)")
+    payoffs = game_core.build_dilemma_matrix(params).payoff(cell, cell)
+    return kind, risk_dominance.RdeOutcome("pure", StrategyProfile(t, t), payoffs, label)
 
 
 def cmd_rde(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
+    keys, losses = (), ()
     if gamma is None:
-        outcome, deltas = _classical_rde(params)
+        kind, outcome = _classical_rde(params)
+        if kind is game_core.DilemmaKind.CH:
+            keys = ("delta_cd", "delta_dc")
+            losses = risk_dominance.deviation_losses_asymmetric(game_core.build_dilemma_matrix(params))
+        elif kind is game_core.DilemmaKind.SH:
+            keys = ("delta_cc", "delta_dd")
+            losses = risk_dominance.deviation_losses_symmetric(game_core.build_dilemma_matrix(params))
         payload = {"d_g": params.d_g, "d_r": params.d_r, "mode": "classical"}
     else:
         phase, outcome = quantum_rde.select_rde_quantum(params, gamma)
         thr = ewl.thresholds(params)
-        deltas = {}
         if phase in ("transitional", "coexistence"):
-            first, second = quantum_rde.deviation_losses_quantum(params, gamma, phase)
-            key1, key2 = (("delta_qd", "delta_dq") if phase == "transitional"
-                          else ("delta_qq", "delta_dd"))
-            deltas = {key1: first.product, key2: second.product}
+            keys = ("delta_qd", "delta_dq") if phase == "transitional" else ("delta_qq", "delta_dd")
+            losses = quantum_rde.deviation_losses_quantum(params, gamma, phase)
         payload = {
             "d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
             "mode": "quantum", "phase": phase,
@@ -179,7 +176,7 @@ def cmd_rde(args) -> int:
         "payoff_a": outcome.payoffs[0],
         "payoff_b": outcome.payoffs[1],
     })
-    payload.update(deltas)
+    payload.update((key, loss.product) for key, loss in zip(keys, losses))
     _emit_report(payload, args)
     return EXIT_OK
 
@@ -215,14 +212,9 @@ def cmd_sensitivity(args) -> int:
 def _axis(single, rng, name, lo, hi):
     if rng is not None:
         start, stop, steps = rng
-        steps = int(steps)
-        if steps < 1:
-            raise QpdError(f"{name} steps must be >= 1")
         if not (lo <= start <= hi and lo <= stop <= hi):
             raise QpdError(f"{name} range must lie within [{lo}, {hi}]")
-        if steps == 1:
-            return [start]
-        return list(np.linspace(start, stop, steps))
+        return ewl._linspace(start, stop, int(steps))
     value = single if single is not None else 0.0
     if not (lo <= value <= hi):
         raise QpdError(f"{name} must lie within [{lo}, {hi}]")
@@ -248,7 +240,7 @@ def _sweep_row(dg: float, dr: float, gamma: float, quantities) -> dict:
         if quantum_regime:
             _, outcome = quantum_rde.select_rde_quantum(params, gamma)
         else:
-            outcome, _ = _classical_rde(params)
+            _, outcome = _classical_rde(params)
         row["rde_kind"] = outcome.kind
         row["rde_label"] = outcome.label or ""
         row["rde_p"] = outcome.profile.p
@@ -294,6 +286,10 @@ def cmd_sweep(args) -> int:
         if q not in _QUANTITIES:
             raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_QUANTITIES)}")
 
+    ranges = {"dg": args.dg_range, "dr": args.dr_range, "gamma": args.gamma_range}
+    for name, rng in ranges.items():
+        if rng is not None and not (1 <= rng[2] <= sys.maxsize and rng[2].is_integer()):
+            raise QpdError(f"{name} steps must be a whole number in [1, sys.maxsize], got {rng[2]}")
     dgs = _axis(args.dg, args.dg_range, "dg", -1.0, 1.0)
     drs = _axis(args.dr, args.dr_range, "dr", -1.0, 1.0)
     gammas = _axis(args.gamma, args.gamma_range, "gamma", 0.0,
@@ -438,22 +434,22 @@ def cmd_oracle_check(args) -> int:
     density = args.grid
     if density < 2:
         raise QpdError("--grid must be >= 2")
-    rng = np.random.default_rng(args.seed)
-    points = [(p, q, g)
-              for p in np.linspace(0.0, 1.0, density)
-              for q in np.linspace(0.0, 1.0, density)
-              for g in np.linspace(0.0, math.pi / 2, density)]
-    points += [(rng.uniform(), rng.uniform(), rng.uniform(0.0, math.pi / 2))
+    if args.seed < 0:
+        raise QpdError("--seed must be >= 0")
+    rng = random.Random(args.seed)
+    unit = ewl._linspace(0.0, 1.0, density)
+    angles = ewl._linspace(0.0, math.pi / 2, density)
+    points = [(p, q, g) for p in unit for q in unit for g in angles]
+    points += [(rng.random(), rng.random(), rng.uniform(0.0, math.pi / 2))
                for _ in range(100)]
 
-    max_dev = 0.0
-    max_norm_dev = 0.0
+    max_dev = max_norm_dev = 0.0
     for p, q, gamma in points:
         amps = ewl.final_state(p, q, gamma, tampered=args.tampered_gate)
-        probs = np.abs(amps) ** 2
+        probs = [abs(z) ** 2 for z in amps]
         closed = ewl.joint_distribution(p, q, gamma).as_array()
-        max_dev = max(max_dev, float(np.max(np.abs(probs - closed))))
-        max_norm_dev = max(max_norm_dev, abs(float(np.sum(probs)) - 1.0))
+        max_dev = max(max_dev, *(abs(a - b) for a, b in zip(probs, closed)))
+        max_norm_dev = max(max_norm_dev, abs(sum(probs) - 1.0))
 
     ok = max_dev <= 1e-12 and max_norm_dev <= 1e-12
     lines = [

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add, mul
 
 from .errors import OutOfRegime
 from .game_core import DilemmaParams, NashEquilibriumRecord, PayoffMatrix2x2, StrategyProfile
@@ -42,9 +42,9 @@ GAMMA_MAX = math.pi / 2
 # gamma2 every entry point reports the boundary phase.
 PHASE_TOL = 1e-9
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_KET_CC = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+_SIGMA_Y = ((0.0, -1.0j), (1.0j, 0.0))
+_SIGMA_X = ((0.0, 1.0), (1.0, 0.0))
+_KET_CC = (1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -57,6 +57,25 @@ def _check_prob(t: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {t}")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num) on floats: start + i*step, stop exactly last."""
+    div, delta = max(num - 1, 1), stop - start
+    step = delta / div
+    # Where the step underflows to zero, numpy scales i/div by delta instead.
+    points = [(i * step if step else i / div * delta) + start for i in range(num)]
+    return points[:-1] + [stop] if num > 1 else points
+
+
+def _kron(a, b):
+    """Row-major Kronecker product of two square matrices."""
+    return tuple(tuple(x * y for x in row_a for y in row_b) for row_a in a for row_b in b)
+
+
+def _matvec(matrix, vector):
+    """Matrix-vector product, each entry summed left to right from its first term."""
+    return tuple(reduce(add, map(mul, row, vector)) for row in matrix)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Outcome probabilities over (CC, CD, DC, DD)."""
@@ -66,8 +85,8 @@ class JointDistribution:
     eps3: float
     eps4: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eps1, self.eps2, self.eps3, self.eps4])
+    def as_array(self) -> tuple[float, float, float, float]:
+        return (self.eps1, self.eps2, self.eps3, self.eps4)
 
 
 @dataclass(frozen=True)
@@ -109,20 +128,20 @@ class QuantumNeReport:
     equilibria: list[NashEquilibriumRecord]
 
 
-def initial_state(gamma: float) -> np.ndarray:
+def initial_state(gamma: float) -> tuple[complex, ...]:
     """Entangled initial state cos(g/2)|CC> + i sin(g/2)|DD>."""
     _check_gamma(gamma)
-    return np.array([math.cos(gamma / 2), 0.0, 0.0, 1.0j * math.sin(gamma / 2)], dtype=complex)
+    return (complex(math.cos(gamma / 2)), 0.0j, 0.0j, 1.0j * math.sin(gamma / 2))
 
 
-def strategy_operator(t: float) -> np.ndarray:
+def strategy_operator(t: float) -> tuple[tuple[complex, ...], ...]:
     """One-parameter local unitary; t=1 is quantum-cooperate, t=0 is defect."""
     _check_prob(t, "t")
     rt, ru = math.sqrt(t), math.sqrt(1.0 - t)
-    return np.array([[1.0j * rt, ru], [-ru, -1.0j * rt]], dtype=complex)
+    return ((1.0j * rt, complex(ru)), (complex(-ru), -1.0j * rt))
 
 
-def entangling_gate(gamma: float, tampered: bool = False) -> np.ndarray:
+def entangling_gate(gamma: float, tampered: bool = False) -> tuple[tuple[complex, ...], ...]:
     """Entangler J = cos(g/2) I - i sin(g/2) (sigma_y x sigma_y).
 
     ``tampered=True`` substitutes sigma_x x sigma_x, a deliberately wrong
@@ -131,15 +150,17 @@ def entangling_gate(gamma: float, tampered: bool = False) -> np.ndarray:
     """
     _check_gamma(gamma)
     pauli = _SIGMA_X if tampered else _SIGMA_Y
-    return (math.cos(gamma / 2) * np.eye(4, dtype=complex)
-            - 1.0j * math.sin(gamma / 2) * np.kron(pauli, pauli))
+    cos, isin = math.cos(gamma / 2), 1.0j * math.sin(gamma / 2)
+    return tuple(tuple(cos * (r == c) - isin * k for c, k in enumerate(row))
+                 for r, row in enumerate(_kron(pauli, pauli)))
 
 
-def final_state(p: float, q: float, gamma: float, tampered: bool = False) -> np.ndarray:
+def final_state(p: float, q: float, gamma: float, tampered: bool = False) -> tuple[complex, ...]:
     """State-vector oracle: Jdag (U(p) x U(q)) J |CC>."""
     gate = entangling_gate(gamma, tampered=tampered)
-    local = np.kron(strategy_operator(p), strategy_operator(q))
-    return gate.conj().T @ (local @ (gate @ _KET_CC))
+    local = _kron(strategy_operator(p), strategy_operator(q))
+    dagger = tuple(tuple(z.conjugate() for z in column) for column in zip(*gate))
+    return _matvec(dagger, _matvec(local, _matvec(gate, _KET_CC)))
 
 
 def joint_distribution(p: float, q: float, gamma: float) -> JointDistribution:
@@ -275,7 +296,7 @@ def grid_best_response_gain(params: DilemmaParams, p: float, q: float, gamma: fl
     """
     base_a, base_b = expected_payoff_quantum(params, p, q, gamma)
     gain_a = max(expected_payoff_quantum(params, t, q, gamma)[0] - base_a
-                 for t in np.linspace(0.0, 1.0, grid))
+                 for t in _linspace(0.0, 1.0, grid))
     gain_b = max(expected_payoff_quantum(params, p, t, gamma)[1] - base_b
-                 for t in np.linspace(0.0, 1.0, grid))
+                 for t in _linspace(0.0, 1.0, grid))
     return gain_a, gain_b

@@ -126,7 +126,7 @@ def rde_chicken(params: DilemmaParams) -> RdeOutcome:
     """Closed-form chicken RDE: the symmetric mixed profile -d_r/(-d_r + d_g)."""
     if classify_dilemma(params).kind is not DilemmaKind.CH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a chicken game")
-    t = -params.d_r / (-params.d_r + params.d_g)
+    t = -params.d_r / (-params.d_r + params.d_g) + 0.0  # + 0.0: no -0.0 when d_r == 0
     profile = StrategyProfile(t, t)
     return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
 

@@ -2,9 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qpd_rde
+from qpd_rde import risk_dominance
 from qpd_rde.cli import main
 from qpd_rde.ewl import thresholds
 from qpd_rde.game_core import DilemmaParams
@@ -210,6 +216,48 @@ def test_sweep_degree_range_is_bounded_in_degrees(capsys):
     assert "range" in err
 
 
+@pytest.mark.parametrize("steps", ["2.5", "inf", "nan", "1e300"])
+def test_sweep_rejects_step_counts_that_are_not_whole(capsys, steps):
+    code, out, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2",
+                         "--gamma-range", "0", "1", steps)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: gamma steps")
+    assert "Traceback" not in err
+
+
+def test_classical_rde_at_d_r_zero_prints_positive_zero(capsys):
+    code, out, _ = run(capsys, "rde", "--dg", "0.5", "--dr", "0", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["p"].hex(), payload["q"].hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+    code, out, _ = run(capsys, "sweep", "--dg-range", "0.5", "1", "2", "--dr", "0",
+                       "--quantities", "rde")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["rde_p"], row["rde_q"]) for row in rows] == [("0", "0")] * 2
+
+
+@pytest.mark.parametrize("dg, dr, delta", [("-0.5", "0.5", "delta_cc"),
+                                           ("0.5", "-0.5", "delta_cd"),
+                                           ("0.5", "0", "delta_dc")])
+def test_classical_sweep_row_computes_no_deviation_losses(capsys, monkeypatch, dg, dr, delta):
+    calls = []
+    losses = risk_dominance._losses
+    monkeypatch.setattr(risk_dominance, "_losses",
+                        lambda *args: calls.append(args) or losses(*args))
+    code, _, err = run(capsys, "sweep", f"--dg={dg}", "--dr", dr, "--gamma", "0.5",
+                       "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
+    assert code == 0, err
+    assert calls == []
+
+    code, out, _ = run(capsys, "rde", f"--dg={dg}", "--dr", dr, "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    assert delta in json.loads(out)
+
+
 def test_sweep_out_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.5",
@@ -238,6 +286,36 @@ def test_oracle_check_tampered_gate_fails(capsys):
     code, out, _ = run(capsys, "oracle-check", "--grid", "5", "--tampered-gate")
     assert code == 2
     assert "result: FAIL" in out
+
+
+def test_oracle_check_rejects_negative_seed(capsys):
+    code, out, err = run(capsys, "oracle-check", "--grid", "2", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--seed" in err
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    """With numpy blocked from import, the commands give their usual exit codes."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from qpd_rde.cli import main\n"
+        "out = sys.argv[1]\n"
+        "print(main(['tables', '--out', out]),\n"
+        "      main(['oracle-check', '--grid', '3', '--out', out]),\n"
+        "      main(['oracle-check', '--grid', '3', '--tampered-gate', '--out', out]),\n"
+        "      main(['sweep', '--dg-range', '-1', '1', '5', '--dr-range', '-1', '1', '5',\n"
+        "            '--gamma-range', '0', '1.5', '3', '--out', out,\n"
+        "            '--quantities', 'class,ne,rde,payoffs,sensitivity,thresholds']))\n"
+        "print('numpy' in sys.modules and sys.modules['numpy'] is not None)\n")
+    src = str(Path(qpd_rde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.txt")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "2", "0", "False"]
 
 
 def test_usage_error_exit_code(capsys):

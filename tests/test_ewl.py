@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qpd_rde import ewl
 from qpd_rde.errors import OutOfRegime
 from qpd_rde.ewl import (
     classify_quantum_ne,
@@ -35,14 +38,14 @@ def test_strategy_operator_endpoints():
     assert np.allclose(strategy_operator(1.0), [[1j, 0], [0, -1j]])
     assert np.allclose(strategy_operator(0.0), [[0, 1], [-1, 0]])
     for t in (0.0, 0.25, 0.5, 1.0):
-        u = strategy_operator(t)
+        u = np.array(strategy_operator(t))
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
 
 def test_entangling_gate_properties():
     assert np.allclose(entangling_gate(0.0), np.eye(4))
     for gamma in np.linspace(0, math.pi / 2, 20):
-        gate = entangling_gate(gamma)
+        gate = np.array(entangling_gate(gamma))
         assert np.max(np.abs(gate @ gate.conj().T - np.eye(4))) < 1e-12
         ket_cc = np.array([1, 0, 0, 0], dtype=complex)
         assert np.max(np.abs(gate @ ket_cc - initial_state(gamma))) < 1e-12
@@ -228,3 +231,35 @@ def test_ne_certification_by_grid():
                     assert gain <= 1e-9
                 else:
                     assert gain > 1e-9
+
+
+def bits(values):
+    """Each float's exact bits, sign of zero included."""
+    return [float(x).hex() for x in values]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(1, 300))
+@example(0.0, 1e-322, 51)  # the step underflows to zero, but i/div * delta does not
+@example(-0.0, 1.0, 1)
+def test_linspace_matches_numpy_bit_for_bit(start, stop, num):
+    points = ewl._linspace(start, stop, num)
+    assert all(type(x) is float for x in points)
+    assert bits(points) == bits(np.linspace(start, stop, num))
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (0.025, 1.0, 40), (-1.0, 1.0, 81), (0.0, math.pi / 2, 50), (0.0, math.pi / 2, 8),
+    (0.0, 1.0, 1001)])
+def test_linspace_matches_numpy_on_benchmark_axes(start, stop, num):
+    assert bits(ewl._linspace(start, stop, num)) == bits(np.linspace(start, stop, num))
+
+
+def test_oracle_functions_return_tuples():
+    assert type(initial_state(0.4)) is tuple
+    assert type(final_state(0.3, 0.6, 0.4)) is tuple
+    assert all(type(z) is complex for z in final_state(0.3, 0.6, 0.4))
+    for matrix, size in ((strategy_operator(0.3), 2), (entangling_gate(0.4), 4)):
+        assert type(matrix) is tuple and [len(row) for row in matrix] == [size] * size
+    dist = joint_distribution(0.3, 0.6, 0.4)
+    assert dist.as_array() == (dist.eps1, dist.eps2, dist.eps3, dist.eps4)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qpd_rde import game_core, quantum_rde, risk_dominance
+import qpd_rde
+from qpd_rde import cli, errors, ewl, game_core, quantum_rde, risk_dominance
 from qpd_rde.game_core import (
     DilemmaKind,
     DilemmaParams,
@@ -196,7 +197,8 @@ def test_payoff_matrix_rows_are_row_major_tuples():
         0.125 * 2 + 0.125 * 4 + 0.375 * 6 + 0.375 * 8)
 
 
-@pytest.mark.parametrize("module", [game_core, risk_dominance, quantum_rde])
+@pytest.mark.parametrize("module", [game_core, risk_dominance, quantum_rde, ewl, cli, errors,
+                                    qpd_rde])
 def test_closed_form_modules_do_not_import_numpy(module):
     imported = set()
     for node in ast.walk(ast.parse(inspect.getsource(module))):

@@ -103,6 +103,13 @@ def test_rde_chicken_symmetric_strengths():
         assert outcome.profile.p == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("dr", [0.0, -0.0])
+def test_rde_chicken_on_the_d_r_zero_boundary_is_positive_zero(dr):
+    for dg in (0.5, 1.0, 5e-324):
+        outcome = rde_chicken(DilemmaParams(dg, dr))
+        assert (outcome.profile.p.hex(), outcome.profile.q.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+
 def test_rde_wrong_class():
     with pytest.raises(WrongClass):
         rde_chicken(DilemmaParams(-0.5, 0.5))
