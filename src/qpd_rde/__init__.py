@@ -33,6 +33,7 @@ from .ewl import (
     entangling_gate,
     expected_payoff_quantum,
     final_state,
+    grid_best_response_gain,
     initial_state,
     joint_distribution,
     pure_quantum_matrix,
@@ -47,7 +48,6 @@ from .quantum_rde import (
     deviation_losses_quantum,
     group_benefit_threshold,
     rde_coexistence,
-    rde_expected_payoff,
     rde_transitional,
     select_rde_quantum,
     sensitivity_critical_angles,
@@ -60,4 +60,4 @@ from .quantum_rde import (
 )
 from . import errors
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

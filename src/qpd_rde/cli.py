@@ -162,7 +162,7 @@ def cmd_rde(args) -> int:
         thr = ewl.thresholds(params)
         if phase in ("transitional", "coexistence"):
             keys = ("delta_qd", "delta_dq") if phase == "transitional" else ("delta_qq", "delta_dd")
-            losses = quantum_rde.deviation_losses_quantum(params, gamma, phase)
+            losses = quantum_rde.deviation_losses_quantum(params, gamma)
         payload = {
             "d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
             "mode": "quantum", "phase": phase,
@@ -368,7 +368,7 @@ def _check_table5(rep: _TableReport) -> None:
             found = set(_ne_labels(report.equilibria, ("Q", "D")))
             certified = all(
                 max(ewl.grid_best_response_gain(params, rec.profile.p, rec.profile.q,
-                                                gamma)) <= 1e-9
+                                                gamma)) <= game_core.TIE_EPS
                 for rec in report.equilibria)
             rep.check(f"Table5 NE set ({dg},{dr}) at gamma={gamma}",
                       found == expected and certified,

@@ -217,7 +217,7 @@ def pure_quantum_matrix(params: DilemmaParams, gamma: float) -> QuantumPayoffMat
 
 def _arcsin_sqrt(radicand: float) -> float | None:
     if 0.0 <= radicand <= 1.0:
-        return math.asin(math.sqrt(radicand))
+        return math.asin(math.sqrt(radicand)) + 0.0  # + 0.0: no -0.0 from a -0.0 strength
     return None
 
 
@@ -283,7 +283,7 @@ def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
         (gamma <= g1 + PHASE_TOL, 0.0, 0.0, (0.0, 0.0)),
     ]
     return QuantumNeReport(phase.name, [
-        NashEquilibriumRecord(StrategyProfile(p, q), payoffs, "pure")
+        NashEquilibriumRecord(StrategyProfile(p, q), payoffs)
         for is_ne, p, q, payoffs in cells if is_ne])
 
 

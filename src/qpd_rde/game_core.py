@@ -26,6 +26,11 @@ __all__ = [
     "verify_mixed_ne",
 ]
 
+# The one payoff-tie tolerance: a best-response shortfall this small still
+# counts as an NE, and deviation-loss products this close select the mixed
+# profile (risk_dominance).
+TIE_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class DilemmaParams:
@@ -90,15 +95,6 @@ class PayoffMatrix2x2:
         return (self.a[row][col] >= self.a[1 - row][col] - tol
                 and self.b[row][col] >= self.b[row][1 - col] - tol)
 
-    def scaled(self, k: float) -> "PayoffMatrix2x2":
-        entries = [[(x * k, y * k) for x, y in zip(ra, rb)] for ra, rb in zip(self.a, self.b)]
-        return PayoffMatrix2x2(entries, self.labels)
-
-    def with_swapped_labels(self) -> "PayoffMatrix2x2":
-        """Consistently permute both players' action labels."""
-        entries = [list(zip(ra[::-1], rb[::-1])) for ra, rb in zip(self.a[::-1], self.b[::-1])]
-        return PayoffMatrix2x2(entries, (self.labels[1], self.labels[0]))
-
     def __repr__(self):
         return (f"PayoffMatrix2x2(labels={self.labels}, a={[list(r) for r in self.a]}, "
                 f"b={[list(r) for r in self.b]})")
@@ -121,15 +117,14 @@ class DilemmaClass:
 class NashEquilibriumRecord:
     profile: StrategyProfile
     payoffs: tuple[float, float]
-    kind: str  # "pure" or "mixed"
 
 
 def build_dilemma_matrix(params: DilemmaParams) -> PayoffMatrix2x2:
     """Payoff matrix of the normalized dilemma: (C,C)=(1,1), (D,D)=(0,0)."""
     dg, dr = params.d_g, params.d_r
     entries = [
-        [(1.0, 1.0), (-dr, 1.0 + dg)],
-        [(1.0 + dg, -dr), (0.0, 0.0)],
+        [(1.0, 1.0), (0.0 - dr, 1.0 + dg)],  # 0.0 - dr: no -0.0 when d_r == 0
+        [(1.0 + dg, 0.0 - dr), (0.0, 0.0)],
     ]
     return PayoffMatrix2x2(entries, labels=("C", "D"))
 
@@ -173,32 +168,30 @@ def expected_payoff_classical(params: DilemmaParams, profile: StrategyProfile) -
     return pay_a, pay_b
 
 
-def enumerate_pure_ne(matrix: PayoffMatrix2x2, tol: float = 0.0) -> list[NashEquilibriumRecord]:
-    """All pure-strategy NEs of the bimatrix; ties (within tol) count as equilibria."""
+def enumerate_pure_ne(matrix: PayoffMatrix2x2) -> list[NashEquilibriumRecord]:
+    """All pure-strategy NEs of the bimatrix; exact ties count as equilibria."""
     records = []
     for row in range(2):
         for col in range(2):
-            if matrix.is_pure_ne(row, col, tol):
+            if matrix.is_pure_ne(row, col):
                 profile = StrategyProfile(p=1.0 - row, q=1.0 - col)
-                records.append(NashEquilibriumRecord(profile, matrix.payoff(row, col), "pure"))
+                records.append(NashEquilibriumRecord(profile, matrix.payoff(row, col)))
     return records
 
 
-def verify_mixed_ne(params: DilemmaParams, profile: StrategyProfile, tol: float = 1e-9) -> bool:
-    """True iff no unilateral deviation gains more than tol.
+def verify_mixed_ne(params: DilemmaParams, profile: StrategyProfile) -> bool:
+    """True iff no unilateral deviation gains more than TIE_EPS.
 
     Payoffs are affine in each player's own weight, so checking the two pure
     deviations of each player suffices.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     base_a, base_b = expected_payoff_classical(params, profile)
     for p_dev in (0.0, 1.0):
         dev_a, _ = expected_payoff_classical(params, StrategyProfile(p_dev, profile.q))
-        if dev_a > base_a + tol:
+        if dev_a > base_a + TIE_EPS:
             return False
     for q_dev in (0.0, 1.0):
         _, dev_b = expected_payoff_classical(params, StrategyProfile(profile.p, q_dev))
-        if dev_b > base_b + tol:
+        if dev_b > base_b + TIE_EPS:
             return False
     return True

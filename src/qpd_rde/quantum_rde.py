@@ -32,7 +32,6 @@ __all__ = [
     "sensitivity_partials",
     "sensitivity_critical_angles",
     "sensitivity_indices",
-    "rde_expected_payoff",
     "group_benefit_threshold",
     "unilateral_deviation_payoffs",
 ]
@@ -106,18 +105,17 @@ def situ_risk_coexistence(params: DilemmaParams, gamma: float) -> tuple[SituRisk
     return SituRisk(0.0, 0.0), SituRisk(loss, loss)
 
 
-def deviation_losses_quantum(params: DilemmaParams, gamma: float, phase: str
+def deviation_losses_quantum(params: DilemmaParams, gamma: float
                              ) -> tuple[DeviationLossPair, DeviationLossPair]:
-    """Closed-form deviation losses at the phase's NE pair.
+    """Closed-form deviation losses at the NE pair of the pair's band.
 
-    ``phase="transitional"`` returns the pairs at (Q(x)D, D(x)Q);
-    ``phase="coexistence"`` returns the pairs at (Q(x)Q, D(x)D).
+    On the transitional band (d_g > d_r) returns the pairs at (Q(x)D, D(x)Q);
+    on the coexistence band (d_r > d_g) the pairs at (Q(x)Q, D(x)D).
     """
-    if phase not in ("transitional", "coexistence"):
-        raise ValueError(f"phase must be 'transitional' or 'coexistence', got {phase!r}")
-    _in_band(params, gamma, phase)
+    transitional = params.d_g > params.d_r
+    _in_band(params, gamma, "transitional" if transitional else "coexistence")
     x = _shift(params, gamma)
-    if phase == "transitional":
+    if transitional:
         loss_hi = params.d_g - x          # deviation loss of the defector
         loss_lo = -params.d_r + x         # deviation loss of the cooperator
         return DeviationLossPair(loss_lo, loss_hi), DeviationLossPair(loss_hi, loss_lo)
@@ -215,11 +213,6 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
         index_gamma=partials.partial_gamma * gamma / p_star,
         semi_elasticity_gamma=partials.partial_gamma / p_star,
     )
-
-
-def rde_expected_payoff(params: DilemmaParams, gamma: float) -> tuple[float, float]:
-    """Equal expected payoffs of the transitional RDE."""
-    return rde_transitional(params, gamma).payoffs
 
 
 def group_benefit_threshold(params: DilemmaParams) -> float | None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateDenominator, NotAnEquilibrium, WrongClass
 from .game_core import (
+    TIE_EPS,
     DilemmaKind,
     DilemmaParams,
     PayoffMatrix2x2,
@@ -31,10 +32,6 @@ __all__ = [
     "rde_chicken",
     "rde_staghunt",
 ]
-
-# The one payoff-tie tolerance: deviation-loss products this close select the
-# mixed profile, and a best-response shortfall this small still counts as an NE.
-TIE_EPS = 1e-9
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from qpd_rde.ewl import (
 from qpd_rde.game_core import DilemmaParams, StrategyProfile, expected_payoff_classical
 from qpd_rde.quantum_rde import (
     rde_coexistence,
-    rde_expected_payoff,
+    rde_transitional,
     sensitivity_critical_angles,
     sensitivity_indices,
     sensitivity_partials,
@@ -270,7 +270,7 @@ def test_acceptance_9_midpoint_identity():
         gamma = math.asin(math.sqrt((dg + dr) / (2 * (1 + dg + dr))))
         ok &= abs(transitional_mixing_probability(params, gamma) - 0.5) <= 1e-9
         expected = (2 + dg - dr) / 4
-        pay = rde_expected_payoff(params, gamma)
+        pay = rde_transitional(params, gamma).payoffs
         ok &= abs(pay[0] - expected) <= 1e-12 and abs(pay[1] - expected) <= 1e-12
     assert report(9, ok)
 

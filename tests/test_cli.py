@@ -239,6 +239,30 @@ def test_classical_rde_at_d_r_zero_prints_positive_zero(capsys):
     assert [(row["rde_p"], row["rde_q"]) for row in rows] == [("0", "0")] * 2
 
 
+@pytest.mark.parametrize("dr", ["0", "-0.0"])
+def test_classical_losses_and_ne_payoffs_at_d_r_zero_are_positive_zero(capsys, dr):
+    code, out, _ = run(capsys, "rde", "--dg", "0.5", f"--dr={dr}", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["delta_cd"].hex(), payload["delta_dc"].hex()) == ("0x0.0p+0", "0x0.0p+0")
+    code, out, _ = run(capsys, "rde", "--dg", "0.5", f"--dr={dr}")
+    assert code == 0
+    assert "delta_cd: 0\ndelta_dc: 0\n" in out
+    for command in ("classify", "ne"):
+        code, out, _ = run(capsys, command, "--dg", "0.5", f"--dr={dr}", "--format", "json")
+        assert code == 0
+        cells = [x for pair in json.loads(out)["pure_ne_payoffs"] for x in pair]
+        assert 0.0 in cells and all(math.copysign(1.0, x) == 1.0 for x in cells)
+
+
+def test_sweep_thresholds_at_negative_zero_strengths_are_positive_zero(capsys):
+    code, out, _ = run(capsys, "sweep", "--dg=-0.0", "--dr=-0.0", "--quantities", "thresholds",
+                       "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert [row[key].hex() for key in ("gamma1", "gamma2", "gamma_star")] == ["0x0.0p+0"] * 3
+
+
 @pytest.mark.parametrize("dg, dr, delta", [("-0.5", "0.5", "delta_cc"),
                                            ("0.5", "-0.5", "delta_cd"),
                                            ("0.5", "0", "delta_dc")])

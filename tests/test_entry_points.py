@@ -1,0 +1,201 @@
+"""Every entry point reports the same thing about the same (d_g, d_r, gamma).
+
+One derandomized hypothesis property runs ``classify``, ``ne``, ``rde`` and
+``sensitivity`` with ``--format json``, a one-row all-quantity
+``sweep --format json`` and the scalar API in-process, and compares them field
+by field, bit for bit. Points sit on the seams on purpose: d_g or d_r in
+{0, -0.0, +-1}, d_g == d_r, and gamma at 0, pi/2 or gamma1, gamma2, gamma_star
+shifted by +-PHASE_TOL and +-1 ulp.
+
+Two differences are by design. Outside the PD regime ``ne`` and ``rde`` with
+``--gamma`` exit 1, while the sweep row falls back to the classical game, which
+``ne`` and ``rde`` without ``--gamma`` report. A label of None prints as
+``None`` in ``rde`` text output and as an empty sweep cell.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qpd_rde.cli import main
+from qpd_rde.errors import QpdError
+from qpd_rde.ewl import PHASE_TOL, classify_quantum_ne, pure_quantum_matrix, thresholds
+from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
+                               enumerate_pure_ne)
+from qpd_rde.quantum_rde import select_rde_quantum, sensitivity_critical_angles, sensitivity_indices
+from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+
+strength = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0, 1.0, -1.0)))
+ECHOED = ("d_g", "d_r", "gamma")
+SENSITIVITY = (("p_star", "p_star"), ("partial_dg", "partial_dg"), ("partial_dr", "partial_dr"),
+               ("partial_gamma", "partial_gamma"), ("index_dg", "s_dg"), ("index_dr", "s_dr"),
+               ("index_gamma", "s_gamma"), ("semi_elasticity_gamma", "semi_elasticity_gamma"))
+
+
+def shifted(angle, offset, ulps):
+    gamma = angle + offset
+    for _ in range(abs(ulps)):
+        gamma = math.nextafter(gamma, math.copysign(math.inf, ulps))
+    return gamma
+
+
+@st.composite
+def points(draw):
+    d_g = draw(strength)
+    d_r = draw(st.one_of(strength, st.just(d_g)))
+    thr = thresholds(DilemmaParams(d_g, d_r))
+    anchors = [g for g in (thr.gamma1, thr.gamma2, thr.gamma_star) if g is not None]
+    angles = [st.floats(0.0, math.pi / 2), st.sampled_from((0.0, -0.0, math.pi / 2))]
+    if anchors:
+        angles.append(st.builds(shifted, st.sampled_from(anchors),
+                                st.sampled_from((-PHASE_TOL, 0.0, PHASE_TOL)),
+                                st.sampled_from((-1, 0, 1))))
+    gamma = draw(st.one_of(angles))
+    assume(0.0 <= gamma <= math.pi / 2)
+    return d_g, d_r, gamma
+
+
+def same(x, y):
+    """Equal as printed: bit for bit, sign of zero included."""
+    return json.dumps(x) == json.dumps(y)
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_json(point, *argv):
+    """Exit code, parsed JSON payload (None on failure) and stderr."""
+    code, out, err = run(*argv, "--format", "json")
+    if code != 0:
+        return code, None, err
+    payload = json.loads(out)
+    for row in payload if isinstance(payload, list) else [payload]:
+        assert_no_negative_zero(row, point)
+    return code, payload, err
+
+
+def assert_no_negative_zero(payload, point):
+    """Echoed inputs print as given; nothing else prints -0.0."""
+    for key, value in payload.items():
+        if key in ECHOED:
+            assert same(value, point[ECHOED.index(key)]), (key, value)
+            continue
+        for x in value if isinstance(value, list) else [value]:
+            for y in x if isinstance(x, list) else [x]:
+                assert not (isinstance(y, float) and y == 0.0 and math.copysign(1.0, y) < 0), key
+
+
+def labels(records, actions):
+    return [f"({actions[r.profile.p != 1.0]},{actions[r.profile.q != 1.0]})" for r in records]
+
+
+def classical_rde(params):
+    kind = classify_dilemma(params).kind
+    if kind is DilemmaKind.CH:
+        return rde_chicken(params)
+    if kind is DilemmaKind.SH:
+        return rde_staghunt(params)
+    return None  # one dominant NE; compared through the sweep row only
+
+
+@SETTINGS
+@given(points())
+def test_entry_points_agree(point):
+    d_g, d_r, gamma = point
+    params = DilemmaParams(d_g, d_r)
+    pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")
+    at = f"--gamma={gamma!r}"
+    quantum = d_g > 0.0 and d_r > 0.0
+
+    code, row, sweep_err = run_json(point, "sweep", *pair, at, "--quantities",
+                                    "class,ne,rde,payoffs,sensitivity,thresholds")
+    row = row[0] if code == 0 else None
+
+    # classify
+    cls = classify_dilemma(params)
+    matrix = build_dilemma_matrix(params)
+    classical_ne = enumerate_pure_ne(matrix)
+    code, out, _ = run_json(point, "classify", *pair)
+    assert code == 0
+    assert out["class"] == cls.kind.value and out["boundary"] == cls.boundary
+    assert out["pure_ne"] == labels(classical_ne, "CD")
+    assert same(out["pure_ne_payoffs"], [rec.payoffs for rec in classical_ne])
+
+    # ne
+    code, ne, err = run_json(point, "ne", *pair, at)
+    if quantum:
+        report = classify_quantum_ne(params, gamma)
+        assert code == 0 and ne["phase"] == report.phase
+        assert ne["pure_ne"] == labels(report.equilibria, "QD")
+        assert same(ne["pure_ne_payoffs"], [rec.payoffs for rec in report.equilibria])
+    else:
+        assert code == 1 and err == "error: quantum PD regime requires d_g > 0 and d_r > 0\n"
+        code, ne, _ = run_json(point, "ne", *pair)
+        assert code == 0 and ne["mode"] == "classical"
+        assert ne["pure_ne"] == out["pure_ne"] and same(ne["pure_ne_payoffs"], out["pure_ne_payoffs"])
+
+    # rde
+    try:
+        outcome = select_rde_quantum(params, gamma)[1] if quantum else classical_rde(params)
+    except QpdError as exc:
+        # Only the d_g == d_r seam has no RDE; the whole sweep then fails alike.
+        assert quantum and d_g == d_r
+        assert run_json(point, "rde", *pair, at)[::2] == (1, f"error: {exc}\n")
+        assert row is None and sweep_err == f"error: {exc}\n"
+        return
+    assert row is not None, sweep_err
+    code, rde, err = run_json(point, "rde", *pair, at)
+    if not quantum:
+        assert code == 1 and err == "error: quantum PD regime requires d_g > 0 and d_r > 0\n"
+        code, rde, _ = run_json(point, "rde", *pair)
+    assert code == 0
+    if quantum:
+        thr = thresholds(params)
+        assert rde["phase"] == ne["phase"]
+        assert same([rde["gamma1"], rde["gamma2"], rde["gamma_star"]],
+                    [thr.gamma1, thr.gamma2, thr.gamma_star])
+    if outcome is not None:
+        assert same([rde["rde_kind"], rde["rde_label"], rde["p"], rde["q"], rde["payoff_a"],
+                     rde["payoff_b"]],
+                    [outcome.kind, outcome.label, outcome.profile.p, outcome.profile.q,
+                     *outcome.payoffs])
+    if rde["rde_label"] is None:
+        assert "rde_label: None\n" in run("rde", *pair, *([at] if quantum else []))[1]
+
+    # sweep row against the entry points above
+    assert row["class"] == out["class"] and row["boundary"] == int(out["boundary"])
+    assert row["ne_phase"] == (ne["phase"] if quantum else "classical")
+    assert row["ne_list"] == "|".join(ne["pure_ne"]) and row["ne_count"] == len(ne["pure_ne"])
+    assert row["rde_label"] == (rde["rde_label"] or "")
+    assert same([row[f"rde_{key}"] for key in ("kind", "p", "q", "payoff_a", "payoff_b")],
+                [rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b")])
+    qmat = pure_quantum_matrix(params, gamma)
+    assert same([row["pi_q"], row["pi_d"]], [qmat.pi_q, qmat.pi_d])
+    thr = thresholds(params)
+    assert same([row["gamma1"], row["gamma2"], row["gamma_star"]],
+                [thr.gamma1, thr.gamma2, thr.gamma_star])
+
+    # sensitivity: a blank sweep cell exactly where the command exits 1
+    code, sens, err = run_json(point, "sensitivity", *pair, at)
+    try:
+        report = sensitivity_indices(params, gamma)
+    except QpdError as exc:
+        assert code == 1 and err == f"error: {exc}\n"
+        assert all(row[cell] is None for _, cell in SENSITIVITY)
+        return
+    assert code == 0
+    angles = sensitivity_critical_angles(params)
+    assert same([sens["gamma_g"], sens["gamma_r"]], [angles.gamma_g, angles.gamma_r])
+    for field, cell in SENSITIVITY:
+        assert same(sens[field], getattr(report, field)), field
+        assert same(row[cell], sens[field]), cell

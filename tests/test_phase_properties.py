@@ -132,11 +132,19 @@ def _gamma_functions():
 
 
 GAMMA_FUNCTIONS = list(_gamma_functions())
-ARGUMENTS = {"p": 0.5, "q": 0.5, "phase": "transitional", "fixed_a": "D"}
+ARGUMENTS = {"p": 0.5, "q": 0.5, "fixed_a": "D"}
 
 
 def test_gamma_functions_are_discovered():
-    assert len(GAMMA_FUNCTIONS) >= 20
+    assert [fn.__name__ for fn in GAMMA_FUNCTIONS] == [
+        "initial_state", "entangling_gate", "final_state", "joint_distribution",
+        "expected_payoff_quantum", "pure_quantum_matrix", "resolve_phase",
+        "classify_quantum_ne", "grid_best_response_gain",
+        "situ_risk_transitional", "situ_risk_coexistence", "deviation_losses_quantum",
+        "rde_transitional", "rde_coexistence", "select_rde_quantum",
+        "transitional_mixing_probability", "sensitivity_partials", "sensitivity_indices",
+        "unilateral_deviation_payoffs",
+    ]
 
 
 @SETTINGS

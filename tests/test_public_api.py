@@ -1,0 +1,48 @@
+"""The public surface: each module's ``__all__``, the package re-exports and the version."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import qpd_rde
+from qpd_rde import ewl, game_core, quantum_rde, risk_dominance
+
+PUBLIC = {
+    game_core: [
+        "DilemmaParams", "StrategyProfile", "PayoffMatrix2x2", "DilemmaKind", "DilemmaClass",
+        "NashEquilibriumRecord", "build_dilemma_matrix", "classify_dilemma",
+        "expected_payoff_classical", "enumerate_pure_ne", "verify_mixed_ne",
+    ],
+    risk_dominance: [
+        "DeviationLossPair", "RdeOutcome", "deviation_losses_symmetric",
+        "deviation_losses_asymmetric", "select_rde_symmetric", "select_rde_asymmetric",
+        "rde_chicken", "rde_staghunt",
+    ],
+    ewl: [
+        "JointDistribution", "QuantumPayoffMatrix", "PhaseThresholds", "Phase", "QuantumNeReport",
+        "initial_state", "strategy_operator", "entangling_gate", "final_state",
+        "joint_distribution", "expected_payoff_quantum", "pure_quantum_matrix", "thresholds",
+        "resolve_phase", "classify_quantum_ne", "grid_best_response_gain",
+    ],
+    quantum_rde: [
+        "SituRisk", "SensitivityReport", "CriticalAngles", "situ_risk_transitional",
+        "situ_risk_coexistence", "deviation_losses_quantum", "rde_transitional",
+        "rde_coexistence", "select_rde_quantum", "transitional_mixing_probability",
+        "sensitivity_partials", "sensitivity_critical_angles", "sensitivity_indices",
+        "group_benefit_threshold", "unilateral_deviation_payoffs",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", PUBLIC, ids=lambda module: module.__name__)
+def test_module_all_is_pinned_and_reexported(module):
+    assert module.__all__ == PUBLIC[module]
+    for name in module.__all__:
+        assert getattr(qpd_rde, name) is getattr(module, name), name
+
+
+def test_version_agrees_with_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE)
+    assert qpd_rde.__version__ == version

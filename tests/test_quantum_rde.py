@@ -10,7 +10,6 @@ from qpd_rde.quantum_rde import (
     deviation_losses_quantum,
     group_benefit_threshold,
     rde_coexistence,
-    rde_expected_payoff,
     rde_transitional,
     select_rde_quantum,
     sensitivity_critical_angles,
@@ -111,13 +110,13 @@ def test_situ_out_of_phase():
 
 
 def test_deviation_losses_transitional_example():
-    qd, dq = deviation_losses_quantum(TRANS, math.pi / 6, "transitional")
+    qd, dq = deviation_losses_quantum(TRANS, math.pi / 6)
     assert qd.product == pytest.approx(0.121875, abs=1e-12)
     assert dq.product == pytest.approx(0.121875, abs=1e-12)
 
 
 def test_deviation_losses_coexistence_example():
-    qq, dd = deviation_losses_quantum(COEX, 0.4, "coexistence")
+    qq, dd = deviation_losses_quantum(COEX, 0.4)
     s2 = math.sin(0.4) ** 2
     assert qq.product == pytest.approx((-0.2 + 2.1 * s2) ** 2, abs=1e-12)
     assert dd.product == pytest.approx((0.9 - 2.1 * s2) ** 2, abs=1e-12)
@@ -125,7 +124,7 @@ def test_deviation_losses_coexistence_example():
 
 def test_deviation_losses_vanish_at_gamma1():
     thr = thresholds(TRANS)
-    qd, dq = deviation_losses_quantum(TRANS, thr.gamma1, "transitional")
+    qd, dq = deviation_losses_quantum(TRANS, thr.gamma1)
     assert abs(qd.product) < 1e-12
     assert abs(dq.product) < 1e-12
 
@@ -134,7 +133,7 @@ def test_deviation_losses_match_generic_machinery():
     rng = np.random.default_rng(31)
     for _ in range(200):
         params, gamma = draw_transitional(rng)
-        qd, dq = deviation_losses_quantum(params, gamma, "transitional")
+        qd, dq = deviation_losses_quantum(params, gamma)
         cd, dc = deviation_losses_asymmetric(pure_quantum_matrix(params, gamma).matrix)
         assert qd.loss_a == pytest.approx(cd.loss_a, abs=1e-12)
         assert qd.loss_b == pytest.approx(cd.loss_b, abs=1e-12)
@@ -147,15 +146,21 @@ def test_deviation_losses_match_generic_machinery():
         params = DilemmaParams(dg, dr)
         thr = thresholds(params)
         gamma = rng.uniform(thr.gamma2 + 1e-6, thr.gamma1 - 1e-6)
-        qq, dd = deviation_losses_quantum(params, gamma, "coexistence")
+        qq, dd = deviation_losses_quantum(params, gamma)
         cc_g, dd_g = deviation_losses_symmetric(pure_quantum_matrix(params, gamma).matrix)
         assert qq.product == pytest.approx(cc_g.product, abs=1e-12)
         assert dd.product == pytest.approx(dd_g.product, abs=1e-12)
 
 
-def test_deviation_losses_bad_phase_argument():
-    with pytest.raises(ValueError):
-        deviation_losses_quantum(TRANS, 0.5, "nope")
+def test_deviation_losses_outside_the_pairs_band():
+    with pytest.raises(OutOfPhase):
+        deviation_losses_quantum(TRANS, 0.1)            # classical-like
+    with pytest.raises(OutOfPhase):
+        deviation_losses_quantum(COEX, 1.2)             # fully quantum
+    with pytest.raises(OutOfPhase):
+        deviation_losses_quantum(DilemmaParams(0.5, 0.5), thresholds(DilemmaParams(0.5, 0.5)).gamma1)
+    with pytest.raises(OutOfRegime):
+        deviation_losses_quantum(DilemmaParams(-0.5, 0.2), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +194,7 @@ def test_rde_transitional_monotone_in_gamma():
     gammas = np.linspace(thr.gamma1, thr.gamma2, 1001)
     values = [transitional_mixing_probability(TRANS, g) for g in gammas]
     assert all(b > a for a, b in zip(values, values[1:]))
-    payoffs = [rde_expected_payoff(TRANS, g)[0] for g in gammas]
+    payoffs = [rde_transitional(TRANS, g).payoffs[0] for g in gammas]
     assert all(b > a for a, b in zip(payoffs, payoffs[1:]))
 
 
@@ -250,7 +255,7 @@ def test_coexistence_switch_single_sign_change():
         gammas = np.linspace(thr.gamma2 + 1e-9, thr.gamma1 - 1e-9, 2001)
         diffs = []
         for g in gammas:
-            qq, dd = deviation_losses_quantum(params, g, "coexistence")
+            qq, dd = deviation_losses_quantum(params, g)
             diffs.append(qq.product - dd.product)
         signs = np.sign(diffs)
         changes = np.nonzero(np.diff(signs))[0]
@@ -353,8 +358,8 @@ def test_sensitivity_indices_degenerate_base():
 
 def test_rde_expected_payoff_anchors():
     thr = thresholds(TRANS)
-    assert rde_expected_payoff(TRANS, thr.gamma1) == pytest.approx((0, 0), abs=1e-9)
-    assert rde_expected_payoff(TRANS, thr.gamma2) == pytest.approx((1, 1), abs=1e-9)
+    assert rde_transitional(TRANS, thr.gamma1).payoffs == pytest.approx((0, 0), abs=1e-9)
+    assert rde_transitional(TRANS, thr.gamma2).payoffs == pytest.approx((1, 1), abs=1e-9)
 
 
 def test_rde_expected_payoff_matches_direct_evaluation():
@@ -362,7 +367,7 @@ def test_rde_expected_payoff_matches_direct_evaluation():
     for _ in range(100):
         params, gamma = draw_transitional(rng)
         t = transitional_mixing_probability(params, gamma)
-        assert rde_expected_payoff(params, gamma) == pytest.approx(
+        assert rde_transitional(params, gamma).payoffs == pytest.approx(
             expected_payoff_quantum(params, t, t, gamma), abs=1e-12)
 
 
@@ -374,7 +379,7 @@ def test_midpoint_identity():
         gamma = math.asin(math.sqrt((dg + dr) / (2 * (1 + dg + dr))))
         assert transitional_mixing_probability(params, gamma) == pytest.approx(0.5, abs=1e-9)
         expected = (2 + dg - dr) / 4
-        assert rde_expected_payoff(params, gamma) == pytest.approx(
+        assert rde_transitional(params, gamma).payoffs == pytest.approx(
             (expected, expected), abs=1e-12)
 
 
@@ -391,11 +396,11 @@ def test_group_benefit_threshold():
 def test_group_benefit_threshold_marks_payoff_sum_crossing():
     # the mixed RDE's payoff sum crosses 1 exactly at the threshold angle
     threshold = group_benefit_threshold(TRANS)
-    assert sum(rde_expected_payoff(TRANS, threshold)) == pytest.approx(1.0, abs=1e-9)
+    assert sum(rde_transitional(TRANS, threshold).payoffs) == pytest.approx(1.0, abs=1e-9)
     for gamma in np.linspace(threshold + 1e-3, thresholds(TRANS).gamma2, 20):
-        assert sum(rde_expected_payoff(TRANS, gamma)) > 1.0
+        assert sum(rde_transitional(TRANS, gamma).payoffs) > 1.0
     for gamma in np.linspace(thresholds(TRANS).gamma1 + 1e-3, threshold - 1e-3, 20):
-        assert sum(rde_expected_payoff(TRANS, gamma)) < 1.0
+        assert sum(rde_transitional(TRANS, gamma).payoffs) < 1.0
 
 
 def test_group_benefit_threshold_always_inside_band():
@@ -408,7 +413,7 @@ def test_group_benefit_threshold_always_inside_band():
         threshold = group_benefit_threshold(params)
         assert threshold is not None
         assert thr.gamma1 < threshold < thr.gamma2
-        assert sum(rde_expected_payoff(params, threshold)) == pytest.approx(1.0, abs=1e-9)
+        assert sum(rde_transitional(params, threshold).payoffs) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
