@@ -15,26 +15,28 @@ import random
 import sys
 
 from . import ewl, game_core, quantum_rde, risk_dominance
-from .errors import QpdError
+from .errors import DegenerateDenominator, QpdError
 from .game_core import DilemmaParams, StrategyProfile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 
-_QUANTITIES = ("class", "ne", "rde", "payoffs", "sensitivity", "thresholds")
+# Sweep columns of each quantity, in the order rows lay them out.
+_COLUMNS = {
+    "class": ("class", "boundary"),
+    "ne": ("ne_phase", "ne_count", "ne_list"),
+    "rde": ("rde_kind", "rde_label", "rde_p", "rde_q", "rde_payoff_a", "rde_payoff_b"),
+    "payoffs": ("pi_q", "pi_d"),
+    "sensitivity": ("p_star", "partial_dg", "partial_dr", "partial_gamma",
+                    "s_dg", "s_dr", "s_gamma", "semi_elasticity_gamma"),
+    "thresholds": ("gamma1", "gamma2", "gamma_star"),
+}
 
 
 def _fmt(x: float) -> str:
     """12-significant-digit fixed formatting for CSV cells."""
     return f"{x:.12g}"
-
-
-def _cell(value) -> str:
-    """CSV cell text: blank for None, 12 significant digits for floats."""
-    if value is None:
-        return ""
-    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,25 +133,13 @@ def cmd_ne(args) -> int:
 # rde
 
 
-def _classical_rde(params: DilemmaParams):
-    """Class and RDE (or unique NE) of the classical dilemma."""
-    kind = game_core.classify_dilemma(params).kind
-    if kind is game_core.DilemmaKind.CH:
-        return kind, risk_dominance.rde_chicken(params)
-    if kind is game_core.DilemmaKind.SH:
-        return kind, risk_dominance.rde_staghunt(params)
-    # PD: defection dominates; TRIVIAL: cooperation dominates.
-    t, cell, label = (0.0, 1, "(D,D)") if kind is game_core.DilemmaKind.PD else (1.0, 0, "(C,C)")
-    payoffs = game_core.build_dilemma_matrix(params).payoff(cell, cell)
-    return kind, risk_dominance.RdeOutcome("pure", StrategyProfile(t, t), payoffs, label)
-
-
 def cmd_rde(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
     keys, losses = (), ()
     if gamma is None:
-        kind, outcome = _classical_rde(params)
+        kind = game_core.classify_dilemma(params).kind
+        outcome = risk_dominance._classical_rde(params, kind)
         if kind is game_core.DilemmaKind.CH:
             keys = ("delta_cd", "delta_dc")
             losses = risk_dominance.deviation_losses_asymmetric(game_core.build_dilemma_matrix(params))
@@ -158,8 +148,9 @@ def cmd_rde(args) -> int:
             losses = risk_dominance.deviation_losses_symmetric(game_core.build_dilemma_matrix(params))
         payload = {"d_g": params.d_g, "d_r": params.d_r, "mode": "classical"}
     else:
-        phase, outcome = quantum_rde.select_rde_quantum(params, gamma)
-        thr = ewl.thresholds(params)
+        resolved = ewl.resolve_phase(params, gamma)
+        phase, outcome = quantum_rde._select_rde(params, gamma, resolved)
+        thr = resolved.thresholds
         if phase in ("transitional", "coexistence"):
             keys = ("delta_qd", "delta_dq") if phase == "transitional" else ("delta_qq", "delta_dd")
             losses = quantum_rde.deviation_losses_quantum(params, gamma)
@@ -221,70 +212,69 @@ def _axis(single, rng, name, lo, hi):
     return [value]
 
 
-def _sweep_row(dg: float, dr: float, gamma: float, quantities) -> dict:
-    row = {"d_g": dg, "d_r": dr, "gamma": gamma}
+def _rde_cells(outcome) -> list:
+    return [outcome.kind, outcome.label or "", outcome.profile.p, outcome.profile.q,
+            *outcome.payoffs]
+
+
+def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> list:
+    """Sensitivity cells at a resolved quantum phase; blank where they are undefined."""
+    try:
+        r = quantum_rde._indices(params, gamma, phase)
+    except QpdError:
+        return [None] * 8
+    return [r.p_star, r.partial_dg, r.partial_dr, r.partial_gamma,
+            r.index_dg, r.index_dr, r.index_gamma, r.semi_elasticity_gamma]
+
+
+def _pair_rows(dg: float, dr: float, gammas, quantities):
+    """Sweep rows of one (d_g, d_r) pair, one list of cells per angle.
+
+    The class, the thresholds and, outside the quantum PD regime, the NEs and
+    the RDE depend on the pair alone and are computed once. Each quantum row
+    resolves one Phase and passes it to every quantum quantity. A quantity
+    that is undefined at a row (no sensitivity off the transitional band, no
+    RDE at the common threshold of d_g == d_r) gets blank cells.
+    """
     params = DilemmaParams(dg, dr)
-    quantum_regime = dg > 0.0 and dr > 0.0
+    quantum = dg > 0.0 and dr > 0.0
+    cls = game_core.classify_dilemma(params)
+    thr = ewl.thresholds(params)
+    head = [cls.kind.value, int(cls.boundary)] if "class" in quantities else []
+    tail = [thr.gamma1, thr.gamma2, thr.gamma_star] if "thresholds" in quantities else []
+    if not quantum:
+        if "ne" in quantities:
+            classical, records, labels = _pure_ne(params, None)
+            head += [classical, len(records), "|".join(_ne_labels(records, labels))]
+        if "rde" in quantities:
+            head += _rde_cells(risk_dominance._classical_rde(params, cls.kind))
 
-    if "class" in quantities:
-        cls = game_core.classify_dilemma(params)
-        row["class"] = cls.kind.value
-        row["boundary"] = int(cls.boundary)
-
-    if "ne" in quantities:
-        row["ne_phase"], records, labels = _pure_ne(params, gamma if quantum_regime else None)
-        row["ne_count"] = len(records)
-        row["ne_list"] = "|".join(_ne_labels(records, labels))
-
-    if "rde" in quantities:
-        if quantum_regime:
-            _, outcome = quantum_rde.select_rde_quantum(params, gamma)
-        else:
-            _, outcome = _classical_rde(params)
-        row["rde_kind"] = outcome.kind
-        row["rde_label"] = outcome.label or ""
-        row["rde_p"] = outcome.profile.p
-        row["rde_q"] = outcome.profile.q
-        row["rde_payoff_a"] = outcome.payoffs[0]
-        row["rde_payoff_b"] = outcome.payoffs[1]
-
-    if "payoffs" in quantities:
-        qmat = ewl.pure_quantum_matrix(params, gamma)
-        row["pi_q"] = qmat.pi_q
-        row["pi_d"] = qmat.pi_d
-
-    if "sensitivity" in quantities:
-        try:
-            report = quantum_rde.sensitivity_indices(params, gamma)
-            row.update({
-                "p_star": report.p_star,
-                "partial_dg": report.partial_dg,
-                "partial_dr": report.partial_dr,
-                "partial_gamma": report.partial_gamma,
-                "s_dg": report.index_dg,
-                "s_dr": report.index_dr,
-                "s_gamma": report.index_gamma,
-                "semi_elasticity_gamma": report.semi_elasticity_gamma,
-            })
-        except QpdError:
-            row.update(dict.fromkeys(
-                ["p_star", "partial_dg", "partial_dr", "partial_gamma",
-                 "s_dg", "s_dr", "s_gamma", "semi_elasticity_gamma"], None))
-
-    if "thresholds" in quantities:
-        thr = ewl.thresholds(params)
-        row["gamma1"] = thr.gamma1
-        row["gamma2"] = thr.gamma2
-        row["gamma_star"] = thr.gamma_star
-
-    return row
+    for gamma in gammas:
+        ewl._check_gamma(gamma)
+        row = [dg, dr, gamma, *head]
+        if quantum:
+            phase = ewl._phase(params, gamma, thr)
+            if "ne" in quantities:
+                report = ewl._quantum_ne(params, gamma, phase)
+                row += [report.phase, len(report.equilibria),
+                        "|".join(_ne_labels(report.equilibria, ("Q", "D")))]
+            if "rde" in quantities:
+                try:
+                    row += _rde_cells(quantum_rde._select_rde(params, gamma, phase)[1])
+                except DegenerateDenominator:  # the common threshold of d_g == d_r
+                    row += [None] * 6
+        if "payoffs" in quantities:
+            row += ewl._pure_payoffs(params, gamma)
+        if "sensitivity" in quantities:
+            row += _sensitivity_cells(params, gamma, phase) if quantum else [None] * 8
+        yield row + tail
 
 
 def cmd_sweep(args) -> int:
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     for q in quantities:
-        if q not in _QUANTITIES:
-            raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_QUANTITIES)}")
+        if q not in _COLUMNS:
+            raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_COLUMNS)}")
 
     ranges = {"dg": args.dg_range, "dr": args.dr_range, "gamma": args.gamma_range}
     for name, rng in ranges.items():
@@ -297,18 +287,17 @@ def cmd_sweep(args) -> int:
     if args.degrees:
         gammas = [math.radians(g) for g in gammas]
 
-    rows = [_sweep_row(dg, dr, g, quantities)
-            for dg in dgs for dr in drs for g in gammas]
-
+    header = ["d_g", "d_r", "gamma"]
+    header += [column for q, columns in _COLUMNS.items() if q in quantities for column in columns]
+    rows = (row for dg in dgs for dr in drs for row in _pair_rows(dg, dr, gammas, quantities))
     if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
-        header = list(rows[0].keys()) if rows else []
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row[key]) for key in header])
+        # csv writes None as a blank cell; floats get 12 significant digits.
+        writer.writerows([f"{x:.12g}" if type(x) is float else x for x in row] for row in rows)
         text = buf.getvalue()
     _write_output(text, args.out)
     return EXIT_OK
@@ -507,7 +496,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma-range", type=float, nargs=3, metavar=("START", "STOP", "STEPS"))
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--quantities", default="class,rde",
-                   help=f"comma-separated subset of {{{','.join(_QUANTITIES)}}}")
+                   help=f"comma-separated subset of {{{','.join(_COLUMNS)}}}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -250,7 +250,11 @@ def resolve_phase(params: DilemmaParams, gamma: float) -> Phase:
     _check_gamma(gamma)
     if params.d_g <= 0.0 or params.d_r <= 0.0:
         raise OutOfRegime("quantum PD regime requires d_g > 0 and d_r > 0")
-    thr = thresholds(params)
+    return _phase(params, gamma, thresholds(params))
+
+
+def _phase(params: DilemmaParams, gamma: float, thr: PhaseThresholds) -> Phase:
+    """resolve_phase on the pair's thresholds, for a checked gamma and regime."""
     lo, hi = sorted((thr.gamma1, thr.gamma2))
     band = (None if params.d_g == params.d_r
             else "transitional" if params.d_g > params.d_r else "coexistence")
@@ -272,7 +276,11 @@ def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
     and (D,Q) for gamma1 <= gamma <= gamma2, each bound widened by PHASE_TOL,
     so at a seam the adjacent sets merge. Listed in row-major order.
     """
-    phase = resolve_phase(params, gamma)
+    return _quantum_ne(params, gamma, resolve_phase(params, gamma))
+
+
+def _quantum_ne(params: DilemmaParams, gamma: float, phase: Phase) -> QuantumNeReport:
+    """classify_quantum_ne at the phase already resolved for gamma."""
     g1, g2 = phase.thresholds.gamma1, phase.thresholds.gamma2
     pi_q, pi_d = _pure_payoffs(params, gamma)
     mixed = g1 - PHASE_TOL <= gamma <= g2 + PHASE_TOL

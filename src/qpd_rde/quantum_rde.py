@@ -70,9 +70,11 @@ class CriticalAngles:
     gamma_r: float
 
 
-def _in_band(params: DilemmaParams, gamma: float, band: str) -> Phase:
-    """The resolved phase, which must lie on the pair's closed ``band``."""
-    phase = resolve_phase(params, gamma)
+def _in_band(params: DilemmaParams, gamma: float, band: str, phase: Phase | None = None) -> Phase:
+    """The phase at gamma (resolved unless given), which must lie on the pair's closed ``band``."""
+    phase = phase or resolve_phase(params, gamma)
+    if phase.band is None:
+        raise OutOfPhase(f"(d_g, d_r) = ({params.d_g}, {params.d_r}) has no two-NE band")
     if phase.band != band or phase.name not in (band, "boundary"):
         raise OutOfPhase(f"gamma={gamma} outside the {band} band of "
                          f"(d_g, d_r) = ({params.d_g}, {params.d_r})")
@@ -131,7 +133,11 @@ def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> floa
 
 def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
     """Transitional-phase RDE: both players quantum-cooperate with probability p*."""
-    t = transitional_mixing_probability(params, gamma)
+    return _rde_transitional(params, gamma, _in_band(params, gamma, "transitional"))
+
+
+def _rde_transitional(params: DilemmaParams, gamma: float, phase: Phase) -> RdeOutcome:
+    t = _p_star(params, gamma, phase)
     dg, dr = params.d_g, params.d_r
     pay = (dr - dg) * t * t + (1.0 - dr + dg) * t
     return RdeOutcome("mixed", StrategyProfile(t, t), (pay, pay))
@@ -139,7 +145,11 @@ def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
 
 def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
     """Coexistence-phase RDE: D(x)D below gamma_star, Q(x)Q above, U(0.5) pair at it."""
-    g_star = _in_band(params, gamma, "coexistence").thresholds.gamma_star
+    return _rde_coexistence(params, gamma, _in_band(params, gamma, "coexistence"))
+
+
+def _rde_coexistence(params: DilemmaParams, gamma: float, phase: Phase) -> RdeOutcome:
+    g_star = phase.thresholds.gamma_star
     if abs(gamma - g_star) <= PHASE_TOL:
         pay = (2.0 + params.d_g - params.d_r) / 4.0
         return RdeOutcome("mixed", StrategyProfile(0.5, 0.5), (pay, pay), "U(0.5)xU(0.5)")
@@ -154,11 +164,15 @@ def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOut
     share: (D,D) at the lower threshold, (Q,Q) at the upper one. Requires the
     quantum-dilemma regime (d_g, d_r > 0).
     """
-    phase = resolve_phase(params, gamma)
+    return _select_rde(params, gamma, resolve_phase(params, gamma))
+
+
+def _select_rde(params: DilemmaParams, gamma: float, phase: Phase) -> tuple[str, RdeOutcome]:
+    """select_rde_quantum at the phase already resolved for gamma."""
     if phase.name == "transitional":
-        return phase.name, rde_transitional(params, gamma)
+        return phase.name, _rde_transitional(params, gamma, phase)
     if phase.name == "coexistence":
-        return phase.name, rde_coexistence(params, gamma)
+        return phase.name, _rde_coexistence(params, gamma, phase)
     if phase.name == "boundary" and phase.band is None:
         # d_g == d_r at the common threshold: both deviation-loss products vanish.
         raise DegenerateDenominator("RDE undefined at the common threshold when d_g equals d_r")
@@ -169,7 +183,11 @@ def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOut
 
 def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityReport:
     """Closed-form partials of p* with respect to d_g, d_r and gamma."""
-    phase = _in_band(params, gamma, "transitional")
+    return _partials(params, gamma, resolve_phase(params, gamma))
+
+
+def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
+    _in_band(params, gamma, "transitional", phase)
     dg, dr = params.d_g, params.d_r
     s2 = math.sin(gamma) ** 2
     gap2 = (dg - dr) ** 2
@@ -199,7 +217,11 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
     ``semi_elasticity_gamma`` is (dp*/dgamma)/p*, reported alongside the
     literal gamma elasticity because the two answer different questions.
     """
-    partials = sensitivity_partials(params, gamma)
+    return _indices(params, gamma, resolve_phase(params, gamma))
+
+
+def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
+    partials = _partials(params, gamma, phase)
     p_star = partials.p_star
     if p_star == 0.0:
         raise DegenerateBase("sensitivity indices undefined where p* vanishes")

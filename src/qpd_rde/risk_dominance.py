@@ -123,19 +123,30 @@ def rde_chicken(params: DilemmaParams) -> RdeOutcome:
     """Closed-form chicken RDE: the symmetric mixed profile -d_r/(-d_r + d_g)."""
     if classify_dilemma(params).kind is not DilemmaKind.CH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a chicken game")
-    t = -params.d_r / (-params.d_r + params.d_g) + 0.0  # + 0.0: no -0.0 when d_r == 0
-    profile = StrategyProfile(t, t)
-    return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
+    return _classical_rde(params, DilemmaKind.CH)
 
 
 def rde_staghunt(params: DilemmaParams) -> RdeOutcome:
     """Closed-form stag-hunt RDE: (C,C) if |d_g|>d_r, (D,D) if |d_g|<d_r, else (0.5, 0.5)."""
     if classify_dilemma(params).kind is not DilemmaKind.SH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a stag-hunt game")
+    return _classical_rde(params, DilemmaKind.SH)
+
+
+def _classical_rde(params: DilemmaParams, kind: DilemmaKind) -> RdeOutcome:
+    """RDE, or the unique NE, of the classical dilemma of class ``kind``."""
+    if kind is DilemmaKind.CH:
+        t = -params.d_r / (-params.d_r + params.d_g) + 0.0  # + 0.0: no -0.0 when d_r == 0
+        profile = StrategyProfile(t, t)
+        return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
     matrix = build_dilemma_matrix(params)
-    diff = abs(params.d_g) - params.d_r
-    if diff > TIE_EPS:
-        return _pure_outcome(matrix, 0, 0)
-    if diff < -TIE_EPS:
-        return _pure_outcome(matrix, 1, 1)
-    return _mixed_outcome(matrix, 0.5, 0.5)
+    if kind is DilemmaKind.SH:
+        diff = abs(params.d_g) - params.d_r
+        if diff > TIE_EPS:
+            return _pure_outcome(matrix, 0, 0)
+        if diff < -TIE_EPS:
+            return _pure_outcome(matrix, 1, 1)
+        return _mixed_outcome(matrix, 0.5, 0.5)
+    # PD: defection dominates; TRIVIAL: cooperation dominates.
+    cell = 1 if kind is DilemmaKind.PD else 0
+    return _pure_outcome(matrix, cell, cell)

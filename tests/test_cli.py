@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import qpd_rde
-from qpd_rde import risk_dominance
+from qpd_rde import ewl, game_core, risk_dominance
 from qpd_rde.cli import main
 from qpd_rde.ewl import thresholds
-from qpd_rde.game_core import DilemmaParams
+from qpd_rde.game_core import DilemmaParams, PayoffMatrix2x2
 
 
 def run(capsys, *argv):
@@ -280,6 +280,59 @@ def test_classical_sweep_row_computes_no_deviation_losses(capsys, monkeypatch, d
     assert code == 0
     assert len(calls) == 1
     assert delta in json.loads(out)
+
+
+def test_sweep_blanks_the_undefined_rde_and_prints_every_row(capsys):
+    # The second angle lies within PHASE_TOL of pi/6, the common threshold of (0.5, 0.5).
+    code, out, err = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.5",
+                         "--gamma-range", "0", "1.5707963267948966", "4",
+                         "--quantities", "class,ne,rde")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert [row["ne_phase"] for row in rows] == ["classical-like", "boundary",
+                                                 "fully-quantum", "fully-quantum"]
+    assert [row["rde_label"] for row in rows] == ["(D,D)", "", "(Q,Q)", "(Q,Q)"]
+    assert all(value == "" for key, value in rows[1].items() if key.startswith("rde_"))
+
+    seam = ewl._linspace(0.0, math.pi / 2, 4)[1]
+    code, out, err = run(capsys, "rde", "--dg", "0.5", "--dr", "0.5", f"--gamma={seam!r}")
+    assert (code, out) == (1, "")
+    assert err == "error: RDE undefined at the common threshold when d_g equals d_r\n"
+
+
+def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, monkeypatch):
+    calls = {"thresholds": 0, "PayoffMatrix2x2": 0}
+    pair_thresholds, init = ewl.thresholds, PayoffMatrix2x2.__init__
+
+    def counted_thresholds(params):
+        calls["thresholds"] += 1
+        return pair_thresholds(params)
+
+    def counted_init(self, *args, **kwargs):
+        calls["PayoffMatrix2x2"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ewl, "thresholds", counted_thresholds)
+    monkeypatch.setattr(PayoffMatrix2x2, "__init__", counted_init)
+    code, out, err = run(capsys, "sweep", "--dg-range", "0.2", "0.9", "3",
+                         "--dr-range", "0.3", "0.8", "3", "--gamma-range", "0", "1.5", "5",
+                         "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 3 * 3 * 5
+    assert calls == {"thresholds": 9, "PayoffMatrix2x2": 0}
+
+
+@pytest.mark.parametrize("dg, dr", [("0.5", "-0.5"), ("-0.5", "0.5"), ("0.5", "0")])
+def test_classical_rde_classifies_the_pair_once(capsys, monkeypatch, dg, dr):
+    calls = []
+    classify = game_core.classify_dilemma
+    for module in (game_core, risk_dominance):
+        monkeypatch.setattr(module, "classify_dilemma",
+                            lambda params: calls.append(params) or classify(params))
+    code, _, err = run(capsys, "rde", f"--dg={dg}", "--dr", dr)
+    assert code == 0, err
+    assert calls == [DilemmaParams(float(dg), float(dr))]
 
 
 def test_sweep_out_file(tmp_path, capsys):

@@ -10,20 +10,25 @@ shifted by +-PHASE_TOL and +-1 ulp.
 Two differences are by design. Outside the PD regime ``ne`` and ``rde`` with
 ``--gamma`` exit 1, while the sweep row falls back to the classical game, which
 ``ne`` and ``rde`` without ``--gamma`` report. A label of None prints as
-``None`` in ``rde`` text output and as an empty sweep cell.
+``None`` in ``rde`` text output and as an empty sweep cell. Where a quantity is
+undefined the sweep row blanks its cells and the command exits 1: the
+``rde_*`` cells exactly where ``rde --gamma`` fails (the common threshold of a
+d_g == d_r pair) and the sensitivity cells exactly where ``sensitivity`` fails.
 """
 
 import contextlib
 import io
 import json
 import math
+from decimal import Decimal
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpd_rde.cli import main
+from qpd_rde.cli import build_parser, main
 from qpd_rde.errors import QpdError
-from qpd_rde.ewl import PHASE_TOL, classify_quantum_ne, pure_quantum_matrix, thresholds
+from qpd_rde.ewl import (PHASE_TOL, _linspace, classify_quantum_ne, pure_quantum_matrix,
+                         thresholds)
 from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
                                enumerate_pure_ne)
 from qpd_rde.quantum_rde import select_rde_quantum, sensitivity_critical_angles, sensitivity_indices
@@ -33,6 +38,7 @@ SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=
 
 strength = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0, 1.0, -1.0)))
 ECHOED = ("d_g", "d_r", "gamma")
+RDE_CELLS = ("rde_kind", "rde_label", "rde_p", "rde_q", "rde_payoff_a", "rde_payoff_b")
 SENSITIVITY = (("p_star", "p_star"), ("partial_dg", "partial_dg"), ("partial_dr", "partial_dr"),
                ("partial_gamma", "partial_gamma"), ("index_dg", "s_dg"), ("index_dr", "s_dr"),
                ("index_gamma", "s_gamma"), ("semi_elasticity_gamma", "semi_elasticity_gamma"))
@@ -45,20 +51,23 @@ def shifted(angle, offset, ulps):
     return gamma
 
 
+def angles(d_g, d_r):
+    """Any angle, the ends of [0, pi/2], and the pair's thresholds +-PHASE_TOL and +-1 ulp."""
+    thr = thresholds(DilemmaParams(d_g, d_r))
+    anchors = [g for g in (thr.gamma1, thr.gamma2, thr.gamma_star) if g is not None]
+    choices = [st.floats(0.0, math.pi / 2), st.sampled_from((0.0, -0.0, math.pi / 2))]
+    if anchors:
+        choices.append(st.builds(shifted, st.sampled_from(anchors),
+                                 st.sampled_from((-PHASE_TOL, 0.0, PHASE_TOL)),
+                                 st.sampled_from((-1, 0, 1))))
+    return st.one_of(choices).filter(lambda gamma: 0.0 <= gamma <= math.pi / 2)
+
+
 @st.composite
 def points(draw):
     d_g = draw(strength)
     d_r = draw(st.one_of(strength, st.just(d_g)))
-    thr = thresholds(DilemmaParams(d_g, d_r))
-    anchors = [g for g in (thr.gamma1, thr.gamma2, thr.gamma_star) if g is not None]
-    angles = [st.floats(0.0, math.pi / 2), st.sampled_from((0.0, -0.0, math.pi / 2))]
-    if anchors:
-        angles.append(st.builds(shifted, st.sampled_from(anchors),
-                                st.sampled_from((-PHASE_TOL, 0.0, PHASE_TOL)),
-                                st.sampled_from((-1, 0, 1))))
-    gamma = draw(st.one_of(angles))
-    assume(0.0 <= gamma <= math.pi / 2)
-    return d_g, d_r, gamma
+    return d_g, d_r, draw(angles(d_g, d_r))
 
 
 def same(x, y):
@@ -119,7 +128,8 @@ def test_entry_points_agree(point):
 
     code, row, sweep_err = run_json(point, "sweep", *pair, at, "--quantities",
                                     "class,ne,rde,payoffs,sensitivity,thresholds")
-    row = row[0] if code == 0 else None
+    assert code == 0, sweep_err
+    (row,) = row
 
     # classify
     cls = classify_dilemma(params)
@@ -144,41 +154,40 @@ def test_entry_points_agree(point):
         assert code == 0 and ne["mode"] == "classical"
         assert ne["pure_ne"] == out["pure_ne"] and same(ne["pure_ne_payoffs"], out["pure_ne_payoffs"])
 
-    # rde
+    # rde: blank sweep cells exactly where the command exits 1
     try:
         outcome = select_rde_quantum(params, gamma)[1] if quantum else classical_rde(params)
     except QpdError as exc:
-        # Only the d_g == d_r seam has no RDE; the whole sweep then fails alike.
+        # Only the d_g == d_r seam has no RDE.
         assert quantum and d_g == d_r
         assert run_json(point, "rde", *pair, at)[::2] == (1, f"error: {exc}\n")
-        assert row is None and sweep_err == f"error: {exc}\n"
-        return
-    assert row is not None, sweep_err
-    code, rde, err = run_json(point, "rde", *pair, at)
-    if not quantum:
-        assert code == 1 and err == "error: quantum PD regime requires d_g > 0 and d_r > 0\n"
-        code, rde, _ = run_json(point, "rde", *pair)
-    assert code == 0
-    if quantum:
-        thr = thresholds(params)
-        assert rde["phase"] == ne["phase"]
-        assert same([rde["gamma1"], rde["gamma2"], rde["gamma_star"]],
-                    [thr.gamma1, thr.gamma2, thr.gamma_star])
-    if outcome is not None:
-        assert same([rde["rde_kind"], rde["rde_label"], rde["p"], rde["q"], rde["payoff_a"],
-                     rde["payoff_b"]],
-                    [outcome.kind, outcome.label, outcome.profile.p, outcome.profile.q,
-                     *outcome.payoffs])
-    if rde["rde_label"] is None:
-        assert "rde_label: None\n" in run("rde", *pair, *([at] if quantum else []))[1]
+        assert all(row[cell] is None for cell in RDE_CELLS)
+    else:
+        code, rde, err = run_json(point, "rde", *pair, at)
+        if not quantum:
+            assert code == 1 and err == "error: quantum PD regime requires d_g > 0 and d_r > 0\n"
+            code, rde, _ = run_json(point, "rde", *pair)
+        assert code == 0
+        if quantum:
+            thr = thresholds(params)
+            assert rde["phase"] == ne["phase"]
+            assert same([rde["gamma1"], rde["gamma2"], rde["gamma_star"]],
+                        [thr.gamma1, thr.gamma2, thr.gamma_star])
+        if outcome is not None:
+            assert same([rde["rde_kind"], rde["rde_label"], rde["p"], rde["q"], rde["payoff_a"],
+                         rde["payoff_b"]],
+                        [outcome.kind, outcome.label, outcome.profile.p, outcome.profile.q,
+                         *outcome.payoffs])
+        if rde["rde_label"] is None:
+            assert "rde_label: None\n" in run("rde", *pair, *([at] if quantum else []))[1]
+        assert row["rde_label"] == (rde["rde_label"] or "")
+        assert same([row[cell] for cell in RDE_CELLS if cell != "rde_label"],
+                    [rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b")])
 
     # sweep row against the entry points above
     assert row["class"] == out["class"] and row["boundary"] == int(out["boundary"])
     assert row["ne_phase"] == (ne["phase"] if quantum else "classical")
     assert row["ne_list"] == "|".join(ne["pure_ne"]) and row["ne_count"] == len(ne["pure_ne"])
-    assert row["rde_label"] == (rde["rde_label"] or "")
-    assert same([row[f"rde_{key}"] for key in ("kind", "p", "q", "payoff_a", "payoff_b")],
-                [rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b")])
     qmat = pure_quantum_matrix(params, gamma)
     assert same([row["pi_q"], row["pi_d"]], [qmat.pi_q, qmat.pi_d])
     thr = thresholds(params)
@@ -199,3 +208,49 @@ def test_entry_points_agree(point):
     for field, cell in SENSITIVITY:
         assert same(sens[field], getattr(report, field)), field
         assert same(row[cell], sens[field]), cell
+
+
+ALL = "class,ne,rde,payoffs,sensitivity,thresholds"
+PARSER = build_parser()
+
+
+def exact(x):
+    """x as its exact decimal expansion: argparse takes "-1e-07" in a range for an option."""
+    return format(Decimal(x), "f")
+
+
+def sweep_rows(*argv):
+    """All-quantity JSON sweep rows, parsed by one parser: building one per call dominates."""
+    args = PARSER.parse_args(["sweep", *argv, "--quantities", ALL, "--format", "json"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert args.func(args) == 0
+    return json.loads(out.getvalue())
+
+
+@st.composite
+def grids(draw):
+    """A 3x3 (d_g, d_r) grid, seams and the d_g == d_r diagonal included, one of its pairs,
+    and an angle range whose ends may sit on that pair's thresholds."""
+    dg_range = (draw(strength), draw(strength))
+    dr_range = draw(st.one_of(st.just(dg_range), st.tuples(strength, strength)))
+    pair = draw(st.sampled_from([(d_g, d_r) for d_g in _linspace(*dg_range, 3)
+                                 for d_r in _linspace(*dr_range, 3)]))
+    angle = angles(*pair)
+    return dg_range, dr_range, pair, (draw(angle), draw(angle), draw(st.integers(1, 5)))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(grids())
+def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
+    """A 3x3 sweep is the concatenation of its per-pair sweeps, and the multi-angle sweep
+    of the drawn pair is, row for row, its one-row sweeps."""
+    dg_range, dr_range, (d_g, d_r), gamma_range = grid
+    gamma_args = ("--gamma-range", *map(exact, gamma_range))
+    rows = sweep_rows("--dg-range", *map(exact, dg_range), "3",
+                      "--dr-range", *map(exact, dr_range), "3", *gamma_args)
+    assert same(rows, [row for g in _linspace(*dg_range, 3) for r in _linspace(*dr_range, 3)
+                       for row in sweep_rows(f"--dg={g!r}", f"--dr={r!r}", *gamma_args)])
+    pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")
+    for row in sweep_rows(*pair, *gamma_args):
+        assert same([row], sweep_rows(*pair, f"--gamma={row['gamma']!r}")), row

@@ -163,6 +163,14 @@ def test_deviation_losses_outside_the_pairs_band():
         deviation_losses_quantum(DilemmaParams(-0.5, 0.2), 0.5)
 
 
+def test_a_pair_with_equal_strengths_has_no_band_to_name():
+    with pytest.raises(OutOfPhase) as excinfo:
+        deviation_losses_quantum(DilemmaParams(0.5, 0.5), math.pi / 6)
+    assert str(excinfo.value) == "(d_g, d_r) = (0.5, 0.5) has no two-NE band"
+    with pytest.raises(OutOfPhase, match="no two-NE band"):
+        sensitivity_indices(DilemmaParams(0.5, 0.5), 1.2)
+
+
 # ---------------------------------------------------------------------------
 # Transitional RDE
 
