@@ -9,14 +9,17 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import random
+import re
 import sys
+from dataclasses import asdict
 
 from . import ewl, game_core, quantum_rde, risk_dominance
 from .errors import DegenerateDenominator, QpdError
-from .game_core import DilemmaParams, StrategyProfile
+from .game_core import DilemmaParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,6 +45,11 @@ def _fmt(x: float) -> str:
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors follow the exit-code contract."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1e-07" and "-.5" as negative numbers, not as options.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -49,12 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _gamma_from(args) -> float | None:
-    if args.gamma is None:
-        return None
-    gamma = math.radians(args.gamma) if args.degrees else args.gamma
-    if not (0.0 <= gamma <= math.pi / 2):
-        raise QpdError(f"gamma must lie in [0, pi/2] radians, got {gamma}")
-    return gamma
+    """--gamma in radians; resolving the phase checks its domain."""
+    return math.radians(args.gamma) if args.degrees and args.gamma is not None else args.gamma
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -65,26 +69,18 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _profile_label(profile: StrategyProfile, labels: tuple[str, str]) -> str:
-    row = 0 if profile.p == 1.0 else 1
-    col = 0 if profile.q == 1.0 else 1
-    return f"({labels[row]},{labels[col]})"
-
-
 def _emit_report(payload: dict, args) -> None:
-    if getattr(args, "format", None) == "json":
-        _write_output(json.dumps(payload, indent=2) + "\n", getattr(args, "out", None))
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
     else:
-        lines = []
-        for key, value in payload.items():
-            if isinstance(value, float):
-                value = _fmt(value)
-            lines.append(f"{key}: {value}")
-        _write_output("\n".join(lines) + "\n", getattr(args, "out", None))
+        text = "\n".join(f"{key}: {_fmt(value) if isinstance(value, float) else value}"
+                         for key, value in payload.items())
+    _write_output(text + "\n", args.out)
 
 
 def _ne_labels(records, labels) -> list[str]:
-    return [_profile_label(rec.profile, labels) for rec in records]
+    """Action-label pairs of pure profiles: weight 1 on the first action is labels[0]."""
+    return [f"({labels[rec.profile.p != 1.0]},{labels[rec.profile.q != 1.0]})" for rec in records]
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +175,8 @@ def cmd_sensitivity(args) -> int:
         raise QpdError("sensitivity requires --gamma")
     report = quantum_rde.sensitivity_indices(params, gamma)
     angles = quantum_rde.sensitivity_critical_angles(params)
-    payload = {
-        "d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
-        "p_star": report.p_star,
-        "partial_dg": report.partial_dg,
-        "partial_dr": report.partial_dr,
-        "partial_gamma": report.partial_gamma,
-        "index_dg": report.index_dg,
-        "index_dr": report.index_dr,
-        "index_gamma": report.index_gamma,
-        "semi_elasticity_gamma": report.semi_elasticity_gamma,
-        "gamma_g": angles.gamma_g,
-        "gamma_r": angles.gamma_r,
-    }
-    _emit_report(payload, args)
+    _emit_report({"d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
+                  **asdict(report), **asdict(angles)}, args)
     return EXIT_OK
 
 
@@ -203,6 +187,8 @@ def cmd_sensitivity(args) -> int:
 def _axis(single, rng, name, lo, hi):
     if rng is not None:
         start, stop, steps = rng
+        if not (1 <= steps <= sys.maxsize and steps.is_integer()):
+            raise QpdError(f"{name} steps must be a whole number in [1, sys.maxsize], got {steps}")
         if not (lo <= start <= hi and lo <= stop <= hi):
             raise QpdError(f"{name} range must lie within [{lo}, {hi}]")
         return ewl._linspace(start, stop, int(steps))
@@ -276,10 +262,6 @@ def cmd_sweep(args) -> int:
         if q not in _COLUMNS:
             raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_COLUMNS)}")
 
-    ranges = {"dg": args.dg_range, "dr": args.dr_range, "gamma": args.gamma_range}
-    for name, rng in ranges.items():
-        if rng is not None and not (1 <= rng[2] <= sys.maxsize and rng[2].is_integer()):
-            raise QpdError(f"{name} steps must be a whole number in [1, sys.maxsize], got {rng[2]}")
     dgs = _axis(args.dg, args.dg_range, "dg", -1.0, 1.0)
     drs = _axis(args.dr, args.dr_range, "dr", -1.0, 1.0)
     gammas = _axis(args.gamma, args.gamma_range, "gamma", 0.0,
@@ -307,26 +289,11 @@ def cmd_sweep(args) -> int:
 # tables
 
 
-class _TableReport:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.failed = False
-
-    def check(self, name: str, ok: bool, detail: str = ""):
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failed = True
-        self.lines.append(f"[{status}] {name}" + (f": {detail}" if detail else ""))
-
-    def deviation(self, name: str, ok: bool, detail: str):
-        # Printed-value mismatch that is documented and re-verified independently.
-        status = "DOCUMENTED-DEVIATION" if ok else "FAIL"
-        if not ok:
-            self.failed = True
-        self.lines.append(f"[{status}] {name}: {detail}")
+# Each check yields (status when it holds, name, holds, detail); a check that
+# does not hold prints as FAIL.
 
 
-def _check_table2(rep: _TableReport) -> None:
+def _check_table2():
     cases = [
         ((0.5, 0.5), "PD", {"(D,D)"}),
         ((0.5, -0.5), "CH", {"(D,C)", "(C,D)"}),
@@ -337,13 +304,13 @@ def _check_table2(rep: _TableReport) -> None:
         cls = game_core.classify_dilemma(params).kind.value
         matrix = game_core.build_dilemma_matrix(params)
         found = set(_ne_labels(game_core.enumerate_pure_ne(matrix), matrix.labels))
-        rep.check(f"Table2 class({dg},{dr})", cls == expected_class,
-                  f"computed {cls}, expected {expected_class}")
-        rep.check(f"Table2 NE({dg},{dr})", found == expected_ne,
-                  f"computed {sorted(found)}, expected {sorted(expected_ne)}")
+        yield ("PASS", f"Table2 class({dg},{dr})", cls == expected_class,
+               f"computed {cls}, expected {expected_class}")
+        yield ("PASS", f"Table2 NE({dg},{dr})", found == expected_ne,
+               f"computed {sorted(found)}, expected {sorted(expected_ne)}")
 
 
-def _check_table5(rep: _TableReport) -> None:
+def _check_table5():
     cases = [
         # (dg, dr), [(sample gamma per band, expected NE set), ...]
         ((0.9, 0.2), [(0.15, {"(D,D)"}), (0.5, {"(D,Q)", "(Q,D)"}), (1.2, {"(Q,Q)"})]),
@@ -359,10 +326,10 @@ def _check_table5(rep: _TableReport) -> None:
                 max(ewl.grid_best_response_gain(params, rec.profile.p, rec.profile.q,
                                                 gamma)) <= game_core.TIE_EPS
                 for rec in report.equilibria)
-            rep.check(f"Table5 NE set ({dg},{dr}) at gamma={gamma}",
-                      found == expected and certified,
-                      f"computed {sorted(found)}, expected {sorted(expected)}"
-                      + ("" if certified else "; grid certification failed"))
+            yield ("PASS", f"Table5 NE set ({dg},{dr}) at gamma={gamma}",
+                   found == expected and certified,
+                   f"computed {sorted(found)}, expected {sorted(expected)}"
+                   + ("" if certified else "; grid certification failed"))
 
 
 def _fd_index(dg: float, dr: float, gamma: float, which: str, h: float = 1e-6) -> float:
@@ -379,40 +346,38 @@ def _fd_index(dg: float, dr: float, gamma: float, which: str, h: float = 1e-6) -
     return partial * dr / base
 
 
-def _check_table6(rep: _TableReport) -> None:
+def _check_table6():
     params = DilemmaParams(0.9, 0.2)
 
     s_dg = quantum_rde.sensitivity_indices(params, math.pi / 6).index_dg
-    rep.check("Table6 S_Dg(pi/6)", abs(s_dg - (-0.593)) <= 0.005, f"computed {_fmt(s_dg)}")
+    yield "PASS", "Table6 S_Dg(pi/6)", abs(s_dg - (-0.593)) <= 0.005, f"computed {_fmt(s_dg)}"
 
     s_dr = quantum_rde.sensitivity_indices(params, math.pi / 5).index_dr
-    rep.check("Table6 S_Dr(pi/5)", abs(s_dr - 0.037) <= 0.001, f"computed {_fmt(s_dr)}")
+    yield "PASS", "Table6 S_Dr(pi/5)", abs(s_dr - 0.037) <= 0.001, f"computed {_fmt(s_dr)}"
 
     semi = quantum_rde.sensitivity_indices(params, math.pi / 6).semi_elasticity_gamma
-    rep.check("Table6 S_gamma(pi/6) as semi-elasticity", abs(semi - 5.596) <= 0.01,
-              f"computed {_fmt(semi)}")
+    yield ("PASS", "Table6 S_gamma(pi/6) as semi-elasticity", abs(semi - 5.596) <= 0.01,
+           f"computed {_fmt(semi)}")
 
     # Printed values that do not reproduce; re-verified against finite differences.
     s_dg9 = quantum_rde.sensitivity_indices(params, math.pi / 9).index_dg
     ok = (abs(s_dg9 - _fd_index(0.9, 0.2, math.pi / 9, "dg")) <= 1e-6 * abs(s_dg9)
           and abs(s_dg9 - 1.020) <= 0.005)
-    rep.deviation("Table6 S_Dg(pi/9)", ok,
-                  f"computed {_fmt(s_dg9)} vs printed 1.029; finite-difference confirmed")
+    yield ("DOCUMENTED-DEVIATION", "Table6 S_Dg(pi/9)", ok,
+           f"computed {_fmt(s_dg9)} vs printed 1.029; finite-difference confirmed")
 
     s_dr6 = quantum_rde.sensitivity_indices(params, math.pi / 6).index_dr
     ok = (abs(s_dr6 - _fd_index(0.9, 0.2, math.pi / 6, "dr")) <= 1e-6 * abs(s_dr6)
           and abs(s_dr6 - (-0.1758)) <= 0.0005)
-    rep.deviation("Table6 S_Dr(pi/6)", ok,
-                  f"computed {_fmt(s_dr6)} vs printed -0.173; finite-difference confirmed")
+    yield ("DOCUMENTED-DEVIATION", "Table6 S_Dr(pi/6)", ok,
+           f"computed {_fmt(s_dr6)} vs printed -0.173; finite-difference confirmed")
 
 
 def cmd_tables(args) -> int:
-    rep = _TableReport()
-    _check_table2(rep)
-    _check_table5(rep)
-    _check_table6(rep)
-    _write_output("\n".join(rep.lines) + "\n", args.out)
-    return EXIT_CHECK_FAILED if rep.failed else EXIT_OK
+    results = [*_check_table2(), *_check_table5(), *_check_table6()]
+    _write_output("".join(f"[{status if ok else 'FAIL'}] {name}: {detail}\n"
+                          for status, name, ok, detail in results), args.out)
+    return EXIT_OK if all(ok for _, _, ok, _ in results) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +393,10 @@ def cmd_oracle_check(args) -> int:
     rng = random.Random(args.seed)
     unit = ewl._linspace(0.0, 1.0, density)
     angles = ewl._linspace(0.0, math.pi / 2, density)
-    points = [(p, q, g) for p in unit for q in unit for g in angles]
-    points += [(rng.random(), rng.random(), rng.uniform(0.0, math.pi / 2))
-               for _ in range(100)]
+    seeded = ((rng.random(), rng.random(), rng.uniform(0.0, math.pi / 2)) for _ in range(100))
 
     max_dev = max_norm_dev = 0.0
-    for p, q, gamma in points:
+    for p, q, gamma in itertools.chain(itertools.product(unit, unit, angles), seeded):
         amps = ewl.final_state(p, q, gamma, tampered=args.tampered_gate)
         probs = [abs(z) ** 2 for z in amps]
         closed = ewl.joint_distribution(p, q, gamma).as_array()
@@ -442,7 +405,7 @@ def cmd_oracle_check(args) -> int:
 
     ok = max_dev <= 1e-12 and max_norm_dev <= 1e-12
     lines = [
-        f"points: {len(points)}",
+        f"points: {density ** 3 + 100}",
         f"max |state-vector - closed-form| deviation: {max_dev:.3e}",
         f"max normalization deviation: {max_norm_dev:.3e}",
         f"result: {'PASS' if ok else 'FAIL'}",
@@ -461,14 +424,13 @@ def build_parser() -> _Parser:
                                  "EWL quantum extension")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, gamma=True, fmt=True):
+    def add_common(p, gamma=True):
         p.add_argument("--dg", type=float, required=True, help="gamble-intending strength")
         p.add_argument("--dr", type=float, required=True, help="risk-averting strength")
         if gamma:
             p.add_argument("--gamma", type=float, default=None, help="entanglement angle")
             p.add_argument("--degrees", action="store_true", help="interpret angles as degrees")
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to FILE")
 
     p = sub.add_parser("classify", help="dilemma class and pure NEs")

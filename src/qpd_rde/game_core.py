@@ -132,27 +132,19 @@ def build_dilemma_matrix(params: DilemmaParams) -> PayoffMatrix2x2:
 def classify_dilemma(params: DilemmaParams) -> DilemmaClass:
     """Classify by the signs of (d_g, d_r): PD, CH, SH or TRIVIAL.
 
-    A zero parameter sets the boundary flag and the class follows the limiting
-    weak-equilibrium structure, which is that of the adjacent class with the
-    richer equilibrium set (e.g. d_g=0, d_r>0 -> SH; d_r=0, d_g>0 -> CH).
+    PD if both strengths are positive; TRIVIAL if both are negative or both
+    zero; otherwise CH if d_g > d_r and SH if not. A zero strength sets the
+    boundary flag, and the class is that of the adjacent class with the richer
+    weak-equilibrium set (e.g. d_g=0, d_r>0 -> SH; d_r=0, d_g>0 -> CH).
     """
     dg, dr = params.d_g, params.d_r
-    boundary = dg == 0.0 or dr == 0.0
     if dg > 0 and dr > 0:
         kind = DilemmaKind.PD
-    elif dg > 0 and dr < 0:
-        kind = DilemmaKind.CH
-    elif dg < 0 and dr > 0:
-        kind = DilemmaKind.SH
-    elif dg < 0 and dr < 0:
+    elif (dg < 0 and dr < 0) or dg == dr == 0:
         kind = DilemmaKind.TRIVIAL
-    elif dg == 0.0 and dr == 0.0:
-        kind = DilemmaKind.TRIVIAL
-    elif dg == 0.0:
-        kind = DilemmaKind.SH if dr > 0 else DilemmaKind.CH
-    else:  # dr == 0
-        kind = DilemmaKind.CH if dg > 0 else DilemmaKind.SH
-    return DilemmaClass(kind, boundary)
+    else:
+        kind = DilemmaKind.CH if dg > dr else DilemmaKind.SH
+    return DilemmaClass(kind, dg == 0.0 or dr == 0.0)
 
 
 def expected_payoff_classical(params: DilemmaParams, profile: StrategyProfile) -> tuple[float, float]:

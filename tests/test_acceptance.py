@@ -34,6 +34,7 @@ from qpd_rde.quantum_rde import (
     transitional_mixing_probability,
 )
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt, select_rde_asymmetric
+from state_vector_oracle import oracle_product_difference, oracle_sign_change, oracle_switch_gain
 
 
 # Printed threshold digits; each test asserts that they lie off the boundary.
@@ -54,40 +55,6 @@ def draw_transitional(rng):
             params = DilemmaParams(dg, dr)
             thr = thresholds(params)
             return params, rng.uniform(thr.gamma1 + 1e-6, thr.gamma2 - 1e-6)
-
-
-def oracle_payoffs(params, p, q, gamma):
-    """(A, B) payoffs from the state vector alone; basis order CC, CD, DC, DD."""
-    probs = np.abs(final_state(p, q, gamma)) ** 2
-    dg, dr = params.d_g, params.d_r
-    return (float(probs @ (1.0, -dr, 1.0 + dg, 0.0)),
-            float(probs @ (1.0, 1.0 + dg, -dr, 0.0)))
-
-
-def oracle_switch_gain(params, gamma):
-    """A's gain from switching D -> Q against D; (D,D) is an NE while it is <= 0."""
-    stay = oracle_payoffs(params, 0.0, 0.0, gamma)[0]
-    return oracle_payoffs(params, 1.0, 0.0, gamma)[0] - stay
-
-
-def oracle_product_difference(params, gamma):
-    """(Q,Q) minus (D,D) product of the two players' deviation losses."""
-    qq, qd, dq, dd = (oracle_payoffs(params, p, q, gamma)
-                      for p, q in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)))
-    return (qq[0] - dq[0]) * (qq[1] - qd[1]) - (dd[0] - qd[0]) * (dd[1] - dq[1])
-
-
-def oracle_sign_change(f, lo=0.0, hi=math.pi / 2, tol=1e-12):
-    """Bisect the one sign change of f on [lo, hi] down to tol."""
-    lo_negative = f(lo) < 0
-    assert lo_negative != (f(hi) < 0), "no sign change to bisect"
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def test_acceptance_1_oracle_equivalence():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qpd_rde
-from qpd_rde import ewl, game_core, risk_dominance
+from qpd_rde import ewl, game_core, quantum_rde, risk_dominance
 from qpd_rde.cli import main
 from qpd_rde.ewl import thresholds
 from qpd_rde.game_core import DilemmaParams, PayoffMatrix2x2
@@ -75,6 +76,24 @@ def test_gamma_out_of_range(capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("command", ["ne", "rde", "sensitivity"])
+def test_gamma_domain_is_checked_in_radians_on_every_quantum_path(capsys, command):
+    code, out, err = run(capsys, command, "--dg", "0.9", "--dr", "0.2", "--gamma", "100",
+                         "--degrees")
+    assert (code, out) == (1, "")
+    assert err == f"error: gamma must lie in [0, pi/2], got {math.radians(100)!r}\n"
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (("ne", "--dg", "-1e-07", "--dr", "0.5"), "d_g: -1e-07"),
+    (("sweep", "--dg-range", "-1e-07", "1", "3", "--dr", "0.5"), "-1e-07,0.5,0,SH,0,"),
+], ids=["ne", "sweep"])
+def test_negative_numbers_in_exponent_form_are_values(capsys, argv, echoed):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1 if argv[0] == "sweep" else 0].startswith(echoed)
+
+
 def test_rde_classical_branches(capsys):
     code, out, _ = run(capsys, "rde", "--dg", "0.5", "--dr", "0.5", "--format", "json")
     payload = json.loads(out)
@@ -130,6 +149,15 @@ def test_sensitivity_reference_values(capsys):
     assert payload["semi_elasticity_gamma"] == pytest.approx(5.596, abs=0.01)
     assert payload["gamma_g"] == pytest.approx(0.387597, abs=1e-5)
     assert payload["gamma_r"] == pytest.approx(0.602798, abs=1e-5)
+
+
+def test_sensitivity_json_keys_follow_the_record_fields(capsys):
+    code, out, _ = run(capsys, "sensitivity", "--dg", "0.9", "--dr", "0.2", "--gamma", "0.5",
+                       "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "d_g", "d_r", "gamma", "p_star", "partial_dg", "partial_dr", "partial_gamma",
+        "index_dg", "index_dr", "index_gamma", "semi_elasticity_gamma", "gamma_g", "gamma_r"]
 
 
 def test_sweep_row_count_and_header(capsys):
@@ -351,6 +379,48 @@ def test_tables_pass_with_documented_deviations(capsys):
     assert out.count("[DOCUMENTED-DEVIATION]") == 2
     assert "[PASS] Table2 class(0.5,0.5)" in out
     assert "Table5" in out and "Table6" in out
+
+
+TABLES = """\
+[PASS] Table2 class(0.5,0.5): computed PD, expected PD
+[PASS] Table2 NE(0.5,0.5): computed ['(D,D)'], expected ['(D,D)']
+[PASS] Table2 class(0.5,-0.5): computed CH, expected CH
+[PASS] Table2 NE(0.5,-0.5): computed ['(C,D)', '(D,C)'], expected ['(C,D)', '(D,C)']
+[PASS] Table2 class(-0.5,0.5): computed SH, expected SH
+[PASS] Table2 NE(-0.5,0.5): computed ['(C,C)', '(D,D)'], expected ['(C,C)', '(D,D)']
+[PASS] Table5 NE set (0.9,0.2) at gamma=0.15: computed ['(D,D)'], expected ['(D,D)']
+[PASS] Table5 NE set (0.9,0.2) at gamma=0.5: computed ['(D,Q)', '(Q,D)'], expected ['(D,Q)', '(Q,D)']
+[PASS] Table5 NE set (0.9,0.2) at gamma=1.2: computed ['(Q,Q)'], expected ['(Q,Q)']
+[PASS] Table5 NE set (0.5,0.5) at gamma=0.3: computed ['(D,D)'], expected ['(D,D)']
+[PASS] Table5 NE set (0.5,0.5) at gamma=1.0: computed ['(Q,Q)'], expected ['(Q,Q)']
+[PASS] Table5 NE set (0.2,0.9) at gamma=0.2: computed ['(D,D)'], expected ['(D,D)']
+[PASS] Table5 NE set (0.2,0.9) at gamma=0.45: computed ['(D,D)', '(Q,Q)'], expected ['(D,D)', '(Q,Q)']
+[PASS] Table5 NE set (0.2,0.9) at gamma=1.0: computed ['(Q,Q)'], expected ['(Q,Q)']
+[PASS] Table6 S_Dg(pi/6): computed -0.593406593407
+[PASS] Table6 S_Dr(pi/5): computed 0.0366301945386
+[PASS] Table6 S_gamma(pi/6) as semi-elasticity: computed 5.59585645522
+[DOCUMENTED-DEVIATION] Table6 S_Dg(pi/9): computed 1.02036042341 vs printed 1.029; finite-difference confirmed
+[DOCUMENTED-DEVIATION] Table6 S_Dr(pi/6): computed -0.175824175824 vs printed -0.173; finite-difference confirmed
+"""
+
+
+def test_tables_stdout_is_pinned(capsys):
+    assert run(capsys, "tables") == (0, TABLES, "")
+
+
+def test_tables_print_fail_and_exit_2_when_a_check_fails(capsys, monkeypatch):
+    indices = quantum_rde.sensitivity_indices
+    monkeypatch.setattr(quantum_rde, "sensitivity_indices", lambda params, gamma: dataclasses.replace(
+        indices(params, gamma), index_dg=0.0, index_dr=0.0))
+    code, out, _ = run(capsys, "tables")
+    assert code == 2
+    assert out.splitlines() == TABLES.splitlines()[:14] + [
+        "[FAIL] Table6 S_Dg(pi/6): computed 0",
+        "[FAIL] Table6 S_Dr(pi/5): computed 0",
+        "[PASS] Table6 S_gamma(pi/6) as semi-elasticity: computed 5.59585645522",
+        "[FAIL] Table6 S_Dg(pi/9): computed 0 vs printed 1.029; finite-difference confirmed",
+        "[FAIL] Table6 S_Dr(pi/6): computed 0 vs printed -0.173; finite-difference confirmed",
+    ]
 
 
 def test_oracle_check_passes(capsys):

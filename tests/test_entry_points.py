@@ -20,7 +20,6 @@ import contextlib
 import io
 import json
 import math
-from decimal import Decimal
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,11 +213,6 @@ ALL = "class,ne,rde,payoffs,sensitivity,thresholds"
 PARSER = build_parser()
 
 
-def exact(x):
-    """x as its exact decimal expansion: argparse takes "-1e-07" in a range for an option."""
-    return format(Decimal(x), "f")
-
-
 def sweep_rows(*argv):
     """All-quantity JSON sweep rows, parsed by one parser: building one per call dominates."""
     args = PARSER.parse_args(["sweep", *argv, "--quantities", ALL, "--format", "json"])
@@ -246,9 +240,9 @@ def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
     """A 3x3 sweep is the concatenation of its per-pair sweeps, and the multi-angle sweep
     of the drawn pair is, row for row, its one-row sweeps."""
     dg_range, dr_range, (d_g, d_r), gamma_range = grid
-    gamma_args = ("--gamma-range", *map(exact, gamma_range))
-    rows = sweep_rows("--dg-range", *map(exact, dg_range), "3",
-                      "--dr-range", *map(exact, dr_range), "3", *gamma_args)
+    gamma_args = ("--gamma-range", *map(repr, gamma_range))
+    rows = sweep_rows("--dg-range", *map(repr, dg_range), "3",
+                      "--dr-range", *map(repr, dr_range), "3", *gamma_args)
     assert same(rows, [row for g in _linspace(*dg_range, 3) for r in _linspace(*dr_range, 3)
                        for row in sweep_rows(f"--dg={g!r}", f"--dr={r!r}", *gamma_args)])
     pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")

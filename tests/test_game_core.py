@@ -66,6 +66,21 @@ def test_classify_dilemma(dg, dr, kind, boundary):
     assert cls.boundary is boundary
 
 
+SEAM_STRENGTHS = (-1.0, -0.5, -0.0, 0.0, 5e-324, 0.5, 1.0)
+# Class by the signs of (d_g, d_r); a zero of either sign is the boundary.
+CLASS_BY_SIGNS = {(1, 1): "PD", (1, -1): "CH", (-1, 1): "SH", (-1, -1): "TRIVIAL",
+                  (0, 0): "TRIVIAL", (0, 1): "SH", (0, -1): "CH", (1, 0): "CH", (-1, 0): "SH"}
+
+
+@pytest.mark.parametrize("dr", SEAM_STRENGTHS)
+@pytest.mark.parametrize("dg", SEAM_STRENGTHS)
+def test_classify_dilemma_on_every_seam(dg, dr):
+    cls = classify_dilemma(DilemmaParams(dg, dr))
+    signs = (dg > 0) - (dg < 0), (dr > 0) - (dr < 0)
+    assert cls.kind.value == CLASS_BY_SIGNS[signs]
+    assert cls.boundary is (0 in signs)
+
+
 def test_classification_totality():
     rng = np.random.default_rng(7)
     for dg, dr in rng.uniform(-1, 1, size=(500, 2)):
