@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -391,13 +392,16 @@ def cmd_oracle_check(args) -> int:
     if args.seed < 0:
         raise QpdError("--seed must be >= 0")
     rng = random.Random(args.seed)
+    tampered = args.tampered_gate
     unit = ewl._linspace(0.0, 1.0, density)
     angles = ewl._linspace(0.0, math.pi / 2, density)
+    grid = zip(itertools.product(unit, unit, angles), ewl._grid_states(unit, angles, tampered))
     seeded = ((rng.random(), rng.random(), rng.uniform(0.0, math.pi / 2)) for _ in range(100))
+    states = itertools.chain(
+        grid, ((point, ewl.final_state(*point, tampered=tampered)) for point in seeded))
 
     max_dev = max_norm_dev = 0.0
-    for p, q, gamma in itertools.chain(itertools.product(unit, unit, angles), seeded):
-        amps = ewl.final_state(p, q, gamma, tampered=args.tampered_gate)
+    for (p, q, gamma), amps in states:
         probs = [abs(z) ** 2 for z in amps]
         closed = ewl.joint_distribution(p, q, gamma).as_array()
         max_dev = max(max_dev, *(abs(a - b) for a, b in zip(probs, closed)))
@@ -478,11 +482,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main reuses: parse_args reads it and returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # By name, so a cmd_* rebound after the parser was built (a tracer's wrapper) runs.
+        return globals()[args.func.__name__](args)
     except (QpdError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -155,12 +155,31 @@ def entangling_gate(gamma: float, tampered: bool = False) -> tuple[tuple[complex
                  for r, row in enumerate(_kron(pauli, pauli)))
 
 
+def _dagger(matrix):
+    """Conjugate transpose."""
+    return tuple(tuple(z.conjugate() for z in column) for column in zip(*matrix))
+
+
 def final_state(p: float, q: float, gamma: float, tampered: bool = False) -> tuple[complex, ...]:
     """State-vector oracle: Jdag (U(p) x U(q)) J |CC>."""
     gate = entangling_gate(gamma, tampered=tampered)
     local = _kron(strategy_operator(p), strategy_operator(q))
-    dagger = tuple(tuple(z.conjugate() for z in column) for column in zip(*gate))
-    return _matvec(dagger, _matvec(local, _matvec(gate, _KET_CC)))
+    return _matvec(_dagger(gate), _matvec(local, _matvec(gate, _KET_CC)))
+
+
+def _grid_states(weights, angles, tampered=False):
+    """final_state(p, q, gamma, tampered) over product(weights, weights, angles), bit for bit.
+
+    Builds each angle's gate, adjoint and J|CC>, each operator and each (p, q) product once.
+    """
+    gates = [entangling_gate(gamma, tampered=tampered) for gamma in angles]
+    entangled = [(_dagger(gate), _matvec(gate, _KET_CC)) for gate in gates]
+    operators = [strategy_operator(t) for t in weights]
+    for u_p in operators:
+        for u_q in operators:
+            local = _kron(u_p, u_q)
+            for dagger, ket in entangled:
+                yield _matvec(dagger, _matvec(local, ket))
 
 
 def joint_distribution(p: float, q: float, gamma: float) -> JointDistribution:

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import qpd_rde
-from qpd_rde import ewl, game_core, quantum_rde, risk_dominance
-from qpd_rde.cli import main
+from qpd_rde import cli, ewl, game_core, quantum_rde, risk_dominance
+from qpd_rde.cli import build_parser, main
 from qpd_rde.ewl import thresholds
 from qpd_rde.game_core import DilemmaParams, PayoffMatrix2x2
 
@@ -435,6 +435,26 @@ def test_oracle_check_tampered_gate_fails(capsys):
     assert "result: FAIL" in out
 
 
+def test_oracle_check_builds_each_gate_once_per_angle_and_each_operator_once_per_weight(
+        capsys, monkeypatch):
+    calls = {"entangling_gate": 0, "strategy_operator": 0}
+
+    def counting(name):
+        build = getattr(ewl, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ewl, name, counting(name))
+    code, out, _ = run(capsys, "oracle-check", "--grid", "5")
+    assert code == 0 and "points: 225" in out
+    # The 100 seeded points still build their gate and both operators each.
+    assert calls == {"entangling_gate": 5 + 100, "strategy_operator": 5 + 200}
+
+
 def test_oracle_check_rejects_negative_seed(capsys):
     code, out, err = run(capsys, "oracle-check", "--grid", "2", "--seed", "-1")
     assert code == 1
@@ -463,6 +483,30 @@ def test_cli_runs_without_numpy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "2", "0", "False"]
+
+
+def test_main_reuses_one_parser_without_leaking_options(capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        code, out, _ = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.2", "--gamma", "0.3",
+                           "--quantities", "class,thresholds")
+        assert code == 0 and out.startswith("d_g,d_r,gamma,class,boundary,gamma1,")
+        code, out, _ = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.2", "--gamma", "0.3")
+        assert code == 0
+        assert out.splitlines()[0] == ("d_g,d_r,gamma,class,boundary,rde_kind,rde_label,"
+                                       "rde_p,rde_q,rde_payoff_a,rde_payoff_b")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["classify", "--dg", "0.5"])
+        assert excinfo.value.code == 1
+        # A command rebound after the parser was built, as a tracer does, is the one that runs.
+        classify = cli.cmd_classify
+        monkeypatch.setattr(cli, "cmd_classify", lambda args: builds.append(2) or classify(args))
+        assert run(capsys, "classify", "--dg", "0.5", "--dr", "0.5")[0] == 0
+        assert builds == [1, 2]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -263,3 +264,26 @@ def test_oracle_functions_return_tuples():
         assert type(matrix) is tuple and [len(row) for row in matrix] == [size] * size
     dist = joint_distribution(0.3, 0.6, 0.4)
     assert dist.as_array() == (dist.eps1, dist.eps2, dist.eps3, dist.eps4)
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_grid_states_equal_final_state_bit_for_bit(tampered):
+    weights, angles = [0.0, 1.0], [0.0, math.pi / 2]
+
+    def bits(state):
+        return [(z.real.hex(), z.imag.hex()) for z in state]
+
+    points = list(itertools.product(weights, weights, angles))
+    states = list(ewl._grid_states(weights, angles, tampered))
+    assert len(states) == len(points)
+    for (p, q, gamma), state in zip(points, states):
+        assert bits(state) == bits(final_state(p, q, gamma, tampered=tampered)), (p, q, gamma)
+
+
+def test_grid_states_use_no_closed_form(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("the state-vector oracle must not use a closed form")
+
+    for name in ("joint_distribution", "_shift", "_pure_payoffs"):
+        monkeypatch.setattr(ewl, name, closed_form)
+    assert len(list(ewl._grid_states([0.0, 0.5, 1.0], [0.0, 0.7, math.pi / 2]))) == 27
