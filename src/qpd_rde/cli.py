@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from . import ewl, game_core, quantum_rde, risk_dominance
-from .errors import DegenerateDenominator, QpdError
+from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, QpdError
 from .game_core import DilemmaParams
 
 EXIT_OK = 0
@@ -36,6 +36,7 @@ _COLUMNS = {
                     "s_dg", "s_dr", "s_gamma", "semi_elasticity_gamma"),
     "thresholds": ("gamma1", "gamma2", "gamma_star"),
 }
+_BLANK = {q: (None,) * len(columns) for q, columns in _COLUMNS.items()}  # undefined at a row
 
 
 def _fmt(x: float) -> str:
@@ -204,14 +205,14 @@ def _rde_cells(outcome) -> list:
             *outcome.payoffs]
 
 
-def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> list:
+def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     """Sensitivity cells at a resolved quantum phase; blank where they are undefined."""
     try:
         r = quantum_rde._indices(params, gamma, phase)
-    except QpdError:
-        return [None] * 8
-    return [r.p_star, r.partial_dg, r.partial_dr, r.partial_gamma,
-            r.index_dg, r.index_dr, r.index_gamma, r.semi_elasticity_gamma]
+    except (OutOfPhase, DegenerateBase, DegenerateDenominator):
+        return _BLANK["sensitivity"]
+    return (r.p_star, r.partial_dg, r.partial_dr, r.partial_gamma,
+            r.index_dg, r.index_dr, r.index_gamma, r.semi_elasticity_gamma)
 
 
 def _pair_rows(dg: float, dr: float, gammas, quantities):
@@ -224,8 +225,8 @@ def _pair_rows(dg: float, dr: float, gammas, quantities):
     RDE at the common threshold of d_g == d_r) gets blank cells.
     """
     params = DilemmaParams(dg, dr)
-    quantum = dg > 0.0 and dr > 0.0
     cls = game_core.classify_dilemma(params)
+    quantum = cls.kind is game_core.DilemmaKind.PD
     thr = ewl.thresholds(params)
     head = [cls.kind.value, int(cls.boundary)] if "class" in quantities else []
     tail = [thr.gamma1, thr.gamma2, thr.gamma_star] if "thresholds" in quantities else []
@@ -249,11 +250,11 @@ def _pair_rows(dg: float, dr: float, gammas, quantities):
                 try:
                     row += _rde_cells(quantum_rde._select_rde(params, gamma, phase)[1])
                 except DegenerateDenominator:  # the common threshold of d_g == d_r
-                    row += [None] * 6
+                    row += _BLANK["rde"]
         if "payoffs" in quantities:
             row += ewl._pure_payoffs(params, gamma)
         if "sensitivity" in quantities:
-            row += _sensitivity_cells(params, gamma, phase) if quantum else [None] * 8
+            row += _sensitivity_cells(params, gamma, phase) if quantum else _BLANK["sensitivity"]
         yield row + tail
 
 
@@ -266,7 +267,7 @@ def cmd_sweep(args) -> int:
     dgs = _axis(args.dg, args.dg_range, "dg", -1.0, 1.0)
     drs = _axis(args.dr, args.dr_range, "dr", -1.0, 1.0)
     gammas = _axis(args.gamma, args.gamma_range, "gamma", 0.0,
-                   90.0 if args.degrees else math.pi / 2)
+                   90.0 if args.degrees else ewl.GAMMA_MAX)
     if args.degrees:
         gammas = [math.radians(g) for g in gammas]
 
@@ -333,8 +334,9 @@ def _check_table5():
                    + ("" if certified else "; grid certification failed"))
 
 
-def _fd_index(dg: float, dr: float, gamma: float, which: str, h: float = 1e-6) -> float:
+def _fd_index(dg: float, dr: float, gamma: float, which: str) -> float:
     """Finite-difference elasticity oracle for the transitional mixing probability."""
+    h = 1e-6
 
     def p_star(dg_, dr_, g_):
         return quantum_rde.transitional_mixing_probability(DilemmaParams(dg_, dr_), g_)
@@ -394,9 +396,9 @@ def cmd_oracle_check(args) -> int:
     rng = random.Random(args.seed)
     tampered = args.tampered_gate
     unit = ewl._linspace(0.0, 1.0, density)
-    angles = ewl._linspace(0.0, math.pi / 2, density)
+    angles = ewl._linspace(0.0, ewl.GAMMA_MAX, density)
     grid = zip(itertools.product(unit, unit, angles), ewl._grid_states(unit, angles, tampered))
-    seeded = ((rng.random(), rng.random(), rng.uniform(0.0, math.pi / 2)) for _ in range(100))
+    seeded = ((rng.random(), rng.random(), rng.uniform(0.0, ewl.GAMMA_MAX)) for _ in range(100))
     states = itertools.chain(
         grid, ((point, ewl.final_state(*point, tampered=tampered)) for point in seeded))
 

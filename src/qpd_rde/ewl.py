@@ -15,7 +15,8 @@ from functools import reduce
 from operator import add, mul
 
 from .errors import OutOfRegime
-from .game_core import DilemmaParams, NashEquilibriumRecord, PayoffMatrix2x2, StrategyProfile
+from .game_core import (DilemmaParams, NashEquilibriumRecord, PayoffMatrix2x2, StrategyProfile,
+                        _dilemma_matrix)
 
 __all__ = [
     "JointDistribution",
@@ -227,11 +228,7 @@ def pure_quantum_matrix(params: DilemmaParams, gamma: float) -> QuantumPayoffMat
     """Payoff matrix over the pure quantum strategies Q and D."""
     _check_gamma(gamma)
     pi_q, pi_d = _pure_payoffs(params, gamma)
-    entries = [
-        [(1.0, 1.0), (pi_q, pi_d)],
-        [(pi_d, pi_q), (0.0, 0.0)],
-    ]
-    return QuantumPayoffMatrix(PayoffMatrix2x2(entries, labels=("Q", "D")), pi_q, pi_d)
+    return QuantumPayoffMatrix(_dilemma_matrix(pi_q, pi_d, ("Q", "D")), pi_q, pi_d)
 
 
 def _arcsin_sqrt(radicand: float) -> float | None:

@@ -119,14 +119,16 @@ class NashEquilibriumRecord:
     payoffs: tuple[float, float]
 
 
+def _dilemma_matrix(sucker: float, temptation: float, labels) -> PayoffMatrix2x2:
+    """Symmetric dilemma layout: (1,1) and (0,0) on the diagonal, (sucker, temptation) off it."""
+    return PayoffMatrix2x2([[(1.0, 1.0), (sucker, temptation)],
+                            [(temptation, sucker), (0.0, 0.0)]], labels)
+
+
 def build_dilemma_matrix(params: DilemmaParams) -> PayoffMatrix2x2:
     """Payoff matrix of the normalized dilemma: (C,C)=(1,1), (D,D)=(0,0)."""
-    dg, dr = params.d_g, params.d_r
-    entries = [
-        [(1.0, 1.0), (0.0 - dr, 1.0 + dg)],  # 0.0 - dr: no -0.0 when d_r == 0
-        [(1.0 + dg, 0.0 - dr), (0.0, 0.0)],
-    ]
-    return PayoffMatrix2x2(entries, labels=("C", "D"))
+    # 0.0 - d_r: no -0.0 when d_r == 0
+    return _dilemma_matrix(0.0 - params.d_r, 1.0 + params.d_g, ("C", "D"))
 
 
 def classify_dilemma(params: DilemmaParams) -> DilemmaClass:

@@ -218,6 +218,18 @@ def test_sweep_empty_cells_outside_transitional(capsys):
     assert cells["s_gamma"] == ""
 
 
+def test_sweep_blanks_sensitivity_only_for_the_documented_reasons(capsys, monkeypatch):
+    # Off the band, at p* = 0 or with (d_g - d_r)^2 underflowing the cells are blank;
+    # any other domain error on a transitional row fails the sweep.
+    def broken(params, gamma, phase):
+        raise qpd_rde.errors.NotAnEquilibrium("planted")
+
+    monkeypatch.setattr(quantum_rde, "_indices", broken)
+    code, out, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2", "--gamma", "0.5",
+                         "--quantities", "sensitivity")
+    assert (code, out, err) == (1, "", "error: planted\n")
+
+
 def test_sweep_unknown_quantity(capsys):
     code, _, err = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.5",
                        "--quantities", "bogus")

@@ -14,9 +14,14 @@ Two differences are by design. Outside the PD regime ``ne`` and ``rde`` with
 undefined the sweep row blanks its cells and the command exits 1: the
 ``rde_*`` cells exactly where ``rde --gamma`` fails (the common threshold of a
 d_g == d_r pair) and the sensitivity cells exactly where ``sensitivity`` fails.
+
+Two more properties pin the sweep's layout: a multi-row sweep is its one-row
+sweeps, and any ``--quantities`` subset, order or repeat gives the
+all-quantity sweep's columns, cell for cell.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -248,3 +253,42 @@ def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
     pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")
     for row in sweep_rows(*pair, *gamma_args):
         assert same([row], sweep_rows(*pair, f"--gamma={row['gamma']!r}")), row
+
+
+COLUMNS = {
+    "class": ("class", "boundary"),
+    "ne": ("ne_phase", "ne_count", "ne_list"),
+    "rde": RDE_CELLS,
+    "payoffs": ("pi_q", "pi_d"),
+    "sensitivity": tuple(cell for _, cell in SENSITIVITY),
+    "thresholds": ("gamma1", "gamma2", "gamma_star"),
+}
+
+
+def sweep_text(quantities, fmt, *argv):
+    args = PARSER.parse_args(["sweep", *argv, "--quantities", quantities, "--format", fmt])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert args.func(args) == 0
+    return out.getvalue()
+
+
+@settings(SETTINGS, max_examples=200)
+@given(grids(), st.lists(st.sampled_from(list(COLUMNS)), max_size=8))
+def test_any_quantity_subset_and_order_gives_the_all_quantity_columns(grid, chosen):
+    """--quantities in any order, with repeats, lays out the same columns and cells as the
+    all-quantity sweep, in canonical order, in CSV and in JSON."""
+    dg_range, dr_range, _, gamma_range = grid
+    argv = ("--dg-range", *map(repr, dg_range), "3", "--dr-range", *map(repr, dr_range), "3",
+            "--gamma-range", *map(repr, gamma_range))
+    keep = ["d_g", "d_r", "gamma"] + [c for q in COLUMNS if q in chosen for c in COLUMNS[q]]
+    quantities = ",".join(chosen)
+
+    header, *rows = csv.reader(io.StringIO(sweep_text(ALL, "csv", *argv)))
+    index = [header.index(column) for column in keep]
+    expected = [keep] + [[row[i] for i in index] for row in rows]
+    assert list(csv.reader(io.StringIO(sweep_text(quantities, "csv", *argv)))) == expected
+
+    expected = [{column: row[column] for column in keep}
+                for row in json.loads(sweep_text(ALL, "json", *argv))]
+    assert same(json.loads(sweep_text(quantities, "json", *argv)), expected)

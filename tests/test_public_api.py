@@ -1,5 +1,6 @@
 """The public surface: each module's ``__all__``, the package re-exports and the version."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -40,6 +41,15 @@ def test_module_all_is_pinned_and_reexported(module):
     assert module.__all__ == PUBLIC[module]
     for name in module.__all__:
         assert getattr(qpd_rde, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("module", PUBLIC, ids=lambda module: module.__name__)
+def test_module_all_lists_every_public_function_and_class(module):
+    # What makes the package's star re-export the whole surface.
+    defined = {name for name, obj in vars(module).items()
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__ and not name.startswith("_")}
+    assert defined == set(module.__all__)
 
 
 def test_version_agrees_with_pyproject():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qpd_rde.errors import DegenerateBase, OutOfPhase, OutOfRegime
-from qpd_rde.ewl import expected_payoff_quantum, pure_quantum_matrix, thresholds
-from qpd_rde.game_core import DilemmaParams
+from qpd_rde.ewl import PHASE_TOL, expected_payoff_quantum, pure_quantum_matrix, thresholds
+from qpd_rde.game_core import TIE_EPS, DilemmaParams
 from qpd_rde.quantum_rde import (
     deviation_losses_quantum,
     group_benefit_threshold,
@@ -251,6 +251,21 @@ def test_rde_coexistence_agrees_with_generic_selector():
         assert mine.kind == generic.kind == "pure"
         assert mine.label == generic.label
         assert abs(mine.profile.p - generic.profile.p) < 1e-12
+
+
+def test_near_the_diagonal_the_closed_form_and_generic_rde_differ_by_design():
+    # The closed form decides by angle (PHASE_TOL around gamma*), the generic selector by
+    # payoff (TIE_EPS on a product difference of at most (d_r - d_g)^2, here 1e-10).
+    params = DilemmaParams(0.5, 0.50001)
+    gamma = 0.5235984869
+    assert abs(gamma - thresholds(params).gamma_star) > PHASE_TOL
+    qq, dd = deviation_losses_quantum(params, gamma)
+    assert abs(qq.product - dd.product) <= TIE_EPS
+    assert select_rde_quantum(params, gamma) == ("coexistence", rde_coexistence(params, gamma))
+    assert rde_coexistence(params, gamma).label == "(D,D)"
+    generic = select_rde_symmetric(pure_quantum_matrix(params, gamma).matrix)
+    assert generic.kind == "mixed"
+    assert generic.profile.p == pytest.approx(0.8, abs=1e-5)
 
 
 def test_coexistence_switch_single_sign_change():
