@@ -16,7 +16,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import asdict
 
 from . import ewl, game_core, quantum_rde, risk_dominance
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, QpdError
@@ -178,7 +177,7 @@ def cmd_sensitivity(args) -> int:
     report = quantum_rde.sensitivity_indices(params, gamma)
     angles = quantum_rde.sensitivity_critical_angles(params)
     _emit_report({"d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
-                  **asdict(report), **asdict(angles)}, args)
+                  **report._asdict(), **angles._asdict()}, args)
     return EXIT_OK
 
 
@@ -208,11 +207,9 @@ def _rde_cells(outcome) -> list:
 def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     """Sensitivity cells at a resolved quantum phase; blank where they are undefined."""
     try:
-        r = quantum_rde._indices(params, gamma, phase)
+        return quantum_rde._indices(params, gamma, phase)  # its fields are the columns, in order
     except (OutOfPhase, DegenerateBase, DegenerateDenominator):
         return _BLANK["sensitivity"]
-    return (r.p_star, r.partial_dg, r.partial_dr, r.partial_gamma,
-            r.index_dg, r.index_dr, r.index_gamma, r.semi_elasticity_gamma)
 
 
 def _pair_rows(dg: float, dr: float, gammas, quantities):

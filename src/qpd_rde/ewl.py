@@ -10,12 +10,12 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import add, mul
 
 from .errors import OutOfRegime
-from .game_core import (DilemmaParams, NashEquilibriumRecord, PayoffMatrix2x2, StrategyProfile,
+from .game_core import (DilemmaParams, NashEquilibriumRecord, StrategyProfile, _check_prob,
                         _dilemma_matrix)
 
 __all__ = [
@@ -53,11 +53,6 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, pi/2], got {gamma}")
 
 
-def _check_prob(t: float, name: str) -> None:
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {t}")
-
-
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """numpy.linspace(start, stop, num) on floats: start + i*step, stop exactly last."""
     div, delta = max(num - 1, 1), stop - start
@@ -77,39 +72,28 @@ def _matvec(matrix, vector):
     return tuple(reduce(add, map(mul, row, vector)) for row in matrix)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(namedtuple("JointDistribution", "eps1 eps2 eps3 eps4")):
     """Outcome probabilities over (CC, CD, DC, DD)."""
 
-    eps1: float
-    eps2: float
-    eps3: float
-    eps4: float
+    __slots__ = ()
 
     def as_array(self) -> tuple[float, float, float, float]:
-        return (self.eps1, self.eps2, self.eps3, self.eps4)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class QuantumPayoffMatrix:
-    """Pure-quantum-strategy payoff matrix with its off-diagonal scalars."""
+class QuantumPayoffMatrix(namedtuple("QuantumPayoffMatrix", "matrix pi_q pi_d")):
+    """Pure-quantum-strategy PayoffMatrix2x2 with its off-diagonal scalars."""
 
-    matrix: PayoffMatrix2x2
-    pi_q: float
-    pi_d: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PhaseThresholds:
+class PhaseThresholds(namedtuple("PhaseThresholds", "gamma1 gamma2 gamma_star")):
     """Entanglement angles delimiting the NE phases; None when undefined."""
 
-    gamma1: float | None
-    gamma2: float | None
-    gamma_star: float | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(namedtuple("Phase", "name band seam thresholds")):
     """Where gamma sits in the quantum PD phase structure of a (d_g, d_r) pair.
 
     ``band`` is the pair's two-NE band, "transitional" (d_g > d_r) or
@@ -117,16 +101,13 @@ class Phase:
     ``seam`` names the threshold within PHASE_TOL of gamma: "lower" or "upper".
     """
 
-    name: str
-    band: str | None
-    seam: str | None
-    thresholds: PhaseThresholds
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuantumNeReport:
-    phase: str
-    equilibria: list[NashEquilibriumRecord]
+class QuantumNeReport(namedtuple("QuantumNeReport", "phase equilibria")):
+    """Phase name and the list of NashEquilibriumRecord at one angle."""
+
+    __slots__ = ()
 
 
 def initial_state(gamma: float) -> tuple[complex, ...]:

@@ -9,7 +9,7 @@ cooperator) and ``d_r`` (loss from cooperating against a defector), both in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = [
@@ -32,32 +32,41 @@ __all__ = [
 TIE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class DilemmaParams:
+def _check_prob(t: float, name: str) -> None:
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {t}")
+
+
+@classmethod
+def _checked_make(cls, iterable):
+    """namedtuple's _make through __new__, so that _make and _replace check the domain too."""
+    return cls(*iterable)
+
+
+class DilemmaParams(namedtuple("DilemmaParams", "d_g d_r")):
     """Dilemma strength parameters (d_g, d_r), each in [-1, 1]."""
 
-    d_g: float
-    d_r: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if not (-1.0 <= self.d_g <= 1.0):
-            raise ValueError(f"d_g must lie in [-1, 1], got {self.d_g}")
-        if not (-1.0 <= self.d_r <= 1.0):
-            raise ValueError(f"d_r must lie in [-1, 1], got {self.d_r}")
+    def __new__(cls, d_g: float, d_r: float):
+        if not (-1.0 <= d_g <= 1.0):
+            raise ValueError(f"d_g must lie in [-1, 1], got {d_g}")
+        if not (-1.0 <= d_r <= 1.0):
+            raise ValueError(f"d_r must lie in [-1, 1], got {d_r}")
+        return super().__new__(cls, d_g, d_r)
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(namedtuple("StrategyProfile", "p q")):
     """Mixed profile: p (q) is player A's (B's) weight on the first action."""
 
-    p: float
-    q: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+    def __new__(cls, p: float, q: float):
+        _check_prob(p, "p")
+        _check_prob(q, "q")
+        return super().__new__(cls, p, q)
 
 
 class PayoffMatrix2x2:
@@ -107,16 +116,16 @@ class DilemmaKind(Enum):
     TRIVIAL = "TRIVIAL"
 
 
-@dataclass(frozen=True)
-class DilemmaClass:
-    kind: DilemmaKind
-    boundary: bool = False
+class DilemmaClass(namedtuple("DilemmaClass", "kind boundary", defaults=(False,))):
+    """A DilemmaKind, and whether a zero strength puts the pair on a class boundary."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NashEquilibriumRecord:
-    profile: StrategyProfile
-    payoffs: tuple[float, float]
+class NashEquilibriumRecord(namedtuple("NashEquilibriumRecord", "profile payoffs")):
+    """A StrategyProfile and its (A, B) payoff pair."""
+
+    __slots__ = ()
 
 
 def _dilemma_matrix(sucker: float, temptation: float, labels) -> PayoffMatrix2x2:

@@ -10,11 +10,11 @@ unilateral-deviation payoff curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import (PHASE_TOL, Phase, _shift, _strength_sum, expected_payoff_quantum,
-                  resolve_phase, thresholds)
+                  resolve_phase)
 from .game_core import DilemmaParams, StrategyProfile
 from .risk_dominance import DeviationLossPair, RdeOutcome
 
@@ -40,34 +40,24 @@ _RDE_DD = RdeOutcome("pure", StrategyProfile(0.0, 0.0), (0.0, 0.0), "(D,D)")
 _RDE_QQ = RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(Q,Q)")
 
 
-@dataclass(frozen=True)
-class SituRisk:
+class SituRisk(namedtuple("SituRisk", "risk_a risk_b")):
     """Maximum loss each player at an NE can suffer from the opponent deviating."""
 
-    risk_a: float
-    risk_b: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(namedtuple(
+        "SensitivityReport", "p_star partial_dg partial_dr partial_gamma "
+        "index_dg index_dr index_gamma semi_elasticity_gamma", defaults=(None,) * 4)):
     """Partials and (optionally) indices of the transitional mixing probability."""
 
-    p_star: float
-    partial_dg: float
-    partial_dr: float
-    partial_gamma: float
-    index_dg: float | None = None
-    index_dr: float | None = None
-    index_gamma: float | None = None
-    semi_elasticity_gamma: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriticalAngles:
+class CriticalAngles(namedtuple("CriticalAngles", "gamma_g gamma_r")):
     """Angles where the d_g and d_r partials of the mixing probability change sign."""
 
-    gamma_g: float
-    gamma_r: float
+    __slots__ = ()
 
 
 def _in_band(params: DilemmaParams, gamma: float, band: str, phase: Phase | None = None) -> Phase:
@@ -225,11 +215,7 @@ def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityRe
     p_star = partials.p_star
     if p_star == 0.0:
         raise DegenerateBase("sensitivity indices undefined where p* vanishes")
-    return SensitivityReport(
-        p_star=p_star,
-        partial_dg=partials.partial_dg,
-        partial_dr=partials.partial_dr,
-        partial_gamma=partials.partial_gamma,
+    return partials._replace(
         index_dg=partials.partial_dg * params.d_g / p_star,
         index_dr=partials.partial_dr * params.d_r / p_star,
         index_gamma=partials.partial_gamma * gamma / p_star,
@@ -237,24 +223,17 @@ def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityRe
     )
 
 
-def group_benefit_threshold(params: DilemmaParams) -> float | None:
+def group_benefit_threshold(params: DilemmaParams) -> float:
     """Smallest transitional angle where the RDE's group benefit beats the other NEs.
 
     The condition is sin(2 gamma) > sqrt(2(d_r + 2 d_r d_g + d_g))/(1+d_r+d_g);
-    the lower crossing on the rising part of sin(2 gamma) is asin(rhs)/2.
-    Returns None when the condition never holds on the band.
+    the lower crossing on the rising part of sin(2 gamma) is asin(rhs)/2. For
+    d_g > d_r > 0 it lies inside the band, as sin(2 gamma1) < rhs < sin(2 min(gamma2, pi/4)).
     """
-    if not (params.d_g > params.d_r > 0.0):
-        raise OutOfPhase("group-benefit threshold requires d_g > d_r > 0")
-    thr = thresholds(params)
-    g1, g2 = thr.gamma1, thr.gamma2
     dg, dr = params.d_g, params.d_r
+    if not (dg > dr > 0.0):
+        raise OutOfPhase("group-benefit threshold requires d_g > d_r > 0")
     rhs = math.sqrt(2.0 * (dr + 2.0 * dr * dg + dg)) / _strength_sum(params)
-    if math.sin(2.0 * g1) > rhs:
-        return g1
-    peak = min(g2, math.pi / 4)
-    if peak <= g1 or math.sin(2.0 * peak) <= rhs:
-        return None
     return math.asin(rhs) / 2.0
 
 

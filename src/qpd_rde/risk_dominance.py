@@ -8,7 +8,7 @@ Ties select the mixed profile built from the loss ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateDenominator, NotAnEquilibrium, WrongClass
 from .game_core import (
@@ -34,26 +34,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeviationLossPair:
+class DeviationLossPair(namedtuple("DeviationLossPair", "loss_a loss_b")):
     """Per-player deviation losses at one equilibrium and their product."""
 
-    loss_a: float
-    loss_b: float
+    __slots__ = ()
 
     @property
     def product(self) -> float:
         return self.loss_a * self.loss_b
 
 
-@dataclass(frozen=True)
-class RdeOutcome:
-    """Selected risk-dominant equilibrium on the owning game."""
+class RdeOutcome(namedtuple("RdeOutcome", "kind profile payoffs label", defaults=(None,))):
+    """Selected risk-dominant equilibrium on the owning game, of ``kind`` "pure" or "mixed"."""
 
-    kind: str  # "pure" or "mixed"
-    profile: StrategyProfile
-    payoffs: tuple[float, float]
-    label: str | None = None
+    __slots__ = ()
 
 
 def _pure_outcome(matrix: PayoffMatrix2x2, row: int, col: int) -> RdeOutcome:

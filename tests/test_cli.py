@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -243,6 +242,11 @@ def test_sweep_range_validation(capsys):
     assert "range" in err
 
 
+def test_sweep_rejects_a_single_value_out_of_range(capsys):
+    code, out, err = run(capsys, "sweep", "--dg", "2", "--dr", "0.5")
+    assert (code, out, err) == (1, "", "error: dg must lie within [-1.0, 1.0]\n")
+
+
 def test_sweep_degree_range_is_bounded_in_degrees(capsys):
     code, out, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2",
                          "--gamma-range", "0", "90", "3", "--degrees")
@@ -422,8 +426,8 @@ def test_tables_stdout_is_pinned(capsys):
 
 def test_tables_print_fail_and_exit_2_when_a_check_fails(capsys, monkeypatch):
     indices = quantum_rde.sensitivity_indices
-    monkeypatch.setattr(quantum_rde, "sensitivity_indices", lambda params, gamma: dataclasses.replace(
-        indices(params, gamma), index_dg=0.0, index_dr=0.0))
+    monkeypatch.setattr(quantum_rde, "sensitivity_indices", lambda params, gamma: indices(
+        params, gamma)._replace(index_dg=0.0, index_dr=0.0))
     code, out, _ = run(capsys, "tables")
     assert code == 2
     assert out.splitlines() == TABLES.splitlines()[:14] + [
@@ -472,6 +476,11 @@ def test_oracle_check_rejects_negative_seed(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "--seed" in err
+
+
+def test_oracle_check_rejects_a_grid_below_two(capsys):
+    code, out, err = run(capsys, "oracle-check", "--grid", "1")
+    assert (code, out, err) == (1, "", "error: --grid must be >= 2\n")
 
 
 def test_cli_runs_without_numpy(tmp_path):

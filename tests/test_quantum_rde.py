@@ -430,13 +430,34 @@ def test_group_benefit_threshold_always_inside_band():
     # the crossing exists for every transitional pair: the sum is 0 at one
     # band edge and 2 at the other
     rng = np.random.default_rng(67)
+    pairs = []
     for _ in range(200):
         params, _ = draw_transitional(rng)
+        pairs.append(params)
         thr = thresholds(params)
         threshold = group_benefit_threshold(params)
-        assert threshold is not None
         assert thr.gamma1 < threshold < thr.gamma2
         assert sum(rde_transitional(params, threshold).payoffs) == pytest.approx(1.0, abs=1e-9)
+    # a few ulps off the diagonal, where gamma1 and gamma2 coincide in floats
+    for ulps in range(1, 9):
+        for dr in rng.uniform(0.001, 0.999, 25):
+            dg = dr
+            for _ in range(ulps):
+                dg = math.nextafter(dg, 2.0)
+            pairs.append(DilemmaParams(dg, float(dr)))
+    for params in pairs:
+        dg, dr = params.d_g, params.d_r
+        thr = thresholds(params)
+        threshold = group_benefit_threshold(params)
+        assert threshold == math.asin(math.sqrt(2 * (dr + 2 * dr * dg + dg)) / (1 + dr + dg)) / 2
+        assert thr.gamma1 - PHASE_TOL <= threshold <= thr.gamma2 + PHASE_TOL
+
+
+@pytest.mark.parametrize("dg, dr", [(0.2, 0.9), (0.5, 0.5), (0.5, 0.0), (0.5, -0.2)])
+def test_group_benefit_threshold_requires_the_transitional_regime(dg, dr):
+    with pytest.raises(OutOfPhase) as excinfo:
+        group_benefit_threshold(DilemmaParams(dg, dr))
+    assert str(excinfo.value) == "group-benefit threshold requires d_g > d_r > 0"
 
 
 # ---------------------------------------------------------------------------
