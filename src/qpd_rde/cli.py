@@ -130,32 +130,34 @@ def cmd_ne(args) -> int:
 # rde
 
 
+# Deviation-loss keys of each two-NE game, by classical class or quantum band, in loss order.
+_LOSS_KEYS = {
+    game_core.DilemmaKind.CH: ("delta_cd", "delta_dc"),
+    game_core.DilemmaKind.SH: ("delta_cc", "delta_dd"),
+    "transitional": ("delta_qd", "delta_dq"),
+    "coexistence": ("delta_qq", "delta_dd"),
+}
+
+
 def cmd_rde(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
-    keys, losses = (), ()
+    losses = ()
     if gamma is None:
-        kind = game_core.classify_dilemma(params).kind
-        outcome = risk_dominance._classical_rde(params, kind)
-        if kind is game_core.DilemmaKind.CH:
-            keys = ("delta_cd", "delta_dc")
+        game = game_core.classify_dilemma(params).kind
+        outcome = risk_dominance._classical_rde(params, game)
+        if game is game_core.DilemmaKind.CH:
             losses = risk_dominance.deviation_losses_asymmetric(game_core.build_dilemma_matrix(params))
-        elif kind is game_core.DilemmaKind.SH:
-            keys = ("delta_cc", "delta_dd")
+        elif game is game_core.DilemmaKind.SH:
             losses = risk_dominance.deviation_losses_symmetric(game_core.build_dilemma_matrix(params))
         payload = {"d_g": params.d_g, "d_r": params.d_r, "mode": "classical"}
     else:
         resolved = ewl.resolve_phase(params, gamma)
-        phase, outcome = quantum_rde._select_rde(params, gamma, resolved)
-        thr = resolved.thresholds
-        if phase in ("transitional", "coexistence"):
-            keys = ("delta_qd", "delta_dq") if phase == "transitional" else ("delta_qq", "delta_dd")
+        game, outcome = quantum_rde._select_rde(params, gamma, resolved)
+        if game in _LOSS_KEYS:
             losses = quantum_rde.deviation_losses_quantum(params, gamma)
-        payload = {
-            "d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
-            "mode": "quantum", "phase": phase,
-            "gamma1": thr.gamma1, "gamma2": thr.gamma2, "gamma_star": thr.gamma_star,
-        }
+        payload = {"d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
+                   "mode": "quantum", "phase": game, **resolved.thresholds._asdict()}
     payload.update({
         "rde_kind": outcome.kind,
         "rde_label": outcome.label,
@@ -164,7 +166,7 @@ def cmd_rde(args) -> int:
         "payoff_a": outcome.payoffs[0],
         "payoff_b": outcome.payoffs[1],
     })
-    payload.update((key, loss.product) for key, loss in zip(keys, losses))
+    payload.update((key, loss.product) for key, loss in zip(_LOSS_KEYS.get(game, ()), losses))
     _emit_report(payload, args)
     return EXIT_OK
 
@@ -331,46 +333,36 @@ def _check_table5():
                    + ("" if certified else "; grid certification failed"))
 
 
-def _fd_index(dg: float, dr: float, gamma: float, which: str) -> float:
-    """Finite-difference elasticity oracle for the transitional mixing probability."""
+def _fd_index(params: DilemmaParams, gamma: float, strength: str) -> float:
+    """Central-difference elasticity of the transitional mixing probability in one strength."""
     h = 1e-6
-
-    def p_star(dg_, dr_, g_):
-        return quantum_rde.transitional_mixing_probability(DilemmaParams(dg_, dr_), g_)
-
-    base = p_star(dg, dr, gamma)
-    if which == "dg":
-        partial = (p_star(dg + h, dr, gamma) - p_star(dg - h, dr, gamma)) / (2 * h)
-        return partial * dg / base
-    partial = (p_star(dg, dr + h, gamma) - p_star(dg, dr - h, gamma)) / (2 * h)
-    return partial * dr / base
+    p_star = quantum_rde.transitional_mixing_probability
+    x = getattr(params, strength)
+    partial = (p_star(params._replace(**{strength: x + h}), gamma)
+               - p_star(params._replace(**{strength: x - h}), gamma)) / (2 * h)
+    return partial * x / p_star(params, gamma)
 
 
 def _check_table6():
     params = DilemmaParams(0.9, 0.2)
-
-    s_dg = quantum_rde.sensitivity_indices(params, math.pi / 6).index_dg
-    yield "PASS", "Table6 S_Dg(pi/6)", abs(s_dg - (-0.593)) <= 0.005, f"computed {_fmt(s_dg)}"
-
-    s_dr = quantum_rde.sensitivity_indices(params, math.pi / 5).index_dr
-    yield "PASS", "Table6 S_Dr(pi/5)", abs(s_dr - 0.037) <= 0.001, f"computed {_fmt(s_dr)}"
-
-    semi = quantum_rde.sensitivity_indices(params, math.pi / 6).semi_elasticity_gamma
-    yield ("PASS", "Table6 S_gamma(pi/6) as semi-elasticity", abs(semi - 5.596) <= 0.01,
-           f"computed {_fmt(semi)}")
-
-    # Printed values that do not reproduce; re-verified against finite differences.
-    s_dg9 = quantum_rde.sensitivity_indices(params, math.pi / 9).index_dg
-    ok = (abs(s_dg9 - _fd_index(0.9, 0.2, math.pi / 9, "dg")) <= 1e-6 * abs(s_dg9)
-          and abs(s_dg9 - 1.020) <= 0.005)
-    yield ("DOCUMENTED-DEVIATION", "Table6 S_Dg(pi/9)", ok,
-           f"computed {_fmt(s_dg9)} vs printed 1.029; finite-difference confirmed")
-
-    s_dr6 = quantum_rde.sensitivity_indices(params, math.pi / 6).index_dr
-    ok = (abs(s_dr6 - _fd_index(0.9, 0.2, math.pi / 6, "dr")) <= 1e-6 * abs(s_dr6)
-          and abs(s_dr6 - (-0.1758)) <= 0.0005)
-    yield ("DOCUMENTED-DEVIATION", "Table6 S_Dr(pi/6)", ok,
-           f"computed {_fmt(s_dr6)} vs printed -0.173; finite-difference confirmed")
+    cases = [
+        # (entry, gamma, SensitivityReport field, target, tolerance, deviation); a deviation
+        # (strength, printed value) does not reproduce and is re-verified by finite difference.
+        ("S_Dg(pi/6)", math.pi / 6, "index_dg", -0.593, 0.005, None),
+        ("S_Dr(pi/5)", math.pi / 5, "index_dr", 0.037, 0.001, None),
+        ("S_gamma(pi/6) as semi-elasticity", math.pi / 6, "semi_elasticity_gamma", 5.596, 0.01, None),
+        ("S_Dg(pi/9)", math.pi / 9, "index_dg", 1.020, 0.005, ("d_g", "1.029")),
+        ("S_Dr(pi/6)", math.pi / 6, "index_dr", -0.1758, 0.0005, ("d_r", "-0.173")),
+    ]
+    for entry, gamma, field, target, tol, deviation in cases:
+        value = getattr(quantum_rde.sensitivity_indices(params, gamma), field)
+        status, ok, detail = "PASS", abs(value - target) <= tol, f"computed {_fmt(value)}"
+        if deviation:
+            strength, printed = deviation
+            status = "DOCUMENTED-DEVIATION"
+            ok = abs(value - _fd_index(params, gamma, strength)) <= 1e-6 * abs(value) and ok
+            detail += f" vs printed {printed}; finite-difference confirmed"
+        yield status, f"Table6 {entry}", ok, detail
 
 
 def cmd_tables(args) -> int:

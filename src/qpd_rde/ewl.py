@@ -16,7 +16,7 @@ from operator import add, mul
 
 from .errors import OutOfRegime
 from .game_core import (DilemmaParams, NashEquilibriumRecord, StrategyProfile, _check_prob,
-                        _dilemma_matrix)
+                        _dilemma_matrix, expected_payoff_classical)
 
 __all__ = [
     "JointDistribution",
@@ -188,15 +188,12 @@ def _shift(params: DilemmaParams, gamma: float) -> float:
 
 
 def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:
-    """Expected payoffs; the entanglement term is antisymmetric between players."""
-    _check_prob(p, "p")
-    _check_prob(q, "q")
+    """Classical expected payoffs plus an entanglement term antisymmetric between the players."""
+    profile = StrategyProfile(p, q)  # checks p, then q
     _check_gamma(gamma)
-    dg, dr = params.d_g, params.d_r
+    pay_a, pay_b = expected_payoff_classical(params, profile)
     shift = (p - q) * _shift(params, gamma)
-    pay_a = (dr - dg) * p * q - dr * p + (1.0 + dg) * q + shift
-    pay_b = (dr - dg) * p * q - dr * q + (1.0 + dg) * p - shift
-    return pay_a, pay_b
+    return pay_a + shift, pay_b - shift
 
 
 def _pure_payoffs(params: DilemmaParams, gamma: float) -> tuple[float, float]:
@@ -292,16 +289,14 @@ def _quantum_ne(params: DilemmaParams, gamma: float, phase: Phase) -> QuantumNeR
         for is_ne, p, q, payoffs in cells if is_ne])
 
 
-def grid_best_response_gain(params: DilemmaParams, p: float, q: float, gamma: float,
-                            grid: int = 1001) -> tuple[float, float]:
-    """Best unilateral improvement each player can find on a strategy grid.
+def grid_best_response_gain(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:
+    """Best unilateral improvement each player can find on the 1001-point strategy grid.
 
     Brute-force certification helper: a profile is an NE of the one-parameter
     game iff both gains are (numerically) nonpositive.
     """
     base_a, base_b = expected_payoff_quantum(params, p, q, gamma)
-    gain_a = max(expected_payoff_quantum(params, t, q, gamma)[0] - base_a
-                 for t in _linspace(0.0, 1.0, grid))
-    gain_b = max(expected_payoff_quantum(params, p, t, gamma)[1] - base_b
-                 for t in _linspace(0.0, 1.0, grid))
+    grid = _linspace(0.0, 1.0, 1001)
+    gain_a = max(expected_payoff_quantum(params, t, q, gamma)[0] - base_a for t in grid)
+    gain_b = max(expected_payoff_quantum(params, p, t, gamma)[1] - base_b for t in grid)
     return gain_a, gain_b

@@ -37,6 +37,11 @@ def _check_prob(t: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {t}")
 
 
+def _check_cell(row: int, col: int) -> None:
+    if row not in (0, 1) or col not in (0, 1):
+        raise ValueError(f"cell row and column must lie in {{0, 1}}, got ({row}, {col})")
+
+
 @classmethod
 def _checked_make(cls, iterable):
     """namedtuple's _make through __new__, so that _make and _replace check the domain too."""
@@ -90,10 +95,13 @@ class PayoffMatrix2x2:
         self.labels = (str(labels[0]), str(labels[1]))
 
     def payoff(self, row: int, col: int) -> tuple[float, float]:
+        _check_cell(row, col)
         return self.a[row][col], self.b[row][col]
 
     def expected_payoffs(self, p: float, q: float) -> tuple[float, float]:
         """Expected payoff pair when A (B) plays the first action with weight p (q)."""
+        _check_prob(p, "p")
+        _check_prob(q, "q")
         w = (p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q))
         # Row-major, left to right from 0.0 (so a sum of -0.0 terms is 0.0).
         return tuple(0.0 + m[0][0] * w[0] + m[0][1] * w[1] + m[1][0] * w[2] + m[1][1] * w[3]
@@ -101,6 +109,7 @@ class PayoffMatrix2x2:
 
     def is_pure_ne(self, row: int, col: int, tol: float = 0.0) -> bool:
         """Weak best-response check of the cell; ties within tol count."""
+        _check_cell(row, col)
         return (self.a[row][col] >= self.a[1 - row][col] - tol
                 and self.b[row][col] >= self.b[row][1 - col] - tol)
 

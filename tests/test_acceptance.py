@@ -98,7 +98,7 @@ def test_acceptance_3_phase_structure():
         found = {(rec.profile.p, rec.profile.q)
                  for rec in classify_quantum_ne(params, gamma).equilibria}
         certified = all(
-            max(grid_best_response_gain(params, p, q, gamma, grid=1001)) <= 1e-9
+            max(grid_best_response_gain(params, p, q, gamma)) <= 1e-9
             for p, q in found)
         ok_sets = ok_sets and found == expected and certified
 

@@ -439,6 +439,18 @@ def test_tables_print_fail_and_exit_2_when_a_check_fails(capsys, monkeypatch):
     ]
 
 
+def test_tables_fail_a_documented_deviation_on_its_finite_difference_alone(capsys, monkeypatch):
+    """Only the finite-difference oracle reads the public mixing probability: shifting it
+    leaves every computed value in range but fails both documented deviations."""
+    p_star = quantum_rde.transitional_mixing_probability
+    monkeypatch.setattr(quantum_rde, "transitional_mixing_probability", lambda params, gamma: (
+        p_star(params, gamma) + 1e-3 * (params.d_g + params.d_r)))
+    code, out, _ = run(capsys, "tables")
+    assert code == 2
+    assert out.splitlines() == [line.replace("[DOCUMENTED-DEVIATION]", "[FAIL]")
+                                for line in TABLES.splitlines()]
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run(capsys, "oracle-check", "--grid", "5", "--seed", "3")
     assert code == 0

@@ -190,12 +190,16 @@ WEIGHT_CALLS = {
     "final_state q": lambda params, t, gamma: ewl.final_state(0.5, t, gamma),
     "joint_distribution p": lambda params, t, gamma: ewl.joint_distribution(t, 0.5, gamma),
     "joint_distribution q": lambda params, t, gamma: ewl.joint_distribution(0.5, t, gamma),
+    "PayoffMatrix2x2.expected_payoffs p":
+        lambda params, t, gamma: build_dilemma_matrix(params).expected_payoffs(t, 0.5),
+    "PayoffMatrix2x2.expected_payoffs q":
+        lambda params, t, gamma: build_dilemma_matrix(params).expected_payoffs(0.5, t),
     "expected_payoff_quantum p": lambda params, t, gamma: expected_payoff_quantum(params, t, 0.5, gamma),
     "expected_payoff_quantum q": lambda params, t, gamma: expected_payoff_quantum(params, 0.5, t, gamma),
     "grid_best_response_gain p":
-        lambda params, t, gamma: ewl.grid_best_response_gain(params, t, 0.5, gamma, grid=3),
+        lambda params, t, gamma: ewl.grid_best_response_gain(params, t, 0.5, gamma),
     "grid_best_response_gain q":
-        lambda params, t, gamma: ewl.grid_best_response_gain(params, 0.5, t, gamma, grid=3),
+        lambda params, t, gamma: ewl.grid_best_response_gain(params, 0.5, t, gamma),
     "unilateral_deviation_payoffs q":
         lambda params, t, gamma: unilateral_deviation_payoffs(params, gamma, "half", t),
 }
