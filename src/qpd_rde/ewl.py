@@ -39,8 +39,8 @@ __all__ = [
 
 GAMMA_MAX = math.pi / 2
 
-# The one angle tolerance of the phase structure: within it of gamma1 or
-# gamma2 every entry point reports the boundary phase.
+# The one angle tolerance of the phase structure, read only by _side: within it
+# of gamma1 or gamma2 every entry point reports the boundary phase.
 PHASE_TOL = 1e-9
 
 _SIGMA_Y = ((0.0, -1.0j), (1.0j, 0.0))
@@ -247,42 +247,44 @@ def resolve_phase(params: DilemmaParams, gamma: float) -> Phase:
     return _phase(params, gamma, thresholds(params))
 
 
+def _side(gamma: float, angle: float) -> int:
+    """-1 below angle, 0 within PHASE_TOL of it, +1 above: the one angle-tolerance test."""
+    return 0 if abs(gamma - angle) <= PHASE_TOL else -1 if gamma < angle else 1
+
+
 def _phase(params: DilemmaParams, gamma: float, thr: PhaseThresholds) -> Phase:
     """resolve_phase on the pair's thresholds, for a checked gamma and regime."""
     lo, hi = sorted((thr.gamma1, thr.gamma2))
     band = (None if params.d_g == params.d_r
             else "transitional" if params.d_g > params.d_r else "coexistence")
-    if abs(gamma - lo) <= PHASE_TOL:
-        return Phase("boundary", band, "lower", thr)
-    if abs(gamma - hi) <= PHASE_TOL:
-        return Phase("boundary", band, "upper", thr)
-    if gamma < lo:
-        return Phase("classical-like", band, None, thr)
-    if gamma > hi:
-        return Phase("fully-quantum", band, None, thr)
+    side_lo, side_hi = _side(gamma, lo), _side(gamma, hi)
+    if side_lo == 0 or side_hi == 0:
+        return Phase("boundary", band, "lower" if side_lo == 0 else "upper", thr)
+    if side_lo == side_hi:  # below both thresholds or above both
+        return Phase("classical-like" if side_lo < 0 else "fully-quantum", band, None, thr)
     return Phase(band, band, None, thr)
 
 
 def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
     """Phase label and pure-quantum-strategy NEs at the given entanglement.
 
-    (Q,Q) is an NE for gamma >= gamma2, (D,D) for gamma <= gamma1, and (Q,D)
-    and (D,Q) for gamma1 <= gamma <= gamma2, each bound widened by PHASE_TOL,
-    so at a seam the adjacent sets merge. Listed in row-major order.
+    With s1 and s2 the sides of gamma1 and gamma2 that gamma lies on (-1
+    below, 0 within PHASE_TOL, +1 above; the phase reads the same sides),
+    (Q,Q) is an NE iff s2 >= 0, (Q,D) and (D,Q) iff s1 >= 0 >= s2, and (D,D)
+    iff s1 <= 0, so at a seam the adjacent sets merge. Listed in row-major order.
     """
     return _quantum_ne(params, gamma, resolve_phase(params, gamma))
 
 
 def _quantum_ne(params: DilemmaParams, gamma: float, phase: Phase) -> QuantumNeReport:
     """classify_quantum_ne at the phase already resolved for gamma."""
-    g1, g2 = phase.thresholds.gamma1, phase.thresholds.gamma2
+    s1, s2 = _side(gamma, phase.thresholds.gamma1), _side(gamma, phase.thresholds.gamma2)
     pi_q, pi_d = _pure_payoffs(params, gamma)
-    mixed = g1 - PHASE_TOL <= gamma <= g2 + PHASE_TOL
     cells = [
-        (gamma >= g2 - PHASE_TOL, 1.0, 1.0, (1.0, 1.0)),
-        (mixed, 1.0, 0.0, (pi_q, pi_d)),
-        (mixed, 0.0, 1.0, (pi_d, pi_q)),
-        (gamma <= g1 + PHASE_TOL, 0.0, 0.0, (0.0, 0.0)),
+        (s2 >= 0, 1.0, 1.0, (1.0, 1.0)),
+        (s1 >= 0 >= s2, 1.0, 0.0, (pi_q, pi_d)),
+        (s1 >= 0 >= s2, 0.0, 1.0, (pi_d, pi_q)),
+        (s1 <= 0, 0.0, 0.0, (0.0, 0.0)),
     ]
     return QuantumNeReport(phase.name, [
         NashEquilibriumRecord(StrategyProfile(p, q), payoffs)

@@ -92,6 +92,8 @@ class PayoffMatrix2x2:
         self.b = ((float(b00), float(b01)), (float(b10), float(b11)))
         if not all(map(math.isfinite, self.a[0] + self.a[1] + self.b[0] + self.b[1])):
             raise ValueError("payoff entries must be finite")
+        if len(labels) != 2:
+            raise ValueError("expected two action labels")
         self.labels = (str(labels[0]), str(labels[1]))
 
     def payoff(self, row: int, col: int) -> tuple[float, float]:
@@ -108,7 +110,9 @@ class PayoffMatrix2x2:
                      for m in (self.a, self.b))
 
     def is_pure_ne(self, row: int, col: int, tol: float = 0.0) -> bool:
-        """Weak best-response check of the cell; ties within tol count."""
+        """Weak best-response check of the cell; ties within tol (finite, >= 0) count."""
+        if tol and not 0.0 < tol < math.inf:  # the default 0.0 skips the range test
+            raise ValueError(f"tol must be finite and >= 0, got {tol}")
         _check_cell(row, col)
         return (self.a[row][col] >= self.a[1 - row][col] - tol
                 and self.b[row][col] >= self.b[row][1 - col] - tol)

@@ -13,8 +13,7 @@ import math
 from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
-from .ewl import (PHASE_TOL, Phase, _shift, _strength_sum, expected_payoff_quantum,
-                  resolve_phase)
+from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
 from .game_core import DilemmaParams, StrategyProfile
 from .risk_dominance import DeviationLossPair, RdeOutcome
 
@@ -139,11 +138,11 @@ def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
 
 
 def _rde_coexistence(params: DilemmaParams, gamma: float, phase: Phase) -> RdeOutcome:
-    g_star = phase.thresholds.gamma_star
-    if abs(gamma - g_star) <= PHASE_TOL:
+    side = _side(gamma, phase.thresholds.gamma_star)
+    if side == 0:
         pay = (2.0 + params.d_g - params.d_r) / 4.0
         return RdeOutcome("mixed", StrategyProfile(0.5, 0.5), (pay, pay), "U(0.5)xU(0.5)")
-    return _RDE_DD if gamma < g_star else _RDE_QQ
+    return _RDE_DD if side < 0 else _RDE_QQ
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:

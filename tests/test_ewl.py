@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +215,25 @@ def test_classify_quantum_ne_threshold_union():
     assert ne_set(report) == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
     report = classify_quantum_ne(params, thr.gamma2)
     assert ne_set(report) == {(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)}
+
+
+def phase_tol_readers(node, module, scope="<module>"):
+    """'module.scope' of every load, attribute or import of PHASE_TOL below node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Name) and child.id == "PHASE_TOL" and isinstance(child.ctx, ast.Load)
+                or isinstance(child, ast.Attribute) and child.attr == "PHASE_TOL"
+                or isinstance(child, ast.alias) and child.name == "PHASE_TOL"):
+            yield f"{module}.{scope}"
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from phase_tol_readers(child, module, child.name if named else scope)
+
+
+def test_only_side_reads_the_angle_tolerance():
+    """One angle-tolerance test: a second form of it elsewhere could round differently."""
+    readers = []
+    for path in sorted(Path(ewl.__file__).parent.glob("*.py")):
+        readers += phase_tol_readers(ast.parse(path.read_text()), path.stem)
+    assert readers == ["ewl._side"]
 
 
 def test_ne_certification_by_grid():

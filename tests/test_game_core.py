@@ -216,6 +216,19 @@ def test_payoff_matrix_rejects_cells_outside_the_matrix(row, col):
         matrix.is_pure_ne(row, col)
 
 
+@pytest.mark.parametrize("labels", [("C",), ("C", "D", "E")])
+def test_payoff_matrix_rejects_anything_but_two_labels(labels):
+    with pytest.raises(ValueError, match="^expected two action labels$"):
+        PayoffMatrix2x2([[(1, 1), (0, 2)], [(2, 0), (0, 0)]], labels)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf])
+def test_is_pure_ne_rejects_a_negative_or_non_finite_tolerance(tol):
+    matrix = build_dilemma_matrix(DilemmaParams(0.9, 0.2))
+    with pytest.raises(ValueError, match="^tol must be finite and >= 0, got "):
+        matrix.is_pure_ne(1, 1, tol)
+
+
 @pytest.mark.parametrize("module", [game_core, risk_dominance, quantum_rde, ewl, cli, errors,
                                     qpd_rde])
 def test_closed_form_modules_do_not_import_numpy(module):

@@ -4,15 +4,18 @@ Points are drawn both uniformly and on purpose on the seams: d_g or d_r in
 {0, +-1}, d_g == d_r, and gamma at 0, pi/2, gamma1, gamma2 or gamma_star,
 each also shifted by +-5e-10 and +-PHASE_TOL. Also covered: the players'
 payoff antisymmetry, the [0, 1] domain of every strategy weight, and the
-classical two-NE selection on chicken games. Hypothesis runs derandomized,
-so every run draws the same examples.
+classical two-NE selection on chicken games. The quantum NE set must agree
+with the phase: each interior phase lists its own set and a boundary the union
+of the sets beside its thresholds, at angles within a few ulps of
+gamma1, gamma2 +- PHASE_TOL. Hypothesis runs derandomized, so every run draws
+the same examples.
 """
 
 import inspect
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qpd_rde import ewl, quantum_rde
@@ -32,6 +35,7 @@ from qpd_rde.quantum_rde import (
     unilateral_deviation_payoffs,
 )
 from qpd_rde.risk_dominance import select_rde_asymmetric, select_rde_symmetric
+from test_entry_points import shifted
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -93,6 +97,54 @@ def test_pure_rde_is_in_the_ne_set(point):
     else:
         # a mixture of the band's NE pair
         assert phase in ("transitional", "coexistence") and len(ne) == 2
+
+
+# The pure-quantum NE set of each interior phase, and the interior phase on
+# each side (-1 below, +1 above) of gamma1 and of gamma2.
+INTERIOR_NE = {"classical-like": {"(D,D)"}, "transitional": {"(Q,D)", "(D,Q)"},
+               "coexistence": {"(Q,Q)", "(D,D)"}, "fully-quantum": {"(Q,Q)"}}
+PHASE_BY_SIDES = {(-1, -1): "classical-like", (1, -1): "transitional",
+                  (-1, 1): "coexistence", (1, 1): "fully-quantum"}
+TOL_OFFSETS = (0.0, 5e-10, -5e-10, PHASE_TOL, -PHASE_TOL, 2 * PHASE_TOL, -2 * PHASE_TOL)
+
+
+@st.composite
+def threshold_points(draw):
+    """A PD pair, uniform, on the diagonal or 1 ulp or about 1e-9 off it, and an
+    angle within 2 ulps of gamma1 or gamma2 shifted by up to 2 PHASE_TOL."""
+    d_g = draw(positive_strength)
+    d_r = draw(st.one_of(positive_strength, st.builds(
+        shifted, st.just(d_g), st.sampled_from((0.0, 1e-9, -1e-9)), st.integers(-1, 1))))
+    assume(0.0 < d_r <= 1.0)
+    thr = thresholds(DilemmaParams(d_g, d_r))
+    gamma = draw(st.builds(shifted, st.sampled_from((thr.gamma1, thr.gamma2)),
+                           st.sampled_from(TOL_OFFSETS), st.integers(-2, 2)))
+    assume(in_domain(gamma))
+    return DilemmaParams(d_g, d_r), gamma
+
+
+@SETTINGS
+@given(threshold_points())
+# The README's 0.4.1 example: (Q,D) and (D,Q) listed as classical-like, (D,D) as transitional.
+@example((DilemmaParams(0.42636586502253654, 0.2663275827900337), 0.40787599873979397))
+@example((DilemmaParams(0.42636586502253654, 0.2663275827900337), 0.407876000739794))
+def test_quantum_ne_set_agrees_with_the_phase(point):
+    params, gamma = point
+    thr = thresholds(params)
+    report = classify_quantum_ne(params, gamma)
+    listed = {f"({'QD'[rec.profile.p == 0.0]},{'QD'[rec.profile.q == 0.0]})"
+              for rec in report.equilibria}
+    # Each threshold's sides: both within PHASE_TOL of it, else the one gamma is on.
+    sides = [(-1, 1) if abs(gamma - t) <= PHASE_TOL else (-1,) if gamma < t else (1,)
+             for t in (thr.gamma1, thr.gamma2)]
+    if report.phase == "boundary":
+        assert len(sides[0]) + len(sides[1]) > 2
+        expected = set().union(*(INTERIOR_NE[PHASE_BY_SIDES[s1, s2]]
+                                 for s1 in sides[0] for s2 in sides[1]))
+    else:
+        assert PHASE_BY_SIDES[sides[0] + sides[1]] == report.phase
+        expected = INTERIOR_NE[report.phase]
+    assert listed == expected
 
 
 @SETTINGS
