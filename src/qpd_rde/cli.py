@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -18,24 +17,37 @@ import re
 import sys
 
 from . import ewl, game_core, quantum_rde, risk_dominance
-from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, QpdError
+from .errors import DegenerateBase, DegenerateDenominator, QpdError
 from .game_core import DilemmaParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 
-# Sweep columns of each quantity, in the order rows lay them out.
+# Sweep columns of each quantity, in the order rows lay them out, and its scope: the
+# widest span of a quantum PD pair's rows over which its cells stay the same. That is
+# the (d_g, d_r) pair, the sides of gamma1 and gamma2 that gamma lies on (which fix the
+# phase and the NE set), or the row.
 _COLUMNS = {
-    "class": ("class", "boundary"),
-    "ne": ("ne_phase", "ne_count", "ne_list"),
-    "rde": ("rde_kind", "rde_label", "rde_p", "rde_q", "rde_payoff_a", "rde_payoff_b"),
-    "payoffs": ("pi_q", "pi_d"),
-    "sensitivity": ("p_star", "partial_dg", "partial_dr", "partial_gamma",
-                    "s_dg", "s_dr", "s_gamma", "semi_elasticity_gamma"),
-    "thresholds": ("gamma1", "gamma2", "gamma_star"),
+    "class": ("pair", ("class", "boundary")),
+    "ne": ("side", ("ne_phase", "ne_count", "ne_list")),
+    "rde": ("row", ("rde_kind", "rde_label", "rde_p", "rde_q", "rde_payoff_a", "rde_payoff_b")),
+    "payoffs": ("row", ("pi_q", "pi_d")),
+    "sensitivity": ("row", ("p_star", "partial_dg", "partial_dr", "partial_gamma",
+                            "s_dg", "s_dr", "s_gamma", "semi_elasticity_gamma")),
+    "thresholds": ("pair", ("gamma1", "gamma2", "gamma_star")),
 }
-_BLANK = {q: (None,) * len(columns) for q, columns in _COLUMNS.items()}  # undefined at a row
+_BLANK = {q: (None,) * len(columns) for q, (_, columns) in _COLUMNS.items()}  # undefined
+
+
+class _Echo:
+    """A file whose write returns the text it is given."""
+
+    write = staticmethod(str)
+
+
+# csv.writerow returns what its file's write returns: here the line, quoted as csv quotes.
+_csv_line = csv.writer(_Echo(), lineterminator="").writerow
 
 
 def _fmt(x: float) -> str:
@@ -62,12 +74,16 @@ def _gamma_from(args) -> float | None:
     return math.radians(args.gamma) if args.degrees and args.gamma is not None else args.gamma
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
+def _write_output(chunks: list[str], out: str | None) -> None:
+    """Write the text chunks in one call, to the file ``out`` or to stdout."""
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise QpdError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_report(payload: dict, args) -> None:
@@ -76,7 +92,7 @@ def _emit_report(payload: dict, args) -> None:
     else:
         text = "\n".join(f"{key}: {_fmt(value) if isinstance(value, float) else value}"
                          for key, value in payload.items())
-    _write_output(text + "\n", args.out)
+    _write_output([text, "\n"], args.out)
 
 
 def _ne_labels(records, labels) -> list[str]:
@@ -201,67 +217,85 @@ def _axis(single, rng, name, lo, hi):
     return [value]
 
 
-def _rde_cells(outcome) -> list:
-    return [outcome.kind, outcome.label or "", outcome.profile.p, outcome.profile.q,
-            *outcome.payoffs]
+def _csv_text(cells) -> str:
+    """CSV text of one group of cells: floats to 12 significant digits, None blank."""
+    return _csv_line([f"{x:.12g}" if type(x) is float else x for x in cells])
+
+
+def _ne_cells(phase: str, records, labels) -> tuple:
+    return phase, len(records), "|".join(_ne_labels(records, labels))
+
+
+def _rde_cells(outcome) -> tuple:
+    return (outcome.kind, outcome.label or "", outcome.profile.p, outcome.profile.q,
+            *outcome.payoffs)
 
 
 def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
-    """Sensitivity cells at a resolved quantum phase; blank where they are undefined."""
+    """Sensitivity cells on the transitional band; blank where p* vanishes or the gap underflows."""
     try:
         return quantum_rde._indices(params, gamma, phase)  # its fields are the columns, in order
-    except (OutOfPhase, DegenerateBase, DegenerateDenominator):
+    except (DegenerateBase, DegenerateDenominator):
         return _BLANK["sensitivity"]
 
 
-def _pair_rows(dg: float, dr: float, gammas, quantities):
-    """Sweep rows of one (d_g, d_r) pair, one list of cells per angle.
+def _pair_rows(dg: float, dr: float, angles, quantities, render, pure_rde):
+    """Sweep rows of one (d_g, d_r) pair, one per angle: lists of rendered cell groups.
 
-    The class, the thresholds and, outside the quantum PD regime, the NEs and
-    the RDE depend on the pair alone and are computed once. Each quantum row
-    resolves one Phase and passes it to every quantum quantity. A quantity
-    that is undefined at a row (no sensitivity off the transitional band, no
-    RDE at the common threshold of d_g == d_r) gets blank cells.
+    ``render`` turns a group of cells into what the writer joins, ``angles`` pairs each
+    angle with its render, and ``pure_rde`` maps the id of each constant pure RDE outcome
+    to its render. Each quantity is rendered once per scope that _COLUMNS gives it; a
+    classical pair has one side, on which its game's NEs and RDE hold. Cells undefined at
+    a row (no sensitivity off the transitional band, no RDE at the common threshold of
+    d_g == d_r) are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
-    quantum = cls.kind is game_core.DilemmaKind.PD
     thr = ewl.thresholds(params)
-    head = [cls.kind.value, int(cls.boundary)] if "class" in quantities else []
-    tail = [thr.gamma1, thr.gamma2, thr.gamma_star] if "thresholds" in quantities else []
-    if not quantum:
-        if "ne" in quantities:
-            classical, records, labels = _pure_ne(params, None)
-            head += [classical, len(records), "|".join(_ne_labels(records, labels))]
-        if "rde" in quantities:
-            head += _rde_cells(risk_dominance._classical_rde(params, cls.kind))
-
-    for gamma in gammas:
-        ewl._check_gamma(gamma)
-        row = [dg, dr, gamma, *head]
-        if quantum:
-            phase = ewl._phase(params, gamma, thr)
-            if "ne" in quantities:
-                report = ewl._quantum_ne(params, gamma, phase)
-                row += [report.phase, len(report.equilibria),
-                        "|".join(_ne_labels(report.equilibria, ("Q", "D")))]
-            if "rde" in quantities:
-                try:
-                    row += _rde_cells(quantum_rde._select_rde(params, gamma, phase)[1])
-                except DegenerateDenominator:  # the common threshold of d_g == d_r
-                    row += _BLANK["rde"]
+    quantum = cls.kind is game_core.DilemmaKind.PD
+    head = render((dg, dr))
+    pair = {"class": render((cls.kind.value, int(cls.boundary))), "thresholds": render(thr)}
+    sides = {}
+    for gamma, gamma_text in angles:
+        key = quantum and (ewl._side(gamma, thr.gamma1), ewl._side(gamma, thr.gamma2))
+        if key not in sides:
+            side, phase = dict(pair), None
+            if quantum:
+                phase = ewl._phase(params, gamma, thr)
+                if "ne" in quantities:
+                    report = ewl._quantum_ne(params, gamma, phase)
+                    side["ne"] = render(_ne_cells(report.phase, report.equilibria, ("Q", "D")))
+            else:
+                if "ne" in quantities:
+                    side["ne"] = render(_ne_cells(*_pure_ne(params, None)))
+                if "rde" in quantities:
+                    side["rde"] = render(_rde_cells(risk_dominance._classical_rde(params, cls.kind)))
+            on_band = quantum and quantum_rde._on_band(phase, "transitional")
+            if not on_band:
+                side["sensitivity"] = render(_BLANK["sensitivity"])
+            sides[key] = side, phase, on_band
+        side, phase, on_band = sides[key]
+        row = dict(side)
+        if quantum and "rde" in quantities:
+            try:
+                outcome = quantum_rde._select_rde(params, gamma, phase)[1]
+            except DegenerateDenominator:  # the common threshold of d_g == d_r
+                row["rde"] = render(_BLANK["rde"])
+            else:
+                row["rde"] = pure_rde.get(id(outcome)) or render(_rde_cells(outcome))
+        if on_band and "sensitivity" in quantities:
+            row["sensitivity"] = render(_sensitivity_cells(params, gamma, phase))
         if "payoffs" in quantities:
-            row += ewl._pure_payoffs(params, gamma)
-        if "sensitivity" in quantities:
-            row += _sensitivity_cells(params, gamma, phase) if quantum else _BLANK["sensitivity"]
-        yield row + tail
+            row["payoffs"] = render(ewl._pure_payoffs(params, gamma))
+        yield [head, gamma_text, *[row[q] for q in quantities]]
 
 
 def cmd_sweep(args) -> int:
-    quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-    for q in quantities:
+    chosen = [q.strip() for q in args.quantities.split(",") if q.strip()]
+    for q in chosen:
         if q not in _COLUMNS:
             raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_COLUMNS)}")
+    quantities = [q for q in _COLUMNS if q in chosen]
 
     dgs = _axis(args.dg, args.dg_range, "dg", -1.0, 1.0)
     drs = _axis(args.dr, args.dr_range, "dr", -1.0, 1.0)
@@ -269,20 +303,31 @@ def cmd_sweep(args) -> int:
                    90.0 if args.degrees else ewl.GAMMA_MAX)
     if args.degrees:
         gammas = [math.radians(g) for g in gammas]
+    for gamma in gammas:
+        ewl._check_gamma(gamma)
 
-    header = ["d_g", "d_r", "gamma"]
-    header += [column for q, columns in _COLUMNS.items() if q in quantities for column in columns]
-    rows = (row for dg in dgs for dr in drs for row in _pair_rows(dg, dr, gammas, quantities))
+    header = ["d_g", "d_r", "gamma", *(c for q in quantities for c in _COLUMNS[q][1])]
+    render = tuple if args.format == "json" else _csv_text
+    angles = [(gamma, render((gamma,))) for gamma in gammas]
+    pure_rde = {id(outcome): render(_rde_cells(outcome))
+                for outcome in (quantum_rde._RDE_DD, quantum_rde._RDE_QQ)}
+    pairs = (_pair_rows(dg, dr, angles, quantities, render, pure_rde) for dg in dgs for dr in drs)
     if args.format == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        # Without indent json takes its C encoder; these separators put each key on its own
+        # line, and the braces are then re-indented as json.dumps(indent=2) sets them.
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        chunks = []
+        for rows in pairs:
+            text = encode([dict(zip(header, itertools.chain.from_iterable(row))) for row in rows])
+            chunks += [",\n  " if chunks else "[\n  ", "{\n    ",
+                       text[2:-2].replace("},\n    {", "\n  },\n  {\n    "), "\n  }"]
+        chunks.append("\n]\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        # csv writes None as a blank cell; floats get 12 significant digits.
-        writer.writerows([f"{x:.12g}" if type(x) is float else x for x in row] for row in rows)
-        text = buf.getvalue()
-    _write_output(text, args.out)
+        chunks = [render(header), "\n"]
+        for rows in pairs:
+            chunks += ["\n".join([",".join(row) for row in rows]), "\n"]
+    # Written only once every row is made: a sweep that fails prints no rows.
+    _write_output(chunks, args.out)
     return EXIT_OK
 
 
@@ -367,8 +412,8 @@ def _check_table6():
 
 def cmd_tables(args) -> int:
     results = [*_check_table2(), *_check_table5(), *_check_table6()]
-    _write_output("".join(f"[{status if ok else 'FAIL'}] {name}: {detail}\n"
-                          for status, name, ok, detail in results), args.out)
+    _write_output([f"[{status if ok else 'FAIL'}] {name}: {detail}\n"
+                   for status, name, ok, detail in results], args.out)
     return EXIT_OK if all(ok for _, _, ok, _ in results) else EXIT_CHECK_FAILED
 
 
@@ -405,7 +450,7 @@ def cmd_oracle_check(args) -> int:
         f"max normalization deviation: {max_norm_dev:.3e}",
         f"result: {'PASS' if ok else 'FAIL'}",
     ]
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(["\n".join(lines), "\n"], args.out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -59,12 +59,17 @@ class CriticalAngles(namedtuple("CriticalAngles", "gamma_g gamma_r")):
     __slots__ = ()
 
 
+def _on_band(phase: Phase, band: str) -> bool:
+    """Whether a resolved phase lies on the closed ``band``: inside it or on one of its seams."""
+    return phase.band == band and phase.name in (band, "boundary")
+
+
 def _in_band(params: DilemmaParams, gamma: float, band: str, phase: Phase | None = None) -> Phase:
     """The phase at gamma (resolved unless given), which must lie on the pair's closed ``band``."""
     phase = phase or resolve_phase(params, gamma)
     if phase.band is None:
         raise OutOfPhase(f"(d_g, d_r) = ({params.d_g}, {params.d_r}) has no two-NE band")
-    if phase.band != band or phase.name not in (band, "boundary"):
+    if not _on_band(phase, band):
         raise OutOfPhase(f"gamma={gamma} outside the {band} band of "
                          f"(d_g, d_r) = ({params.d_g}, {params.d_r})")
     return phase

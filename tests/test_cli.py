@@ -388,6 +388,41 @@ def test_sweep_out_file(tmp_path, capsys):
     assert target.read_text().startswith("d_g,d_r,gamma")
 
 
+@pytest.mark.parametrize("argv", [("sweep", "--dg", "0.5", "--dr", "0.5", "--gamma", "0.3"),
+                                  ("tables",)])
+def test_an_unwritable_out_file_is_one_error_line(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not target.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_sweep_that_fails_on_a_later_pair_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                            fmt, to_file):
+    pairs = []
+    select = quantum_rde._select_rde
+
+    def planted(params, gamma, phase):
+        if params not in pairs:
+            pairs.append(params)
+        if len(pairs) == 7:
+            raise qpd_rde.errors.NotAnEquilibrium("planted")
+        return select(params, gamma, phase)
+
+    monkeypatch.setattr(quantum_rde, "_select_rde", planted)
+    target = tmp_path / f"rows.{fmt}"
+    code, out, err = run(capsys, "sweep", "--dg-range", "0.2", "0.9", "3",
+                         "--dr-range", "0.3", "0.8", "3", "--gamma-range", "0", "1.5", "4",
+                         "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds",
+                         "--format", fmt, *(["--out", str(target)] if to_file else []))
+    assert (code, out, err) == (1, "", "error: planted\n")
+    assert len(pairs) == 7
+    assert not target.exists()
+
+
 def test_tables_pass_with_documented_deviations(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0

@@ -16,22 +16,26 @@ undefined the sweep row blanks its cells and the command exits 1: the
 d_g == d_r pair) and the sensitivity cells exactly where ``sensitivity`` fails.
 
 Two more properties pin the sweep's layout: a multi-row sweep is its one-row
-sweeps, and any ``--quantities`` subset, order or repeat gives the
-all-quantity sweep's columns, cell for cell.
+sweeps, in JSON and as CSV text, and any ``--quantities`` subset, order or
+repeat gives the all-quantity sweep's columns, cell for cell. One pins its
+writers: the JSON text is ``json.dumps(indent=2)`` of its own rows, and the CSV
+text is ``csv.writer`` over those rows. A last one checks that each quantity's
+cells stay the same over the scope the sweep's layout table gives it.
 """
 
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpd_rde.cli import build_parser, main
+from qpd_rde.cli import _COLUMNS, build_parser, main
 from qpd_rde.errors import QpdError
-from qpd_rde.ewl import (PHASE_TOL, _linspace, classify_quantum_ne, pure_quantum_matrix,
+from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_quantum_matrix,
                          thresholds)
 from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
                                enumerate_pure_ne)
@@ -218,41 +222,115 @@ ALL = "class,ne,rde,payoffs,sensitivity,thresholds"
 PARSER = build_parser()
 
 
-def sweep_rows(*argv):
-    """All-quantity JSON sweep rows, parsed by one parser: building one per call dominates."""
-    args = PARSER.parse_args(["sweep", *argv, "--quantities", ALL, "--format", "json"])
+def sweep_text(quantities, fmt, *argv):
+    """Sweep output, parsed by one parser: building one per call dominates."""
+    args = PARSER.parse_args(["sweep", *argv, "--quantities", quantities, "--format", fmt])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert args.func(args) == 0
-    return json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def sweep_rows(*argv):
+    """All-quantity JSON sweep rows."""
+    return json.loads(sweep_text(ALL, "json", *argv))
+
+
+def csv_body(*argv):
+    """All-quantity CSV sweep text after its header line."""
+    return sweep_text(ALL, "csv", *argv).partition("\n")[2]
+
+
+def grid_argv(grid):
+    dg_range, dr_range, _, gamma_range = grid
+    return ("--dg-range", *map(repr, dg_range), "3", "--dr-range", *map(repr, dr_range), "3",
+            "--gamma-range", *map(repr, gamma_range))
+
+
+def toward_middle(bounds, nudge):
+    """Range ends moved by ``nudge``, an (offset, ulps) pair, toward the middle of [-1, 1]."""
+    offset, ulps = nudge
+    return tuple(shifted(x, offset, ulps) if x <= 0.0 else shifted(x, -offset, -ulps)
+                 for x in bounds)
 
 
 @st.composite
 def grids(draw):
-    """A 3x3 (d_g, d_r) grid, seams and the d_g == d_r diagonal included, one of its pairs,
+    """A 3x3 (d_g, d_r) grid, seams, the d_g == d_r diagonal and pairs 1 ulp or about 1e-9
+    off it included (their gamma1 and gamma2 lie within 2 PHASE_TOL), one of its pairs,
     and an angle range whose ends may sit on that pair's thresholds."""
     dg_range = (draw(strength), draw(strength))
-    dr_range = draw(st.one_of(st.just(dg_range), st.tuples(strength, strength)))
+    dr_range = draw(st.one_of(st.just(dg_range), st.tuples(strength, strength),
+                              st.builds(toward_middle, st.just(dg_range),
+                                        st.sampled_from(((0.0, 1), (1e-9, 0))))))
     pair = draw(st.sampled_from([(d_g, d_r) for d_g in _linspace(*dg_range, 3)
                                  for d_r in _linspace(*dr_range, 3)]))
     angle = angles(*pair)
     return dg_range, dr_range, pair, (draw(angle), draw(angle), draw(st.integers(1, 5)))
 
 
+# gamma1 and gamma2 of (0.9, 0.899999999) lie 3.8e-10 apart: at PHASE_TOL below gamma1 the
+# sides are (0, -1), at gamma1 (0, 0), both on the lower seam, with different NE sets.
+NEAR_SEAMS = ((0.5, 0.9), (0.499999999, 0.899999999), (0.9, 0.899999999),
+              (0.6027945514928067, 0.6027945524928067, 2))
+
+
 @settings(SETTINGS, max_examples=200)
 @given(grids())
+@example(NEAR_SEAMS)
 def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
     """A 3x3 sweep is the concatenation of its per-pair sweeps, and the multi-angle sweep
-    of the drawn pair is, row for row, its one-row sweeps."""
+    of the drawn pair is, row for row, its one-row sweeps, in JSON and as CSV text."""
     dg_range, dr_range, (d_g, d_r), gamma_range = grid
     gamma_args = ("--gamma-range", *map(repr, gamma_range))
-    rows = sweep_rows("--dg-range", *map(repr, dg_range), "3",
-                      "--dr-range", *map(repr, dr_range), "3", *gamma_args)
-    assert same(rows, [row for g in _linspace(*dg_range, 3) for r in _linspace(*dr_range, 3)
-                       for row in sweep_rows(f"--dg={g!r}", f"--dr={r!r}", *gamma_args)])
+    pairs = [(f"--dg={g!r}", f"--dr={r!r}")
+             for g in _linspace(*dg_range, 3) for r in _linspace(*dr_range, 3)]
+    rows = sweep_rows(*grid_argv(grid))
+    assert same(rows, [row for pair in pairs for row in sweep_rows(*pair, *gamma_args)])
+    assert csv_body(*grid_argv(grid)) == "".join(csv_body(*pair, *gamma_args) for pair in pairs)
     pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")
-    for row in sweep_rows(*pair, *gamma_args):
+    rows = sweep_rows(*pair, *gamma_args)
+    for row in rows:
         assert same([row], sweep_rows(*pair, f"--gamma={row['gamma']!r}")), row
+    assert csv_body(*pair, *gamma_args) == "".join(
+        csv_body(*pair, f"--gamma={row['gamma']!r}") for row in rows)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(grids(), st.lists(st.sampled_from(list(_COLUMNS)), max_size=3))
+def test_sweep_writers_equal_their_stdlib_references(grid, chosen):
+    """The JSON text is json.dumps(indent=2) of its own rows, and the CSV text is csv.writer
+    over those rows, floats at 12 significant digits and None blank."""
+    text = sweep_text(",".join(chosen), "json", *grid_argv(grid))
+    rows = json.loads(text)
+    assert text == json.dumps(rows, indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row.values()]
+                     for row in rows)
+    assert sweep_text(",".join(chosen), "csv", *grid_argv(grid)) == expected.getvalue()
+
+
+@settings(SETTINGS, max_examples=100)
+@given(grids())
+def test_sweep_cells_keep_to_their_scope(grid):
+    """On a quantum PD pair each quantity's cells are the same on every row of the scope
+    the sweep's layout table gives it: the pair, or the sides of gamma1 and gamma2."""
+    for (d_g, d_r), rows in itertools.groupby(sweep_rows(*grid_argv(grid)),
+                                              key=lambda row: (row["d_g"], row["d_r"])):
+        params = DilemmaParams(d_g, d_r)
+        if classify_dilemma(params).kind is not DilemmaKind.PD:
+            continue
+        thr = thresholds(params)
+        rows = list(rows)
+        for quantity, (scope, columns) in _COLUMNS.items():
+            spans = {}
+            for row in rows:
+                key = {"pair": None, "row": row["gamma"],
+                       "side": (_side(row["gamma"], thr.gamma1), _side(row["gamma"], thr.gamma2))}
+                cells = [row[column] for column in columns]
+                assert same(spans.setdefault(key[scope], cells), cells), (quantity, row)
 
 
 COLUMNS = {
@@ -265,22 +343,12 @@ COLUMNS = {
 }
 
 
-def sweep_text(quantities, fmt, *argv):
-    args = PARSER.parse_args(["sweep", *argv, "--quantities", quantities, "--format", fmt])
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert args.func(args) == 0
-    return out.getvalue()
-
-
 @settings(SETTINGS, max_examples=200)
 @given(grids(), st.lists(st.sampled_from(list(COLUMNS)), max_size=8))
 def test_any_quantity_subset_and_order_gives_the_all_quantity_columns(grid, chosen):
     """--quantities in any order, with repeats, lays out the same columns and cells as the
     all-quantity sweep, in canonical order, in CSV and in JSON."""
-    dg_range, dr_range, _, gamma_range = grid
-    argv = ("--dg-range", *map(repr, dg_range), "3", "--dr-range", *map(repr, dr_range), "3",
-            "--gamma-range", *map(repr, gamma_range))
+    argv = grid_argv(grid)
     keep = ["d_g", "d_r", "gamma"] + [c for q in COLUMNS if q in chosen for c in COLUMNS[q]]
     quantities = ",".join(chosen)
 
