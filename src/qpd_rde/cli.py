@@ -51,7 +51,7 @@ _csv_line = csv.writer(_Echo(), lineterminator="").writerow
 
 
 def _fmt(x: float) -> str:
-    """12-significant-digit fixed formatting for CSV cells."""
+    """12-significant-digit text of a float in reports and tables; sweep CSV cells inline it."""
     return f"{x:.12g}"
 
 
@@ -76,14 +76,15 @@ def _gamma_from(args) -> float | None:
 
 def _write_output(chunks: list[str], out: str | None) -> None:
     """Write the text chunks in one call, to the file ``out`` or to stdout."""
-    if not out:
-        sys.stdout.writelines(chunks)
-        return
     try:
+        if not out:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+            return
         with open(out, "w", newline="") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise QpdError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        raise QpdError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _emit_report(payload: dict, args) -> None:
@@ -203,18 +204,15 @@ def cmd_sensitivity(args) -> int:
 # sweep
 
 
-def _axis(single, rng, name, lo, hi):
-    if rng is not None:
-        start, stop, steps = rng
-        if not (1 <= steps <= sys.maxsize and steps.is_integer()):
-            raise QpdError(f"{name} steps must be a whole number in [1, sys.maxsize], got {steps}")
-        if not (lo <= start <= hi and lo <= stop <= hi):
-            raise QpdError(f"{name} range must lie within [{lo}, {hi}]")
-        return ewl._linspace(start, stop, int(steps))
-    value = single if single is not None else 0.0
-    if not (lo <= value <= hi):
-        raise QpdError(f"{name} must lie within [{lo}, {hi}]")
-    return [value]
+def _axis(single, rng, name):
+    """A sweep axis's ends, as given (the range's start and stop, or its one value), and values."""
+    if rng is None:
+        value = single if single is not None else 0.0
+        return (value, value), [value]
+    start, stop, steps = rng
+    if not (1 <= steps <= sys.maxsize and steps.is_integer()):
+        raise QpdError(f"{name} steps must be a whole number in [1, sys.maxsize], got {steps}")
+    return (start, stop), ewl._linspace(start, stop, int(steps))
 
 
 def _csv_text(cells) -> str:
@@ -297,13 +295,16 @@ def cmd_sweep(args) -> int:
             raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_COLUMNS)}")
     quantities = [q for q in _COLUMNS if q in chosen]
 
-    dgs = _axis(args.dg, args.dg_range, "dg", -1.0, 1.0)
-    drs = _axis(args.dr, args.dr_range, "dr", -1.0, 1.0)
-    gammas = _axis(args.gamma, args.gamma_range, "gamma", 0.0,
-                   90.0 if args.degrees else ewl.GAMMA_MAX)
+    dg_ends, dgs = _axis(args.dg, args.dg_range, "dg")
+    dr_ends, drs = _axis(args.dr, args.dr_range, "dr")
+    gamma_ends, gammas = _axis(args.gamma, args.gamma_range, "gamma")
+    # The library checks the ends as given (an infinite one makes NaN of its linspace's start)
+    # before any pair is computed, so a bad value fails at once and as ne and rde report it.
+    for d_g, d_r in zip(dg_ends, dr_ends):
+        DilemmaParams(d_g, d_r)
     if args.degrees:
-        gammas = [math.radians(g) for g in gammas]
-    for gamma in gammas:
+        gamma_ends, gammas = ([math.radians(g) for g in axis] for axis in (gamma_ends, gammas))
+    for gamma in (*gamma_ends, *gammas):
         ewl._check_gamma(gamma)
 
     header = ["d_g", "d_r", "gamma", *(c for q in quantities for c in _COLUMNS[q][1])]
@@ -348,8 +349,7 @@ def _check_table2():
     for (dg, dr), expected_class, expected_ne in cases:
         params = DilemmaParams(dg, dr)
         cls = game_core.classify_dilemma(params).kind.value
-        matrix = game_core.build_dilemma_matrix(params)
-        found = set(_ne_labels(game_core.enumerate_pure_ne(matrix), matrix.labels))
+        found = set(_ne_labels(*_pure_ne(params, None)[1:]))
         yield ("PASS", f"Table2 class({dg},{dr})", cls == expected_class,
                f"computed {cls}, expected {expected_class}")
         yield ("PASS", f"Table2 NE({dg},{dr})", found == expected_ne,
@@ -366,12 +366,12 @@ def _check_table5():
     for (dg, dr), bands in cases:
         params = DilemmaParams(dg, dr)
         for gamma, expected in bands:
-            report = ewl.classify_quantum_ne(params, gamma)
-            found = set(_ne_labels(report.equilibria, ("Q", "D")))
+            _, records, labels = _pure_ne(params, gamma)
+            found = set(_ne_labels(records, labels))
             certified = all(
                 max(ewl.grid_best_response_gain(params, rec.profile.p, rec.profile.q,
                                                 gamma)) <= game_core.TIE_EPS
-                for rec in report.equilibria)
+                for rec in records)
             yield ("PASS", f"Table5 NE set ({dg},{dr}) at gamma={gamma}",
                    found == expected and certified,
                    f"computed {sorted(found)}, expected {sorted(expected)}"
@@ -490,12 +490,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("sweep", help="parameter sweep emitting CSV/JSON rows")
-    p.add_argument("--dg", type=float, default=None)
-    p.add_argument("--dr", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--dg-range", type=float, nargs=3, metavar=("START", "STOP", "STEPS"))
-    p.add_argument("--dr-range", type=float, nargs=3, metavar=("START", "STOP", "STEPS"))
-    p.add_argument("--gamma-range", type=float, nargs=3, metavar=("START", "STOP", "STEPS"))
+    for axis in ("dg", "dr", "gamma"):  # one value or a range, not both
+        group = p.add_mutually_exclusive_group()
+        group.add_argument(f"--{axis}", type=float, default=None)
+        group.add_argument(f"--{axis}-range", type=float, nargs=3, metavar=("START", "STOP", "STEPS"))
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--quantities", default="class,rde",
                    help=f"comma-separated subset of {{{','.join(_COLUMNS)}}}")

@@ -64,9 +64,9 @@ def _on_band(phase: Phase, band: str) -> bool:
     return phase.band == band and phase.name in (band, "boundary")
 
 
-def _in_band(params: DilemmaParams, gamma: float, band: str, phase: Phase | None = None) -> Phase:
-    """The phase at gamma (resolved unless given), which must lie on the pair's closed ``band``."""
-    phase = phase or resolve_phase(params, gamma)
+def _in_band(params: DilemmaParams, gamma: float, band: str) -> Phase:
+    """The phase at gamma, which must lie on the pair's closed ``band``."""
+    phase = resolve_phase(params, gamma)
     if phase.band is None:
         raise OutOfPhase(f"(d_g, d_r) = ({params.d_g}, {params.d_r}) has no two-NE band")
     if not _on_band(phase, band):
@@ -177,11 +177,11 @@ def _select_rde(params: DilemmaParams, gamma: float, phase: Phase) -> tuple[str,
 
 def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityReport:
     """Closed-form partials of p* with respect to d_g, d_r and gamma."""
-    return _partials(params, gamma, resolve_phase(params, gamma))
+    return _partials(params, gamma, _in_band(params, gamma, "transitional"))
 
 
 def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
-    _in_band(params, gamma, "transitional", phase)
+    """sensitivity_partials at a phase on the transitional band."""
     dg, dr = params.d_g, params.d_r
     s2 = math.sin(gamma) ** 2
     gap2 = (dg - dr) ** 2
@@ -211,10 +211,11 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
     ``semi_elasticity_gamma`` is (dp*/dgamma)/p*, reported alongside the
     literal gamma elasticity because the two answer different questions.
     """
-    return _indices(params, gamma, resolve_phase(params, gamma))
+    return _indices(params, gamma, _in_band(params, gamma, "transitional"))
 
 
 def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
+    """sensitivity_indices at a phase on the transitional band."""
     partials = _partials(params, gamma, phase)
     p_star = partials.p_star
     if p_star == 0.0:

@@ -237,14 +237,13 @@ def test_sweep_unknown_quantity(capsys):
 
 
 def test_sweep_range_validation(capsys):
-    code, _, err = run(capsys, "sweep", "--dg-range", "-2", "1", "5", "--dr", "0.5")
-    assert code == 1
-    assert "range" in err
+    code, out, err = run(capsys, "sweep", "--dg-range", "-2", "1", "5", "--dr", "0.5")
+    assert (code, out, err) == (1, "", "error: d_g must lie in [-1, 1], got -2.0\n")
 
 
 def test_sweep_rejects_a_single_value_out_of_range(capsys):
     code, out, err = run(capsys, "sweep", "--dg", "2", "--dr", "0.5")
-    assert (code, out, err) == (1, "", "error: dg must lie within [-1.0, 1.0]\n")
+    assert (code, out, err) == (1, "", "error: d_g must lie in [-1, 1], got 2.0\n")
 
 
 def test_sweep_degree_range_is_bounded_in_degrees(capsys):
@@ -254,10 +253,31 @@ def test_sweep_degree_range_is_bounded_in_degrees(capsys):
     gammas = [row["gamma"] for row in csv.DictReader(io.StringIO(out))]
     assert gammas == [f"{math.radians(d):.12g}" for d in (0, 45, 90)]
 
-    code, _, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2",
-                       "--gamma-range", "0", "91", "3", "--degrees")
-    assert code == 1
-    assert "range" in err
+    code, out, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2",
+                         "--gamma-range", "0", "91", "3", "--degrees")
+    assert (code, out, err) == (1, "", f"error: gamma must lie in [0, pi/2], got {math.radians(91)}\n")
+
+
+@pytest.mark.parametrize("axis", ["dg", "dr", "gamma"])
+def test_sweep_takes_a_value_or_a_range_of_an_axis_not_both(capsys, axis):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--dg", "0.5", "--dr", "0.2", "--gamma", "0.3",
+              f"--{axis}-range", "0.1", "0.4", "2"])
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (1, "")
+    assert err.startswith("usage: qpd-rde sweep ")
+    assert err.endswith(f"error: argument --{axis}-range: not allowed with argument --{axis}\n")
+
+
+def test_a_sweep_with_a_bad_range_end_computes_no_pair(tmp_path, capsys, monkeypatch):
+    calls = []
+    pair_rows = cli._pair_rows
+    monkeypatch.setattr(cli, "_pair_rows", lambda *a: calls.append(a) or pair_rows(*a))
+    target = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "sweep", "--dg-range", "0", "2", "3", "--dr", "0.5",
+                         "--out", str(target))
+    assert (code, out, err) == (1, "", "error: d_g must lie in [-1, 1], got 2.0\n")
+    assert calls == [] and not target.exists()
 
 
 @pytest.mark.parametrize("steps", ["2.5", "inf", "nan", "1e300"])
@@ -528,6 +548,23 @@ def test_oracle_check_rejects_negative_seed(capsys):
 def test_oracle_check_rejects_a_grid_below_two(capsys):
     code, out, err = run(capsys, "oracle-check", "--grid", "1")
     assert (code, out, err) == (1, "", "error: --grid must be >= 2\n")
+
+
+def test_a_closed_stdout_pipe_is_one_error_line():
+    """A reader that stops after one line ends the sweep with exit 1 and no traceback."""
+    src = str(Path(qpd_rde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # About 1 MB of rows: more than a pipe holds, so the write meets the closed end.
+    argv = ["sweep", "--dg-range", "-1", "1", "60", "--dr-range", "-1", "1", "60",
+            "--gamma-range", "0", "1.5", "4", "--quantities", "class,thresholds"]
+    with subprocess.Popen([sys.executable, "-m", "qpd_rde.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"d_g,d_r,gamma,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (1, "error: cannot write stdout: Broken pipe\n")
 
 
 def test_cli_runs_without_numpy(tmp_path):

@@ -19,8 +19,10 @@ Two more properties pin the sweep's layout: a multi-row sweep is its one-row
 sweeps, in JSON and as CSV text, and any ``--quantities`` subset, order or
 repeat gives the all-quantity sweep's columns, cell for cell. One pins its
 writers: the JSON text is ``json.dumps(indent=2)`` of its own rows, and the CSV
-text is ``csv.writer`` over those rows. A last one checks that each quantity's
-cells stay the same over the scope the sweep's layout table gives it.
+text is ``csv.writer`` over those rows. Another checks that each quantity's
+cells stay the same over the scope the sweep's layout table gives it. A last
+one checks that a sweep rejects a bad d_g, d_r or gamma with the line ``rde``
+prints, given as one value or as a range's end.
 """
 
 import contextlib
@@ -360,3 +362,38 @@ def test_any_quantity_subset_and_order_gives_the_all_quantity_columns(grid, chos
     expected = [{column: row[column] for column in keep}
                 for row in json.loads(sweep_text(ALL, "json", *argv))]
     assert same(json.loads(sweep_text(quantities, "json", *argv)), expected)
+
+
+DOMAIN_ERRORS = tuple(f"error: {name} must lie in " for name in ("d_g", "d_r", "gamma"))
+
+
+def near_domain(lo, hi):
+    """Values in [lo, hi], each bound and 1 ulp either side of it, NaN and +-inf."""
+    edges = [math.nextafter(bound, to) for bound in (lo, hi) for to in (-math.inf, math.inf)]
+    return st.one_of(st.floats(lo, hi),
+                     st.sampled_from((lo, hi, *edges, math.nan, math.inf, -math.inf)))
+
+
+def arg(x):
+    """x as an option value; -1e999 is -inf as argparse reads a negative number."""
+    return "-1e999" if x == -math.inf else repr(x)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(near_domain(-1.0, 1.0), near_domain(-1.0, 1.0), st.booleans(), st.data())
+def test_a_sweep_rejects_what_rde_rejects_with_the_same_line(d_g, d_r, degrees, data):
+    """Where rde rejects d_g, d_r or gamma, a one-row sweep of the values and sweeps with
+    each as a range's stop or start print its line and exit 1; otherwise all succeed."""
+    gamma = data.draw(near_domain(0.0, 90.0 if degrees else math.pi / 2), label="gamma")
+    unit = ["--degrees"] * degrees
+    values = (("dg", d_g), ("dr", d_r), ("gamma", gamma))
+    single = [f"--{name}={arg(x)}" for name, x in values]
+    stops = [a for name, x in values for a in (f"--{name}-range", "0", arg(x), "2")]
+    starts = [a for name, x in values for a in (f"--{name}-range", arg(x), "0", "2")]
+    code, _, err = run("rde", *single, *unit)
+    sweeps = [run("sweep", *argv, *unit) for argv in (single, stops, starts)]
+    if err.startswith(DOMAIN_ERRORS):
+        assert code == 1 and err.count("\n") == 1
+        assert sweeps == [(1, "", err)] * 3
+    else:
+        assert [code for code, _, _ in sweeps] == [0] * 3, [err for _, _, err in sweeps]
