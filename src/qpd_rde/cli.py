@@ -38,6 +38,7 @@ _COLUMNS = {
     "thresholds": ("pair", ("gamma1", "gamma2", "gamma_star")),
 }
 _BLANK = {q: (None,) * len(columns) for q, (_, columns) in _COLUMNS.items()}  # undefined
+_KEYS = {"strengths": ("d_g", "d_r"), "gamma": ("gamma",), **{q: c for q, (_, c) in _COLUMNS.items()}}
 
 
 class _Echo:
@@ -48,6 +49,7 @@ class _Echo:
 
 # csv.writerow returns what its file's write returns: here the line, quoted as csv quotes.
 _csv_line = csv.writer(_Echo(), lineterminator="").writerow
+_json_object = json.JSONEncoder(separators=(",\n    ", ": ")).encode  # no indent: the C encoder
 
 
 def _fmt(x: float) -> str:
@@ -60,8 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Read "-1e-07" and "-.5" as negative numbers, not as options.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # Read "-1e-07", "-.5", "-inf" and "-NaN" as negative numbers, not as options.
+        self._negative_number_matcher = re.compile(
+            r"(?i)-((\d+\.?|\.\d)\d*(e[-+]?\d+)?|inf(inity)?|nan)$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -215,9 +218,14 @@ def _axis(single, rng, name):
     return (start, stop), ewl._linspace(start, stop, int(steps))
 
 
-def _csv_text(cells) -> str:
+def _csv_text(group, cells) -> str:
     """CSV text of one group of cells: floats to 12 significant digits, None blank."""
     return _csv_line([f"{x:.12g}" if type(x) is float else x for x in cells])
+
+
+def _json_text(group, cells) -> str:
+    """JSON members of a group of cells, keyed by _KEYS, one to a line as in json.dumps(indent=2)."""
+    return _json_object(dict(zip(_KEYS[group], cells)))[1:-1]
 
 
 def _ne_cells(phase: str, records, labels) -> tuple:
@@ -240,9 +248,9 @@ def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
 def _pair_rows(dg: float, dr: float, angles, quantities, render, pure_rde):
     """Sweep rows of one (d_g, d_r) pair, one per angle: lists of rendered cell groups.
 
-    ``render`` turns a group of cells into what the writer joins, ``angles`` pairs each
-    angle with its render, and ``pure_rde`` maps the id of each constant pure RDE outcome
-    to its render. Each quantity is rendered once per scope that _COLUMNS gives it; a
+    ``render(group, cells)`` turns a group of cells into its text, ``angles`` pairs each
+    angle with its text, and ``pure_rde`` maps the id of each constant pure RDE outcome
+    to its text. Each quantity is rendered once per scope that _COLUMNS gives it; a
     classical pair has one side, on which its game's NEs and RDE hold. Cells undefined at
     a row (no sensitivity off the transitional band, no RDE at the common threshold of
     d_g == d_r) are blank.
@@ -251,8 +259,9 @@ def _pair_rows(dg: float, dr: float, angles, quantities, render, pure_rde):
     cls = game_core.classify_dilemma(params)
     thr = ewl.thresholds(params)
     quantum = cls.kind is game_core.DilemmaKind.PD
-    head = render((dg, dr))
-    pair = {"class": render((cls.kind.value, int(cls.boundary))), "thresholds": render(thr)}
+    head = render("strengths", (dg, dr))
+    pair = {"class": render("class", (cls.kind.value, int(cls.boundary))),
+            "thresholds": render("thresholds", thr)}
     sides = {}
     for gamma, gamma_text in angles:
         key = quantum and (ewl._side(gamma, thr.gamma1), ewl._side(gamma, thr.gamma2))
@@ -262,15 +271,16 @@ def _pair_rows(dg: float, dr: float, angles, quantities, render, pure_rde):
                 phase = ewl._phase(params, gamma, thr)
                 if "ne" in quantities:
                     report = ewl._quantum_ne(params, gamma, phase)
-                    side["ne"] = render(_ne_cells(report.phase, report.equilibria, ("Q", "D")))
+                    side["ne"] = render("ne", _ne_cells(report.phase, report.equilibria, ("Q", "D")))
             else:
                 if "ne" in quantities:
-                    side["ne"] = render(_ne_cells(*_pure_ne(params, None)))
+                    side["ne"] = render("ne", _ne_cells(*_pure_ne(params, None)))
                 if "rde" in quantities:
-                    side["rde"] = render(_rde_cells(risk_dominance._classical_rde(params, cls.kind)))
+                    outcome = risk_dominance._classical_rde(params, cls.kind)
+                    side["rde"] = render("rde", _rde_cells(outcome))
             on_band = quantum and quantum_rde._on_band(phase, "transitional")
             if not on_band:
-                side["sensitivity"] = render(_BLANK["sensitivity"])
+                side["sensitivity"] = render("sensitivity", _BLANK["sensitivity"])
             sides[key] = side, phase, on_band
         side, phase, on_band = sides[key]
         row = dict(side)
@@ -278,13 +288,13 @@ def _pair_rows(dg: float, dr: float, angles, quantities, render, pure_rde):
             try:
                 outcome = quantum_rde._select_rde(params, gamma, phase)[1]
             except DegenerateDenominator:  # the common threshold of d_g == d_r
-                row["rde"] = render(_BLANK["rde"])
+                row["rde"] = render("rde", _BLANK["rde"])
             else:
-                row["rde"] = pure_rde.get(id(outcome)) or render(_rde_cells(outcome))
+                row["rde"] = pure_rde.get(id(outcome)) or render("rde", _rde_cells(outcome))
         if on_band and "sensitivity" in quantities:
-            row["sensitivity"] = render(_sensitivity_cells(params, gamma, phase))
+            row["sensitivity"] = render("sensitivity", _sensitivity_cells(params, gamma, phase))
         if "payoffs" in quantities:
-            row["payoffs"] = render(ewl._pure_payoffs(params, gamma))
+            row["payoffs"] = render("payoffs", ewl._pure_payoffs(params, gamma))
         yield [head, gamma_text, *[row[q] for q in quantities]]
 
 
@@ -307,26 +317,18 @@ def cmd_sweep(args) -> int:
     for gamma in (*gamma_ends, *gammas):
         ewl._check_gamma(gamma)
 
-    header = ["d_g", "d_r", "gamma", *(c for q in quantities for c in _COLUMNS[q][1])]
-    render = tuple if args.format == "json" else _csv_text
-    angles = [(gamma, render((gamma,))) for gamma in gammas]
-    pure_rde = {id(outcome): render(_rde_cells(outcome))
+    header = [c for group in ("strengths", "gamma", *quantities) for c in _KEYS[group]]
+    render, chunks, between_groups, between_rows, end = {
+        "csv": (_csv_text, [_csv_line(header), "\n"], ",", "\n", "\n"),
+        "json": (_json_text, ["[\n  {\n    "], ",\n    ", "\n  },\n  {\n    ", "\n  }\n]\n"),
+    }[args.format]
+    angles = [(gamma, render("gamma", (gamma,))) for gamma in gammas]
+    pure_rde = {id(outcome): render("rde", _rde_cells(outcome))
                 for outcome in (quantum_rde._RDE_DD, quantum_rde._RDE_QQ)}
     pairs = (_pair_rows(dg, dr, angles, quantities, render, pure_rde) for dg in dgs for dr in drs)
-    if args.format == "json":
-        # Without indent json takes its C encoder; these separators put each key on its own
-        # line, and the braces are then re-indented as json.dumps(indent=2) sets them.
-        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-        chunks = []
-        for rows in pairs:
-            text = encode([dict(zip(header, itertools.chain.from_iterable(row))) for row in rows])
-            chunks += [",\n  " if chunks else "[\n  ", "{\n    ",
-                       text[2:-2].replace("},\n    {", "\n  },\n  {\n    "), "\n  }"]
-        chunks.append("\n]\n")
-    else:
-        chunks = [render(header), "\n"]
-        for rows in pairs:
-            chunks += ["\n".join([",".join(row) for row in rows]), "\n"]
+    for rows in pairs:
+        chunks += [between_rows.join([between_groups.join(row) for row in rows]), between_rows]
+    chunks[-1] = end  # in place of the text between the last pair's rows and the next's
     # Written only once every row is made: a sweep that fails prints no rows.
     _write_output(chunks, args.out)
     return EXIT_OK
@@ -439,7 +441,7 @@ def cmd_oracle_check(args) -> int:
     max_dev = max_norm_dev = 0.0
     for (p, q, gamma), amps in states:
         probs = [abs(z) ** 2 for z in amps]
-        closed = ewl.joint_distribution(p, q, gamma).as_array()
+        closed = ewl.joint_distribution(p, q, gamma)
         max_dev = max(max_dev, *(abs(a - b) for a, b in zip(probs, closed)))
         max_norm_dev = max(max_norm_dev, abs(sum(probs) - 1.0))
 

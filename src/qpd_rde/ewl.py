@@ -77,9 +77,6 @@ class JointDistribution(namedtuple("JointDistribution", "eps1 eps2 eps3 eps4")):
 
     __slots__ = ()
 
-    def as_array(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
 
 class QuantumPayoffMatrix(namedtuple("QuantumPayoffMatrix", "matrix pi_q pi_d")):
     """Pure-quantum-strategy PayoffMatrix2x2 with its off-diagonal scalars."""

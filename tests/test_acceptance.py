@@ -64,7 +64,7 @@ def test_acceptance_1_oracle_equivalence():
         for q in np.linspace(0, 1, 11):
             for gamma in np.linspace(0, math.pi / 2, 11):
                 probs = np.abs(final_state(p, q, gamma)) ** 2
-                closed = joint_distribution(p, q, gamma).as_array()
+                closed = joint_distribution(p, q, gamma)
                 max_dev = max(max_dev, float(np.max(np.abs(probs - closed))))
                 max_norm = max(max_norm, abs(float(probs.sum()) - 1.0))
     assert report(1, max_dev <= 1e-12 and max_norm <= 1e-12), (max_dev, max_norm)
@@ -248,6 +248,6 @@ def test_acceptance_10_negative_control():
         for q in np.linspace(0, 1, 11):
             for gamma in np.linspace(0, math.pi / 2, 11):
                 probs = np.abs(final_state(p, q, gamma, tampered=True)) ** 2
-                closed = joint_distribution(p, q, gamma).as_array()
+                closed = joint_distribution(p, q, gamma)
                 worst = max(worst, abs(probs[1] - closed[1]))
     assert report(10, worst > 1e-3), worst

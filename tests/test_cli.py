@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -195,6 +197,41 @@ def test_sweep_csv_json_equivalence(capsys):
         assert cells["rde_label"] == (row["rde_label"] or "")
         for key in ("rde_p", "rde_payoff_a", "gamma1", "gamma_star"):
             assert float(cells[key]) == pytest.approx(row[key], rel=1e-11)
+
+
+GOLDEN_SWEEP = ("sweep", "--dg-range", "-1", "1", "9", "--dr-range", "-1", "1", "9",
+                "--gamma-range", "0", "1.5707963267948966", "7",
+                "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "d6df11407cafaf7dff726b953acbcfa4020e4bcd4731d2dfd82622b32b2c4ddd"),
+    ("csv", "c10bddaef57d60387744380657a0fe296321bb7c92afc3af91cb6f56dc8e00c6"),
+])
+def test_sweep_bytes_are_pinned(capsys, fmt, digest):
+    """The all-quantity 9x9x7 sweep of the whole cube, byte for byte, as a sha256.
+
+    The CSV cells hold 12 significant digits. The JSON floats are at full repr, so the
+    JSON digest also pins this platform's libm (sin, cos, asin and sqrt to the last bit).
+    """
+    code, out, err = run(capsys, *GOLDEN_SWEEP, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writes_non_finite_cells_as_its_writers_do(capsys, monkeypatch, fmt):
+    """Infinite and NaN cells print as json.dumps(indent=2) and csv.writer print them."""
+    monkeypatch.setattr(cli.ewl, "_pure_payoffs", lambda params, gamma: (math.inf, math.nan))
+    code, out, err = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.2",
+                         "--gamma-range", "0", "1.5", "3", "--quantities", "class,payoffs",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out.count('"pi_q": Infinity,\n    "pi_d": NaN\n') == 3
+    else:
+        assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["inf", "nan"]] * 3
 
 
 def test_sweep_thresholds_values(capsys):
@@ -618,3 +655,20 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["classify", "--dg", "0.5"])
     assert excinfo.value.code == 1
+
+
+def test_argparse_reads_the_negative_number_matcher_the_parser_sets():
+    """The parser replaces argparse's private _negative_number_matcher. On this Python that
+    attribute decides whether "-inf" is an option or a value: a plain parser reads it as an
+    option, and the same parser with the matcher swapped in reads it as the value."""
+    plain = argparse.ArgumentParser(exit_on_error=False)
+    plain.add_argument("--x", type=float)
+    with pytest.raises(argparse.ArgumentError, match="expected one argument"):
+        plain.parse_args(["--x", "-inf"])
+    matcher = cli._Parser()._negative_number_matcher
+    plain._negative_number_matcher = matcher
+    assert plain.parse_args(["--x", "-inf"]).x == -math.inf
+    for text in ("-1e-07", "-.5", "-5.", "-1E+300", "-inf", "-INF", "-Infinity", "-nan", "-NaN"):
+        assert matcher.match(text), text
+    for text in ("-x", "-info", "-nanx", "-e5", "-.", "--dg", "-1e"):
+        assert not matcher.match(text), text

@@ -20,9 +20,11 @@ sweeps, in JSON and as CSV text, and any ``--quantities`` subset, order or
 repeat gives the all-quantity sweep's columns, cell for cell. One pins its
 writers: the JSON text is ``json.dumps(indent=2)`` of its own rows, and the CSV
 text is ``csv.writer`` over those rows. Another checks that each quantity's
-cells stay the same over the scope the sweep's layout table gives it. A last
+cells stay the same over the scope the sweep's layout table gives it. A further
 one checks that a sweep rejects a bad d_g, d_r or gamma with the line ``rde``
-prints, given as one value or as a range's end.
+prints, given as one value or as a range's end. The last checks that every
+spelling float() reads, -inf and -NaN in any case included, is read as a value
+after an option, as its own word or after "=", never as an option.
 """
 
 import contextlib
@@ -374,11 +376,6 @@ def near_domain(lo, hi):
                      st.sampled_from((lo, hi, *edges, math.nan, math.inf, -math.inf)))
 
 
-def arg(x):
-    """x as an option value; -1e999 is -inf as argparse reads a negative number."""
-    return "-1e999" if x == -math.inf else repr(x)
-
-
 @settings(SETTINGS, max_examples=300)
 @given(near_domain(-1.0, 1.0), near_domain(-1.0, 1.0), st.booleans(), st.data())
 def test_a_sweep_rejects_what_rde_rejects_with_the_same_line(d_g, d_r, degrees, data):
@@ -387,9 +384,9 @@ def test_a_sweep_rejects_what_rde_rejects_with_the_same_line(d_g, d_r, degrees, 
     gamma = data.draw(near_domain(0.0, 90.0 if degrees else math.pi / 2), label="gamma")
     unit = ["--degrees"] * degrees
     values = (("dg", d_g), ("dr", d_r), ("gamma", gamma))
-    single = [f"--{name}={arg(x)}" for name, x in values]
-    stops = [a for name, x in values for a in (f"--{name}-range", "0", arg(x), "2")]
-    starts = [a for name, x in values for a in (f"--{name}-range", arg(x), "0", "2")]
+    single = [f"--{name}={x!r}" for name, x in values]
+    stops = [a for name, x in values for a in (f"--{name}-range", "0", repr(x), "2")]
+    starts = [a for name, x in values for a in (f"--{name}-range", repr(x), "0", "2")]
     code, _, err = run("rde", *single, *unit)
     sweeps = [run("sweep", *argv, *unit) for argv in (single, stops, starts)]
     if err.startswith(DOMAIN_ERRORS):
@@ -397,3 +394,31 @@ def test_a_sweep_rejects_what_rde_rejects_with_the_same_line(d_g, d_r, degrees, 
         assert sweeps == [(1, "", err)] * 3
     else:
         assert [code for code, _, _ in sweeps] == [0] * 3, [err for _, _, err in sweeps]
+
+
+# inf, infinity and nan in any case, with any sign, as float() reads them.
+NON_FINITE = st.sampled_from(("inf", "infinity", "nan")).flatmap(
+    lambda word: st.tuples(*(st.sampled_from((c, c.upper())) for c in word)).map("".join))
+FLOAT_TEXT = st.one_of(st.floats().map(repr),
+                       st.builds("{}{}".format, st.sampled_from(("-", "+", "")), NON_FINITE))
+
+
+def digits_only(x):
+    """x in a spelling that argparse reads as a value even where only digits may follow a "-"."""
+    if math.isnan(x):
+        return "nan"
+    return repr(x) if math.isfinite(x) else ("1e999" if x > 0 else "-1e999")
+
+
+@settings(SETTINGS, max_examples=200)
+@given(FLOAT_TEXT)
+@example("-inf")
+@example("-NaN")
+@example("-Infinity")
+def test_every_float_spelling_is_a_value_wherever_it_is_given(text):
+    """--dg X and --dg=X print the same and exit the same, for rde and for sweep. A range
+    end has no "=" form, so there X is checked against the same value spelled in digits."""
+    assert run("rde", "--dg", text, "--dr", "0.5") == run("rde", f"--dg={text}", "--dr", "0.5")
+    assert run("sweep", "--dg", text) == run("sweep", f"--dg={text}")
+    assert (run("sweep", "--dr", "0.5", "--dg-range", "0", text, "2")
+            == run("sweep", "--dr", "0.5", "--dg-range", "0", digits_only(float(text)), "2"))

@@ -64,11 +64,11 @@ def test_final_state_corners():
 
 def test_joint_distribution_examples():
     dist = joint_distribution(0.3, 0.8, 0.0)
-    assert dist.as_array() == pytest.approx([0.24, 0.06, 0.56, 0.14], abs=1e-12)
+    assert dist == pytest.approx([0.24, 0.06, 0.56, 0.14], abs=1e-12)
     dist = joint_distribution(0.5, 0.5, math.pi / 2)
-    assert dist.as_array() == pytest.approx([0.25] * 4, abs=1e-12)
+    assert dist == pytest.approx([0.25] * 4, abs=1e-12)
     dist = joint_distribution(1.0, 0.0, math.pi / 2)
-    assert dist.as_array() == pytest.approx([0, 0, 1, 0], abs=1e-12)
+    assert dist == pytest.approx([0, 0, 1, 0], abs=1e-12)
 
 
 def test_oracle_equivalence_grid():
@@ -78,7 +78,7 @@ def test_oracle_equivalence_grid():
         for q in np.linspace(0, 1, 11):
             for gamma in np.linspace(0, math.pi / 2, 11):
                 probs = np.abs(final_state(p, q, gamma)) ** 2
-                closed = joint_distribution(p, q, gamma).as_array()
+                closed = joint_distribution(p, q, gamma)
                 max_dev = max(max_dev, float(np.max(np.abs(probs - closed))))
                 assert abs(probs.sum() - 1.0) < 1e-12
     assert max_dev < 1e-12
@@ -90,7 +90,7 @@ def test_tampered_gate_breaks_equivalence():
         for q in np.linspace(0, 1, 5):
             for gamma in np.linspace(0, math.pi / 2, 5):
                 probs = np.abs(final_state(p, q, gamma, tampered=True)) ** 2
-                closed = joint_distribution(p, q, gamma).as_array()
+                closed = joint_distribution(p, q, gamma)
                 devs.append(abs(probs[1] - closed[1]))
     assert max(devs) > 1e-3
 
@@ -283,8 +283,6 @@ def test_oracle_functions_return_tuples():
     assert all(type(z) is complex for z in final_state(0.3, 0.6, 0.4))
     for matrix, size in ((strategy_operator(0.3), 2), (entangling_gate(0.4), 4)):
         assert type(matrix) is tuple and [len(row) for row in matrix] == [size] * size
-    dist = joint_distribution(0.3, 0.6, 0.4)
-    assert dist.as_array() == (dist.eps1, dist.eps2, dist.eps3, dist.eps4)
 
 
 @pytest.mark.parametrize("tampered", [False, True])
