@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 
+# The most sweep rows or oracle-check points one request may ask for, checked before any
+# axis is built; the README's "Request size" paragraph gives the reasons for the value.
+MAX_ITEMS = 1_000_000
+
 # Sweep columns of each quantity, in the order rows lay them out, and its scope: the
 # widest span of a quantum PD pair's rows over which its cells stay the same. That is
 # the (d_g, d_r) pair, the sides of gamma1 and gamma2 that gamma lies on (which fix the
@@ -62,9 +66,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Read "-1e-07", "-.5", "-inf" and "-NaN" as negative numbers, not as options.
+        # Read "-1e-07", "-.5", "-1_000", "-inf" and "-NaN" as negative numbers, not as options.
+        digits = r"\d(_?\d)*"  # with single underscores between digits, as float() reads them
         self._negative_number_matcher = re.compile(
-            r"(?i)-((\d+\.?|\.\d)\d*(e[-+]?\d+)?|inf(inity)?|nan)$")
+            rf"(?i)-(({digits}(\.({digits})?)?|\.{digits})(e[-+]?{digits})?|inf(inity)?|nan)$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -208,14 +213,14 @@ def cmd_sensitivity(args) -> int:
 
 
 def _axis(single, rng, name):
-    """A sweep axis's ends, as given (the range's start and stop, or its one value), and values."""
+    """A sweep axis's ends as given (a range's start and stop, or its one value), values and count."""
     if rng is None:
         value = single if single is not None else 0.0
-        return (value, value), [value]
+        return (value, value), lambda: [value], 1  # values built once the row count is checked
     start, stop, steps = rng
     if not (1 <= steps <= sys.maxsize and steps.is_integer()):
         raise QpdError(f"{name} steps must be a whole number in [1, sys.maxsize], got {steps}")
-    return (start, stop), ewl._linspace(start, stop, int(steps))
+    return (start, stop), lambda: ewl._linspace(start, stop, int(steps)), int(steps)
 
 
 def _csv_text(group, cells) -> str:
@@ -305,13 +310,16 @@ def cmd_sweep(args) -> int:
             raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_COLUMNS)}")
     quantities = [q for q in _COLUMNS if q in chosen]
 
-    dg_ends, dgs = _axis(args.dg, args.dg_range, "dg")
-    dr_ends, drs = _axis(args.dr, args.dr_range, "dr")
-    gamma_ends, gammas = _axis(args.gamma, args.gamma_range, "gamma")
+    (dg_ends, dgs, n_dg), (dr_ends, drs, n_dr), (gamma_ends, gammas, n_gamma) = (
+        _axis(args.dg, args.dg_range, "dg"), _axis(args.dr, args.dr_range, "dr"),
+        _axis(args.gamma, args.gamma_range, "gamma"))
     # The library checks the ends as given (an infinite one makes NaN of its linspace's start)
     # before any pair is computed, so a bad value fails at once and as ne and rde report it.
     for d_g, d_r in zip(dg_ends, dr_ends):
         DilemmaParams(d_g, d_r)
+    if n_dg * n_dr * n_gamma > MAX_ITEMS:
+        raise QpdError(f"a sweep of {n_dg * n_dr * n_gamma} rows is above {MAX_ITEMS}")
+    dgs, drs, gammas = dgs(), drs(), gammas()
     if args.degrees:
         gamma_ends, gammas = ([math.radians(g) for g in axis] for axis in (gamma_ends, gammas))
     for gamma in (*gamma_ends, *gammas):
@@ -429,21 +437,24 @@ def cmd_oracle_check(args) -> int:
         raise QpdError("--grid must be >= 2")
     if args.seed < 0:
         raise QpdError("--seed must be >= 0")
+    if density ** 3 + 100 > MAX_ITEMS:
+        raise QpdError(f"--grid {density} checks {density ** 3 + 100} points, above {MAX_ITEMS}")
     rng = random.Random(args.seed)
     tampered = args.tampered_gate
     unit = ewl._linspace(0.0, 1.0, density)
     angles = ewl._linspace(0.0, ewl.GAMMA_MAX, density)
-    grid = zip(itertools.product(unit, unit, angles), ewl._grid_states(unit, angles, tampered))
+    # cos^2 and sin^2 once per grid angle; the seeded points take the checked public functions.
+    squares = [(math.cos(gamma) ** 2, math.sin(gamma) ** 2) for gamma in angles]
+    closed = (ewl._joint(p, q, c2, s2) for p, q, (c2, s2) in itertools.product(unit, unit, squares))
     seeded = ((rng.random(), rng.random(), rng.uniform(0.0, ewl.GAMMA_MAX)) for _ in range(100))
-    states = itertools.chain(
-        grid, ((point, ewl.final_state(*point, tampered=tampered)) for point in seeded))
+    checks = itertools.chain(zip(closed, ewl._grid_states(unit, angles, tampered)), (
+        (ewl.joint_distribution(*point), ewl.final_state(*point, tampered=tampered)) for point in seeded))
 
     max_dev = max_norm_dev = 0.0
-    for (p, q, gamma), amps in states:
-        probs = [abs(z) ** 2 for z in amps]
-        closed = ewl.joint_distribution(p, q, gamma)
-        max_dev = max(max_dev, *(abs(a - b) for a, b in zip(probs, closed)))
-        max_norm_dev = max(max_norm_dev, abs(sum(probs) - 1.0))
+    for (e1, e2, e3, e4), (z1, z2, z3, z4) in checks:
+        a1, a2, a3, a4 = abs(z1) ** 2, abs(z2) ** 2, abs(z3) ** 2, abs(z4) ** 2
+        max_dev = max(max_dev, abs(a1 - e1), abs(a2 - e2), abs(a3 - e3), abs(a4 - e4))
+        max_norm_dev = max(max_norm_dev, abs(a1 + a2 + a3 + a4 - 1.0))
 
     ok = max_dev <= 1e-12 and max_norm_dev <= 1e-12
     lines = [

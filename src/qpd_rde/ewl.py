@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import reduce
-from operator import add, mul
 
 from .errors import OutOfRegime
 from .game_core import (DilemmaParams, NashEquilibriumRecord, StrategyProfile, _check_prob,
@@ -68,8 +66,9 @@ def _kron(a, b):
 
 
 def _matvec(matrix, vector):
-    """Matrix-vector product, each entry summed left to right from its first term."""
-    return tuple(reduce(add, map(mul, row, vector)) for row in matrix)
+    """Matrix-vector product of a 4x4 and a 4-vector, each entry summed left to right."""
+    v0, v1, v2, v3 = vector
+    return tuple([a * v0 + b * v1 + c * v2 + d * v3 for a, b, c, d in matrix])
 
 
 class JointDistribution(namedtuple("JointDistribution", "eps1 eps2 eps3 eps4")):
@@ -166,13 +165,13 @@ def joint_distribution(p: float, q: float, gamma: float) -> JointDistribution:
     _check_prob(p, "p")
     _check_prob(q, "q")
     _check_gamma(gamma)
-    c2, s2 = math.cos(gamma) ** 2, math.sin(gamma) ** 2
-    return JointDistribution(
-        eps1=p * q,
-        eps2=p * (1.0 - q) * c2 + (1.0 - p) * q * s2,
-        eps3=(1.0 - p) * q * c2 + p * (1.0 - q) * s2,
-        eps4=(1.0 - p) * (1.0 - q),
-    )
+    return JointDistribution._make(_joint(p, q, math.cos(gamma) ** 2, math.sin(gamma) ** 2))
+
+
+def _joint(p: float, q: float, c2: float, s2: float) -> tuple[float, float, float, float]:
+    """joint_distribution as a 4-tuple, at checked p and q, c2 = cos^2(gamma), s2 = sin^2(gamma)."""
+    return (p * q, p * (1.0 - q) * c2 + (1.0 - p) * q * s2,
+            (1.0 - p) * q * c2 + p * (1.0 - q) * s2, (1.0 - p) * (1.0 - q))
 
 
 def _strength_sum(params: DilemmaParams) -> float:

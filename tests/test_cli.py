@@ -219,6 +219,24 @@ def test_sweep_bytes_are_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    (("--grid", "31", "--seed", "0"), 0,
+     "9e8dcc88cd04164e68b8ef983a133c783a2d9686d91344a980bd8cf3ed7dc655"),
+    (("--grid", "11", "--seed", "0"), 0,
+     "bae6c2c23db0098974be9b0b2072d89e309ba4ea413bd0f8144e4379a5e39cc2"),
+    (("--grid", "11", "--seed", "1"), 0,
+     "bae6c2c23db0098974be9b0b2072d89e309ba4ea413bd0f8144e4379a5e39cc2"),
+    (("--grid", "5", "--tampered-gate"), 2,
+     "82ac3970b5eeaaa186e9f82ac2222947b1387d201fa769b8d9bea9a0088da6e3"),
+])
+def test_oracle_bytes_are_pinned(capsys, argv, exit_code, digest):
+    """oracle-check's report, byte for byte, as a sha256: the %.3e deviations a user reads
+    pin the last bits of the state-vector amplitudes and of the closed form they meet."""
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_writes_non_finite_cells_as_its_writers_do(capsys, monkeypatch, fmt):
     """Infinite and NaN cells print as json.dumps(indent=2) and csv.writer print them."""
@@ -575,6 +593,24 @@ def test_oracle_check_builds_each_gate_once_per_angle_and_each_operator_once_per
     assert calls == {"entangling_gate": 5 + 100, "strategy_operator": 5 + 200}
 
 
+@pytest.mark.parametrize("planted_on", ["grid", "seeded"])
+def test_oracle_check_meets_every_point_with_the_one_closed_form(capsys, monkeypatch, planted_on):
+    """A fault planted in ewl._joint fails the check whether it reaches only the grid points
+    or only the 100 seeded points (through joint_distribution): both meet the one formula."""
+    joint, calls = ewl._joint, []
+
+    def planted(p, q, c2, s2):
+        calls.append((p, q))
+        eps1, *rest = joint(p, q, c2, s2)
+        return (eps1 + 1e-11 * ((len(calls) <= 27) == (planted_on == "grid")), *rest)
+
+    monkeypatch.setattr(ewl, "_joint", planted)
+    code, out, err = run(capsys, "oracle-check", "--grid", "3")
+    assert (code, err) == (2, "")
+    assert "result: FAIL" in out
+    assert len(calls) == 3 ** 3 + 100
+
+
 def test_oracle_check_rejects_negative_seed(capsys):
     code, out, err = run(capsys, "oracle-check", "--grid", "2", "--seed", "-1")
     assert code == 1
@@ -585,6 +621,40 @@ def test_oracle_check_rejects_negative_seed(capsys):
 def test_oracle_check_rejects_a_grid_below_two(capsys):
     code, out, err = run(capsys, "oracle-check", "--grid", "1")
     assert (code, out, err) == (1, "", "error: --grid must be >= 2\n")
+
+
+def refuse_to_build_an_axis(*args):
+    raise AssertionError("an oversized request built an axis")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle-check", "--grid", "100"), "--grid 100 checks 1000100 points, above 1000000"),
+    (("oracle-check", "--grid", "1000000"),
+     "--grid 1000000 checks 1000000000000000100 points, above 1000000"),
+    (("sweep", "--dg-range", "-1", "1", "101", "--dr-range", "-1", "1", "100",
+      "--gamma-range", "0", "1.5", "100"), "a sweep of 1010000 rows is above 1000000"),
+    (("sweep", "--dg", "0.5", "--dr", "0.5", "--gamma-range", "0", "1", "1e9"),
+     "a sweep of 1000000000 rows is above 1000000"),
+    (("sweep", "--dg-range", "0", "1", "9.2e18", "--dr-range", "0", "1", "9.2e18"),
+     "a sweep of 84640000000000000000000000000000000000 rows is above 1000000"),
+], ids=["oracle", "oracle-huge", "sweep", "sweep-mistyped-steps", "sweep-maximal-steps"])
+def test_an_oversized_request_is_refused_before_any_axis_is_built(capsys, monkeypatch, argv,
+                                                                   message):
+    monkeypatch.setattr(ewl, "_linspace", refuse_to_build_an_axis)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_the_size_limit_admits_a_request_of_exactly_its_size(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ITEMS", 2 ** 3 + 100)
+    assert run(capsys, "oracle-check", "--grid", "2")[0] == 0
+    assert run(capsys, "oracle-check", "--grid", "3")[::2] == (
+        1, "error: --grid 3 checks 127 points, above 108\n")
+    monkeypatch.setattr(cli, "MAX_ITEMS", 12)
+    code, out, _ = run(capsys, "sweep", "--dg-range", "0.1", "0.9", "2", "--dr", "0.2",
+                       "--gamma-range", "0", "1", "6")
+    assert code == 0 and len(out.splitlines()) == 1 + 12
+    assert run(capsys, "sweep", "--dg-range", "0.1", "0.9", "13", "--dr", "0.2")[::2] == (
+        1, "error: a sweep of 13 rows is above 12\n")
 
 
 def test_a_closed_stdout_pipe_is_one_error_line():
@@ -668,7 +738,12 @@ def test_argparse_reads_the_negative_number_matcher_the_parser_sets():
     matcher = cli._Parser()._negative_number_matcher
     plain._negative_number_matcher = matcher
     assert plain.parse_args(["--x", "-inf"]).x == -math.inf
-    for text in ("-1e-07", "-.5", "-5.", "-1E+300", "-inf", "-INF", "-Infinity", "-nan", "-NaN"):
+    for text in ("-1e-07", "-.5", "-5.", "-1E+300", "-inf", "-INF", "-Infinity", "-nan", "-NaN",
+                 "-1_000", "-1_0.2_5e-0_7", "-.5_5", "-5_5.", "-1e1_0"):
         assert matcher.match(text), text
-    for text in ("-x", "-info", "-nanx", "-e5", "-.", "--dg", "-1e"):
+        float(text)
+    for text in ("-x", "-info", "-nanx", "-e5", "-.", "--dg", "-1e",
+                 "-_1", "-1_", "-1__0", "-1_.5", "-1._5", "-._5", "-1e_5", "-1_e5", "-in_f"):
         assert not matcher.match(text), text
+        with pytest.raises(ValueError):
+            float(text)

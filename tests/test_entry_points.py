@@ -399,7 +399,17 @@ def test_a_sweep_rejects_what_rde_rejects_with_the_same_line(d_g, d_r, degrees, 
 # inf, infinity and nan in any case, with any sign, as float() reads them.
 NON_FINITE = st.sampled_from(("inf", "infinity", "nan")).flatmap(
     lambda word: st.tuples(*(st.sampled_from((c, c.upper())) for c in word)).map("".join))
-FLOAT_TEXT = st.one_of(st.floats().map(repr),
+
+
+@st.composite
+def underscored(draw):
+    """A finite float's repr with single underscores drawn between digits, as float() reads it."""
+    text = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    return "".join(c + "_" * (c.isdigit() and after.isdigit() and draw(st.booleans()))
+                   for c, after in zip(text, text[1:] + " "))
+
+
+FLOAT_TEXT = st.one_of(st.floats().map(repr), underscored(),
                        st.builds("{}{}".format, st.sampled_from(("-", "+", "")), NON_FINITE))
 
 
@@ -415,6 +425,9 @@ def digits_only(x):
 @example("-inf")
 @example("-NaN")
 @example("-Infinity")
+@example("-1_000")
+@example("-0.2_5")
+@example("-1_0e-0_1")
 def test_every_float_spelling_is_a_value_wherever_it_is_given(text):
     """--dg X and --dg=X print the same and exit the same, for rde and for sweep. A range
     end has no "=" form, so there X is checked against the same value spelled in digits."""

@@ -1,6 +1,8 @@
 import ast
+import functools
 import itertools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -285,24 +287,47 @@ def test_oracle_functions_return_tuples():
         assert type(matrix) is tuple and [len(row) for row in matrix] == [size] * size
 
 
-@pytest.mark.parametrize("tampered", [False, True])
-def test_grid_states_equal_final_state_bit_for_bit(tampered):
-    weights, angles = [0.0, 1.0], [0.0, math.pi / 2]
+def amplitude_bits(state):
+    """Each amplitude's real and imaginary bits, signs of zero included."""
+    return [(z.real.hex(), z.imag.hex()) for z in state]
 
-    def bits(state):
-        return [(z.real.hex(), z.imag.hex()) for z in state]
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False), min_size=20, max_size=20))
+@example([complex(-0.0, 0.0)] * 4 + [0j] * 12 + [complex(0.0, -0.0)] * 4)
+def test_matvec_sums_each_entry_left_to_right_from_its_first_term(values):
+    matrix, vector = [values[i:i + 4] for i in range(0, 16, 4)], values[16:]
+    expected = [functools.reduce(operator.add, map(operator.mul, row, vector)) for row in matrix]
+    assert amplitude_bits(ewl._matvec(matrix, vector)) == amplitude_bits(expected)
+
+
+def assert_grid_states_equal_final_state(weights, angles, tampered):
     points = list(itertools.product(weights, weights, angles))
     states = list(ewl._grid_states(weights, angles, tampered))
     assert len(states) == len(points)
     for (p, q, gamma), state in zip(points, states):
-        assert bits(state) == bits(final_state(p, q, gamma, tampered=tampered)), (p, q, gamma)
+        expected = final_state(p, q, gamma, tampered=tampered)
+        assert amplitude_bits(state) == amplitude_bits(expected), (p, q, gamma)
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_grid_states_equal_final_state_bit_for_bit(tampered):
+    # The corners, where sqrt, cos and sin are exact, and an interior grid, where none is.
+    assert_grid_states_equal_final_state([0.0, 1.0], [0.0, math.pi / 2], tampered)
+    assert_grid_states_equal_final_state(ewl._linspace(0.1, 0.9, 4), ewl._linspace(0.2, 1.4, 4),
+                                         tampered)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, math.pi / 2), st.booleans())
+def test_grid_states_equal_final_state_bit_for_bit_anywhere(p, q, gamma, tampered):
+    assert_grid_states_equal_final_state([p, q], [gamma], tampered)
 
 
 def test_grid_states_use_no_closed_form(monkeypatch):
     def closed_form(*args):
         raise AssertionError("the state-vector oracle must not use a closed form")
 
-    for name in ("joint_distribution", "_shift", "_pure_payoffs"):
+    for name in ("joint_distribution", "_joint", "_shift", "_pure_payoffs"):
         monkeypatch.setattr(ewl, name, closed_form)
     assert len(list(ewl._grid_states([0.0, 0.5, 1.0], [0.0, 0.7, math.pi / 2]))) == 27
