@@ -28,17 +28,17 @@ EXIT_CHECK_FAILED = 2
 # axis is built; the README's "Request size" paragraph gives the reasons for the value.
 MAX_ITEMS = 1_000_000
 
-# Sweep columns of each quantity, in the order rows lay them out, and its scope: the
-# widest span of a quantum PD pair's rows over which its cells stay the same. That is
-# the (d_g, d_r) pair, the sides of gamma1 and gamma2 that gamma lies on (which fix the
-# phase and the NE set), or the row.
+# Sweep columns of each quantity, in the order rows lay them out, and its scope: the widest
+# span of a quantum PD pair's rows over which its cells stay the same. That is the (d_g, d_r)
+# pair; the side of gamma1 and gamma2 (phase and NE set); the band: the side of gamma1, gamma2
+# and gamma_star (the coexistence RDE's switch), but the row on the transitional band; or the row.
 _COLUMNS = {
     "class": ("pair", ("class", "boundary")),
     "ne": ("side", ("ne_phase", "ne_count", "ne_list")),
-    "rde": ("row", ("rde_kind", "rde_label", "rde_p", "rde_q", "rde_payoff_a", "rde_payoff_b")),
+    "rde": ("band", ("rde_kind", "rde_label", "rde_p", "rde_q", "rde_payoff_a", "rde_payoff_b")),
     "payoffs": ("row", ("pi_q", "pi_d")),
-    "sensitivity": ("row", ("p_star", "partial_dg", "partial_dr", "partial_gamma",
-                            "s_dg", "s_dr", "s_gamma", "semi_elasticity_gamma")),
+    "sensitivity": ("band", ("p_star", "partial_dg", "partial_dr", "partial_gamma",
+                             "s_dg", "s_dr", "s_gamma", "semi_elasticity_gamma")),
     "thresholds": ("pair", ("gamma1", "gamma2", "gamma_star")),
 }
 _BLANK = {q: (None,) * len(columns) for q, (_, columns) in _COLUMNS.items()}  # undefined
@@ -213,14 +213,14 @@ def cmd_sensitivity(args) -> int:
 
 
 def _axis(single, rng, name):
-    """A sweep axis's ends as given (a range's start and stop, or its one value), values and count."""
+    """A sweep axis as (start, stop, steps): a range as given, or its one value with steps None."""
     if rng is None:
         value = single if single is not None else 0.0
-        return (value, value), lambda: [value], 1  # values built once the row count is checked
+        return value, value, None
     start, stop, steps = rng
     if not (1 <= steps <= sys.maxsize and steps.is_integer()):
         raise QpdError(f"{name} steps must be a whole number in [1, sys.maxsize], got {steps}")
-    return (start, stop), lambda: ewl._linspace(start, stop, int(steps)), int(steps)
+    return start, stop, int(steps)
 
 
 def _csv_text(group, cells) -> str:
@@ -233,32 +233,45 @@ def _json_text(group, cells) -> str:
     return _json_object(dict(zip(_KEYS[group], cells)))[1:-1]
 
 
-def _ne_cells(phase: str, records, labels) -> tuple:
-    return phase, len(records), "|".join(_ne_labels(records, labels))
+def _ne_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
+    name, records, labels = (_pure_ne(params, None) if phase is None else
+                             (phase.name, ewl._quantum_ne(params, gamma, phase).equilibria, ("Q", "D")))
+    return name, len(records), "|".join(_ne_labels(records, labels))
 
 
-def _rde_cells(outcome) -> tuple:
-    return (outcome.kind, outcome.label or "", outcome.profile.p, outcome.profile.q,
-            *outcome.payoffs)
+def _rde_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
+    """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined."""
+    try:
+        outcome = (risk_dominance._classical_rde(params, kind) if phase is None
+                   else quantum_rde._select_rde(params, gamma, phase)[1])
+    except DegenerateDenominator:
+        return _BLANK["rde"]
+    return (outcome.kind, outcome.label or "", *outcome.profile, *outcome.payoffs)
 
 
-def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
-    """Sensitivity cells on the transitional band; blank where p* vanishes or the gap underflows."""
+def _sensitivity_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
+    """Sensitivity cells on the transitional band; blank off it, where p* is 0 or the gap underflows."""
+    if phase is None or not quantum_rde._on_band(phase, "transitional"):
+        return _BLANK["sensitivity"]
     try:
         return quantum_rde._indices(params, gamma, phase)  # its fields are the columns, in order
     except (DegenerateBase, DegenerateDenominator):
         return _BLANK["sensitivity"]
 
 
-def _pair_rows(dg: float, dr: float, angles, quantities, render, pure_rde):
+# Cells of each quantity below the pair scope; phase None is the classical game of class kind.
+_CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells,
+          "payoffs": lambda params, gamma, phase, kind: ewl._pure_payoffs(params, gamma)}
+
+
+def _pair_rows(dg: float, dr: float, angles, quantities, render, memo):
     """Sweep rows of one (d_g, d_r) pair, one per angle: lists of rendered cell groups.
 
-    ``render(group, cells)`` turns a group of cells into its text, ``angles`` pairs each
-    angle with its text, and ``pure_rde`` maps the id of each constant pure RDE outcome
-    to its text. Each quantity is rendered once per scope that _COLUMNS gives it; a
-    classical pair has one side, on which its game's NEs and RDE hold. Cells undefined at
-    a row (no sensitivity off the transitional band, no RDE at the common threshold of
-    d_g == d_r) are blank.
+    ``render(group, cells)`` turns a group of cells into its text and ``angles`` pairs
+    each angle with its text. A quantum PD pair's angles fall into sides by ewl._side of
+    gamma1, gamma2 and gamma_star; a classical pair is one side, with phase None. Each
+    group is computed once per span of its _COLUMNS scope, and side-level text is taken
+    from ``memo`` by (group, cells). Cells undefined at a row are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
@@ -269,38 +282,20 @@ def _pair_rows(dg: float, dr: float, angles, quantities, render, pure_rde):
             "thresholds": render("thresholds", thr)}
     sides = {}
     for gamma, gamma_text in angles:
-        key = quantum and (ewl._side(gamma, thr.gamma1), ewl._side(gamma, thr.gamma2))
+        key = quantum and (ewl._side(gamma, thr.gamma1), ewl._side(gamma, thr.gamma2),
+                           ewl._side(gamma, thr.gamma_star))
         if key not in sides:
-            side, phase = dict(pair), None
-            if quantum:
-                phase = ewl._phase(params, gamma, thr)
-                if "ne" in quantities:
-                    report = ewl._quantum_ne(params, gamma, phase)
-                    side["ne"] = render("ne", _ne_cells(report.phase, report.equilibria, ("Q", "D")))
-            else:
-                if "ne" in quantities:
-                    side["ne"] = render("ne", _ne_cells(*_pure_ne(params, None)))
-                if "rde" in quantities:
-                    outcome = risk_dominance._classical_rde(params, cls.kind)
-                    side["rde"] = render("rde", _rde_cells(outcome))
-            on_band = quantum and quantum_rde._on_band(phase, "transitional")
-            if not on_band:
-                side["sensitivity"] = render("sensitivity", _BLANK["sensitivity"])
-            sides[key] = side, phase, on_band
-        side, phase, on_band = sides[key]
-        row = dict(side)
-        if quantum and "rde" in quantities:
-            try:
-                outcome = quantum_rde._select_rde(params, gamma, phase)[1]
-            except DegenerateDenominator:  # the common threshold of d_g == d_r
-                row["rde"] = render("rde", _BLANK["rde"])
-            else:
-                row["rde"] = pure_rde.get(id(outcome)) or render("rde", _rde_cells(outcome))
-        if on_band and "sensitivity" in quantities:
-            row["sensitivity"] = render("sensitivity", _sensitivity_cells(params, gamma, phase))
-        if "payoffs" in quantities:
-            row["payoffs"] = render("payoffs", ewl._pure_payoffs(params, gamma))
-        yield [head, gamma_text, *[row[q] for q in quantities]]
+            phase = ewl._phase(params, gamma, thr) if quantum else None
+            on_band = phase is not None and quantum_rde._on_band(phase, "transitional")
+            side = dict(pair)
+            for group in quantities:
+                if _COLUMNS[group][0] in (("side",) if on_band else ("side", "band")):
+                    entry = group, _CELLS[group](params, gamma, phase, cls.kind)
+                    side[group] = memo[entry] if entry in memo else memo.setdefault(entry, render(*entry))
+            sides[key] = side, phase
+        side, phase = sides[key]
+        yield [head, gamma_text, *[side[q] if q in side else
+                                   render(q, _CELLS[q](params, gamma, phase, cls.kind)) for q in quantities]]
 
 
 def cmd_sweep(args) -> int:
@@ -310,18 +305,19 @@ def cmd_sweep(args) -> int:
             raise QpdError(f"unknown quantity {q!r}; choose from {', '.join(_COLUMNS)}")
     quantities = [q for q in _COLUMNS if q in chosen]
 
-    (dg_ends, dgs, n_dg), (dr_ends, drs, n_dr), (gamma_ends, gammas, n_gamma) = (
-        _axis(args.dg, args.dg_range, "dg"), _axis(args.dr, args.dr_range, "dr"),
-        _axis(args.gamma, args.gamma_range, "gamma"))
+    axes = [_axis(args.dg, args.dg_range, "dg"), _axis(args.dr, args.dr_range, "dr"),
+            _axis(args.gamma, args.gamma_range, "gamma")]
     # The library checks the ends as given (an infinite one makes NaN of its linspace's start)
     # before any pair is computed, so a bad value fails at once and as ne and rde report it.
-    for d_g, d_r in zip(dg_ends, dr_ends):
+    for d_g, d_r in zip(axes[0][:2], axes[1][:2]):
         DilemmaParams(d_g, d_r)
-    if n_dg * n_dr * n_gamma > MAX_ITEMS:
-        raise QpdError(f"a sweep of {n_dg * n_dr * n_gamma} rows is above {MAX_ITEMS}")
-    dgs, drs, gammas = dgs(), drs(), gammas()
-    if args.degrees:
-        gamma_ends, gammas = ([math.radians(g) for g in axis] for axis in (gamma_ends, gammas))
+    count = math.prod(steps or 1 for *_, steps in axes)
+    if count > MAX_ITEMS:
+        raise QpdError(f"a sweep of {count} rows is above {MAX_ITEMS}")
+    dgs, drs, gammas = ([start] if steps is None else ewl._linspace(start, stop, steps)
+                        for start, stop, steps in axes)
+    gamma_ends, gammas = ([math.radians(g) for g in axis] if args.degrees else axis
+                          for axis in (axes[2][:2], gammas))
     for gamma in (*gamma_ends, *gammas):
         ewl._check_gamma(gamma)
 
@@ -331,9 +327,11 @@ def cmd_sweep(args) -> int:
         "json": (_json_text, ["[\n  {\n    "], ",\n    ", "\n  },\n  {\n    ", "\n  }\n]\n"),
     }[args.format]
     angles = [(gamma, render("gamma", (gamma,))) for gamma in gammas]
-    pure_rde = {id(outcome): render("rde", _rde_cells(outcome))
-                for outcome in (quantum_rde._RDE_DD, quantum_rde._RDE_QQ)}
-    pairs = (_pair_rows(dg, dr, angles, quantities, render, pure_rde) for dg in dgs for dr in drs)
+    # Side-level text by (group, cells). A value key would merge 0.0 and -0.0, which print
+    # differently, but the library's + 0.0 guards keep -0.0 out of side-level cells, and the
+    # seam properties, which compare sweeps as printed, would catch a merged signed zero.
+    memo = {}
+    pairs = (_pair_rows(dg, dr, angles, quantities, render, memo) for dg in dgs for dr in drs)
     for rows in pairs:
         chunks += [between_rows.join([between_groups.join(row) for row in rows]), between_rows]
     chunks[-1] = end  # in place of the text between the last pair's rows and the next's

@@ -420,6 +420,25 @@ def test_sweep_blanks_the_undefined_rde_and_prints_every_row(capsys):
     assert err == "error: RDE undefined at the common threshold when d_g equals d_r\n"
 
 
+def test_sweep_rows_on_a_two_ne_band_are_their_one_row_sweeps(capsys):
+    # Three angles in one phase each: on the coexistence band of (0.2, 0.9) one below
+    # gamma*, one on it and one above, and on the transitional band of (0.9, 0.2) three
+    # between gamma1 and gamma*, where p* moves with gamma. Reusing cells inside a phase
+    # or a side of the three thresholds would merge their rows.
+    star = thresholds(DilemmaParams(0.2, 0.9)).gamma_star
+    labels = {}
+    for dg, dr, lo, hi in (("0.2", "0.9", star - 0.01, star + 0.01), ("0.9", "0.2", 0.35, 0.5)):
+        argv = ("sweep", "--dg", dg, "--dr", dr, "--quantities", "ne,rde,sensitivity")
+        code, out, err = run(capsys, *argv, "--gamma-range", repr(lo), repr(hi), "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [run(capsys, *argv, f"--gamma={gamma!r}")[1].splitlines()[1]
+                                         for gamma in ewl._linspace(lo, hi, 3)]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len({(row["rde_label"], row["rde_p"], row["p_star"]) for row in rows}) == 3
+        labels[dg, dr] = [row["rde_label"] for row in rows]
+    assert labels == {("0.2", "0.9"): ["(D,D)", "U(0.5)xU(0.5)", "(Q,Q)"], ("0.9", "0.2"): [""] * 3}
+
+
 def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, monkeypatch):
     calls = {"thresholds": 0, "PayoffMatrix2x2": 0}
     pair_thresholds, init = ewl.thresholds, PayoffMatrix2x2.__init__
@@ -440,6 +459,30 @@ def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, mo
     assert code == 0, err
     assert len(out.splitlines()) == 1 + 3 * 3 * 5
     assert calls == {"thresholds": 9, "PayoffMatrix2x2": 0}
+
+
+@pytest.mark.parametrize("fmt, renderer", [("csv", "_csv_text"), ("json", "_json_text")])
+def test_sweep_renders_each_side_level_group_once_per_sweep(capsys, monkeypatch, fmt, renderer):
+    # Trivial, stag-hunt, chicken and PD pairs on both bands and d_g == d_r, at angles off
+    # the transitional seams, where a pure RDE is a row-level cell.
+    renders = []
+    render = getattr(cli, renderer)
+    monkeypatch.setattr(cli, renderer,
+                        lambda group, cells: renders.append((group, tuple(cells))) or render(group, cells))
+    code, out, err = run(capsys, "sweep", "--dg-range", "-0.5", "0.9", "3",
+                         "--dr-range", "-0.5", "0.9", "3", "--gamma-range", "0", "1.5", "7",
+                         "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds",
+                         "--format", fmt)
+    assert code == 0, err
+    side_level = [(group, cells) for group, cells in renders
+                  if group == "ne" or group == "rde" and cells[0] == "pure"
+                  or (group, cells) == ("sensitivity", (None,) * 8)]
+    assert len(side_level) == len(set(side_level))
+    assert {cells[1] for group, cells in side_level if group == "rde"} == {
+        "(C,C)", "(D,D)", "(Q,Q)"}
+    assert {cells[0] for group, cells in side_level if group == "ne"} == {
+        "classical", "classical-like", "transitional", "coexistence", "fully-quantum"}
+    assert ("sensitivity", (None,) * 8) in side_level
 
 
 @pytest.mark.parametrize("dg, dr", [("0.5", "-0.5"), ("-0.5", "0.5"), ("0.5", "0")])

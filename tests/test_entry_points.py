@@ -320,7 +320,8 @@ def test_sweep_writers_equal_their_stdlib_references(grid, chosen):
 @given(grids())
 def test_sweep_cells_keep_to_their_scope(grid):
     """On a quantum PD pair each quantity's cells are the same on every row of the scope
-    the sweep's layout table gives it: the pair, or the sides of gamma1 and gamma2."""
+    the sweep's layout table gives it: the pair, the sides of gamma1 and gamma2, or the
+    band: the sides of gamma1, gamma2 and gamma_star, and the row on the transitional band."""
     for (d_g, d_r), rows in itertools.groupby(sweep_rows(*grid_argv(grid)),
                                               key=lambda row: (row["d_g"], row["d_r"])):
         params = DilemmaParams(d_g, d_r)
@@ -331,8 +332,10 @@ def test_sweep_cells_keep_to_their_scope(grid):
         for quantity, (scope, columns) in _COLUMNS.items():
             spans = {}
             for row in rows:
-                key = {"pair": None, "row": row["gamma"],
-                       "side": (_side(row["gamma"], thr.gamma1), _side(row["gamma"], thr.gamma2))}
+                side = (_side(row["gamma"], thr.gamma1), _side(row["gamma"], thr.gamma2))
+                on_band = d_g > d_r and side[0] >= 0 >= side[1]  # gamma1 <= gamma <= gamma2
+                key = {"pair": None, "row": row["gamma"], "side": side,
+                       "band": row["gamma"] if on_band else (*side, _side(row["gamma"], thr.gamma_star))}
                 cells = [row[column] for column in columns]
                 assert same(spans.setdefault(key[scope], cells), cells), (quantity, row)
 
