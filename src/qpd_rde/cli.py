@@ -115,9 +115,9 @@ def _ne_labels(records, labels) -> list[str]:
 
 def _pure_ne(params: DilemmaParams, gamma: float | None):
     """Phase label, pure NEs and action labels; the quantum game when gamma is given."""
-    if gamma is None:
-        matrix = game_core.build_dilemma_matrix(params)
-        return "classical", game_core.enumerate_pure_ne(matrix), matrix.labels
+    if gamma is None:  # the sides are the signs of -d_r and -d_g, exact where 1 + d_g rounds
+        dg, dr = params
+        return "classical", game_core._layout_ne(-dr, -dg, 0.0 - dr, 1.0 + dg), ("C", "D")
     report = ewl.classify_quantum_ne(params, gamma)
     return report.phase, report.equilibria, ("Q", "D")
 
@@ -278,8 +278,8 @@ def _pair_rows(dg: float, dr: float, angles, quantities, render, memo):
     thr = ewl.thresholds(params)
     quantum = cls.kind is game_core.DilemmaKind.PD
     head = render("strengths", (dg, dr))
-    pair = {"class": render("class", (cls.kind.value, int(cls.boundary))),
-            "thresholds": render("thresholds", thr)}
+    pair = {q: render(q, cells) for q, cells in (("class", (cls.kind.value, int(cls.boundary))),
+                                                 ("thresholds", thr)) if q in quantities}
     sides = {}
     for gamma, gamma_text in angles:
         key = quantum and (ewl._side(gamma, thr.gamma1), ewl._side(gamma, thr.gamma2),

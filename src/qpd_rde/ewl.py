@@ -13,8 +13,8 @@ import math
 from collections import namedtuple
 
 from .errors import OutOfRegime
-from .game_core import (DilemmaParams, NashEquilibriumRecord, StrategyProfile, _check_prob,
-                        _dilemma_matrix, expected_payoff_classical)
+from .game_core import (DilemmaParams, StrategyProfile, _check_prob, _dilemma_matrix, _layout_ne,
+                        expected_payoff_classical)
 
 __all__ = [
     "JointDistribution",
@@ -264,27 +264,16 @@ def _phase(params: DilemmaParams, gamma: float, thr: PhaseThresholds) -> Phase:
 def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
     """Phase label and pure-quantum-strategy NEs at the given entanglement.
 
-    With s1 and s2 the sides of gamma1 and gamma2 that gamma lies on (-1
-    below, 0 within PHASE_TOL, +1 above; the phase reads the same sides),
-    (Q,Q) is an NE iff s2 >= 0, (Q,D) and (D,Q) iff s1 >= 0 >= s2, and (D,D)
-    iff s1 <= 0, so at a seam the adjacent sets merge. Listed in row-major order.
+    The dilemma layout's NEs, row-major, on the sides of gamma1 and gamma2 the phase reads.
     """
     return _quantum_ne(params, gamma, resolve_phase(params, gamma))
 
 
 def _quantum_ne(params: DilemmaParams, gamma: float, phase: Phase) -> QuantumNeReport:
     """classify_quantum_ne at the phase already resolved for gamma."""
-    s1, s2 = _side(gamma, phase.thresholds.gamma1), _side(gamma, phase.thresholds.gamma2)
-    pi_q, pi_d = _pure_payoffs(params, gamma)
-    cells = [
-        (s2 >= 0, 1.0, 1.0, (1.0, 1.0)),
-        (s1 >= 0 >= s2, 1.0, 0.0, (pi_q, pi_d)),
-        (s1 >= 0 >= s2, 0.0, 1.0, (pi_d, pi_q)),
-        (s1 <= 0, 0.0, 0.0, (0.0, 0.0)),
-    ]
-    return QuantumNeReport(phase.name, [
-        NashEquilibriumRecord(StrategyProfile(p, q), payoffs)
-        for is_ne, p, q, payoffs in cells if is_ne])
+    thr = phase.thresholds
+    return QuantumNeReport(phase.name, _layout_ne(_side(gamma, thr.gamma1), _side(gamma, thr.gamma2),
+                                                  *_pure_payoffs(params, gamma)))
 
 
 def grid_best_response_gain(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:

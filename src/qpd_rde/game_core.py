@@ -184,8 +184,18 @@ def expected_payoff_classical(params: DilemmaParams, profile: StrategyProfile) -
     return pay_a, pay_b
 
 
+def _layout_ne(s1: float, s2: float, sucker: float, temptation: float) -> list[NashEquilibriumRecord]:
+    """Row-major pure NEs of the dilemma layout; s1 has the sign of sucker, s2 of 1 - temptation."""
+    cells = ((s2 >= 0, 1.0, 1.0, (1.0, 1.0)), (s1 >= 0 >= s2, 1.0, 0.0, (sucker, temptation)),
+             (s1 >= 0 >= s2, 0.0, 1.0, (temptation, sucker)), (s1 <= 0, 0.0, 0.0, (0.0, 0.0)))
+    return [NashEquilibriumRecord(StrategyProfile(p, q), pay) for is_ne, p, q, pay in cells if is_ne]
+
+
 def enumerate_pure_ne(matrix: PayoffMatrix2x2) -> list[NashEquilibriumRecord]:
-    """All pure-strategy NEs of the bimatrix; exact ties count as equilibria."""
+    """All pure-strategy NEs of the float bimatrix given; exact ties count as equilibria.
+
+    In build_dilemma_matrix's, 1 + d_g rounds to 1 for d_g in [-2^-54, 2^-53]: ties the dilemma lacks.
+    """
     records = []
     for row in range(2):
         for col in range(2):

@@ -15,7 +15,7 @@ from collections import namedtuple
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
 from .game_core import DilemmaParams, StrategyProfile
-from .risk_dominance import DeviationLossPair, RdeOutcome
+from .risk_dominance import _RDE_DD, DeviationLossPair, RdeOutcome
 
 __all__ = [
     "SituRisk",
@@ -35,7 +35,6 @@ __all__ = [
     "unilateral_deviation_payoffs",
 ]
 
-_RDE_DD = RdeOutcome("pure", StrategyProfile(0.0, 0.0), (0.0, 0.0), "(D,D)")
 _RDE_QQ = RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(Q,Q)")
 
 

@@ -50,6 +50,10 @@ class RdeOutcome(namedtuple("RdeOutcome", "kind profile payoffs label", defaults
     __slots__ = ()
 
 
+_RDE_CC = RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(C,C)")
+_RDE_DD = RdeOutcome("pure", StrategyProfile(0.0, 0.0), (0.0, 0.0), "(D,D)")
+
+
 def _pure_outcome(matrix: PayoffMatrix2x2, row: int, col: int) -> RdeOutcome:
     profile = StrategyProfile(p=1.0 - row, q=1.0 - col)
     label = f"({matrix.labels[row]},{matrix.labels[col]})"
@@ -133,14 +137,12 @@ def _classical_rde(params: DilemmaParams, kind: DilemmaKind) -> RdeOutcome:
         t = -params.d_r / (-params.d_r + params.d_g) + 0.0  # + 0.0: no -0.0 when d_r == 0
         profile = StrategyProfile(t, t)
         return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
-    matrix = build_dilemma_matrix(params)
     if kind is DilemmaKind.SH:
         diff = abs(params.d_g) - params.d_r
         if diff > TIE_EPS:
-            return _pure_outcome(matrix, 0, 0)
+            return _RDE_CC
         if diff < -TIE_EPS:
-            return _pure_outcome(matrix, 1, 1)
-        return _mixed_outcome(matrix, 0.5, 0.5)
+            return _RDE_DD
+        return _mixed_outcome(build_dilemma_matrix(params), 0.5, 0.5)
     # PD: defection dominates; TRIVIAL: cooperation dominates.
-    cell = 1 if kind is DilemmaKind.PD else 0
-    return _pure_outcome(matrix, cell, cell)
+    return _RDE_DD if kind is DilemmaKind.PD else _RDE_CC

@@ -460,6 +460,19 @@ def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, mo
     assert len(out.splitlines()) == 1 + 3 * 3 * 5
     assert calls == {"thresholds": 9, "PayoffMatrix2x2": 0}
 
+    # A cube of all four classes builds a matrix only for the (0.5, 0.5) payoff of a stag hunt's
+    # tie, |d_g| - d_r within TIE_EPS: at (-1, 1) and (-0.5, 0.5), once per pair.
+    calls.update(thresholds=0, PayoffMatrix2x2=0)
+    code, out, err = run(capsys, "sweep", "--dg-range", "-1", "1", "5", "--dr-range", "-1", "1", "5",
+                         "--gamma-range", "0", "1.5", "3",
+                         "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
+    assert code == 0, err
+    ties = [(dg, dr) for dg in (-1.0, -0.5, 0.0, 0.5, 1.0) for dr in (-1.0, -0.5, 0.0, 0.5, 1.0)
+            if game_core.classify_dilemma(DilemmaParams(dg, dr)).kind is game_core.DilemmaKind.SH
+            and abs(abs(dg) - dr) <= game_core.TIE_EPS]
+    assert ties == [(-1.0, 1.0), (-0.5, 0.5)]
+    assert calls == {"thresholds": 25, "PayoffMatrix2x2": len(ties)}
+
 
 @pytest.mark.parametrize("fmt, renderer", [("csv", "_csv_text"), ("json", "_json_text")])
 def test_sweep_renders_each_side_level_group_once_per_sweep(capsys, monkeypatch, fmt, renderer):
@@ -483,6 +496,18 @@ def test_sweep_renders_each_side_level_group_once_per_sweep(capsys, monkeypatch,
     assert {cells[0] for group, cells in side_level if group == "ne"} == {
         "classical", "classical-like", "transitional", "coexistence", "fully-quantum"}
     assert ("sensitivity", (None,) * 8) in side_level
+
+
+@pytest.mark.parametrize("fmt, renderer", [("csv", "_csv_text"), ("json", "_json_text")])
+def test_sweep_renders_no_group_it_does_not_print(capsys, monkeypatch, fmt, renderer):
+    groups = set()
+    render = getattr(cli, renderer)
+    monkeypatch.setattr(cli, renderer, lambda group, cells: groups.add(group) or render(group, cells))
+    code, _, err = run(capsys, "sweep", "--dg-range", "-0.5", "0.9", "3",
+                       "--dr-range", "-0.5", "0.9", "3", "--gamma-range", "0", "1.5", "7",
+                       "--quantities", "rde", "--format", fmt)
+    assert code == 0, err
+    assert groups == {"strengths", "gamma", "rde"}
 
 
 @pytest.mark.parametrize("dg, dr", [("0.5", "-0.5"), ("-0.5", "0.5"), ("0.5", "0")])

@@ -15,6 +15,10 @@ undefined the sweep row blanks its cells and the command exits 1: the
 ``rde_*`` cells exactly where ``rde --gamma`` fails (the common threshold of a
 d_g == d_r pair) and the sensitivity cells exactly where ``sensitivity`` fails.
 
+Another checks that the classical NEs are the exact game's, where 1 + d_g rounds
+to 1 too: one NE in PD and TRIVIAL and two in CH and SH off a class boundary,
+and the quantum game's at gamma = 0 where that game is classical.
+
 Two more properties pin the sweep's layout: a multi-row sweep is its one-row
 sweeps, in JSON and as CSV text, and any ``--quantities`` subset, order or
 repeat gives the all-quantity sweep's columns, cell for cell. One pins its
@@ -41,8 +45,7 @@ from qpd_rde.cli import _COLUMNS, build_parser, main
 from qpd_rde.errors import QpdError
 from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_quantum_matrix,
                          thresholds)
-from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
-                               enumerate_pure_ne)
+from qpd_rde.game_core import DilemmaKind, DilemmaParams, classify_dilemma
 from qpd_rde.quantum_rde import select_rde_quantum, sensitivity_critical_angles, sensitivity_indices
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
 
@@ -131,6 +134,11 @@ def classical_rde(params):
 
 @SETTINGS
 @given(points())
+@example((4.983299845074014e-131, 4.983299845074014e-131, 0.0))  # 1 + d_g rounds to 1
+@example((1e-17, 0.5, 0.0))
+@example((1e-17, -0.5, 0.0))
+@example((-1e-17, -0.5, 0.0))
+@example((5e-324, 0.5, 0.0))
 def test_entry_points_agree(point):
     d_g, d_r, gamma = point
     params = DilemmaParams(d_g, d_r)
@@ -143,15 +151,18 @@ def test_entry_points_agree(point):
     assert code == 0, sweep_err
     (row,) = row
 
-    # classify
+    # classify: a cell is an NE iff each action is a best response in exact arithmetic,
+    # (C,C) iff 1 >= 1 + d_g, (D,D) iff 0 >= -d_r, (C,D) and (D,C) iff -d_r >= 0 and 1 + d_g >= 1
     cls = classify_dilemma(params)
-    matrix = build_dilemma_matrix(params)
-    classical_ne = enumerate_pure_ne(matrix)
+    classical_ne = [(label, payoffs) for label, payoffs, is_ne in (
+        ("(C,C)", (1.0, 1.0), d_g <= 0.0), ("(C,D)", (0.0 - d_r, 1.0 + d_g), d_r <= 0.0 <= d_g),
+        ("(D,C)", (1.0 + d_g, 0.0 - d_r), d_r <= 0.0 <= d_g), ("(D,D)", (0.0, 0.0), d_r >= 0.0))
+        if is_ne]
     code, out, _ = run_json(point, "classify", *pair)
     assert code == 0
     assert out["class"] == cls.kind.value and out["boundary"] == cls.boundary
-    assert out["pure_ne"] == labels(classical_ne, "CD")
-    assert same(out["pure_ne_payoffs"], [rec.payoffs for rec in classical_ne])
+    assert out["pure_ne"] == [label for label, _ in classical_ne]
+    assert same(out["pure_ne_payoffs"], [payoffs for _, payoffs in classical_ne])
 
     # ne
     code, ne, err = run_json(point, "ne", *pair, at)
@@ -220,6 +231,36 @@ def test_entry_points_agree(point):
     for field, cell in SENSITIVITY:
         assert same(sens[field], getattr(report, field)), field
         assert same(row[cell], sens[field]), cell
+
+
+# Strengths where 1 + d_g rounds to 1 or to a neighbour of 1, with either sign.
+TINY = st.sampled_from([sign * x for x in (5e-324, 1e-300, 1e-17, 2.0 ** -54, 2.0 ** -53, 2.0 ** -52)
+                        for sign in (1.0, -1.0)])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(strength, TINY), st.one_of(strength, TINY))
+@example(1e-17, 0.5)
+@example(1e-17, -0.5)
+@example(-1e-17, -0.5)
+@example(-1e-17, 0.0)
+def test_the_classical_ne_set_is_the_dilemmas_own(d_g, d_r):
+    """Off a class boundary PD and TRIVIAL have one NE and CH and SH two; a PD pair whose
+    thresholds lie above PHASE_TOL has at gamma = 0 the classical NEs, with Q read as C."""
+    params = DilemmaParams(d_g, d_r)
+    pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")
+    code, classical, err = run_json((d_g, d_r, None), "ne", *pair)
+    assert code == 0, err
+    cls = classify_dilemma(params)
+    if not cls.boundary:
+        two = cls.kind in (DilemmaKind.CH, DilemmaKind.SH)
+        assert len(classical["pure_ne"]) == (2 if two else 1), (cls, classical["pure_ne"])
+    thr = thresholds(params)
+    if cls.kind is DilemmaKind.PD and min(thr.gamma1, thr.gamma2) > PHASE_TOL:
+        code, quantum, err = run_json((d_g, d_r, 0.0), "ne", *pair, "--gamma=0.0")
+        assert code == 0, err
+        assert [label.replace("Q", "C") for label in quantum["pure_ne"]] == classical["pure_ne"]
+        assert same(quantum["pure_ne_payoffs"], classical["pure_ne_payoffs"])
 
 
 ALL = "class,ne,rde,payoffs,sensitivity,thresholds"

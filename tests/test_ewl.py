@@ -238,6 +238,19 @@ def test_only_side_reads_the_angle_tolerance():
     assert readers == ["ewl._side"]
 
 
+def test_only_game_core_constructs_an_ne_record():
+    """One pure-NE rule for both games: a second module building records would be a second rule."""
+    constructors = set()
+    for path in sorted(Path(ewl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and any(
+                    isinstance(n, ast.Name) and n.id == "NashEquilibriumRecord"
+                    or isinstance(n, ast.Attribute) and n.attr == "NashEquilibriumRecord"
+                    for n in ast.walk(node.func)):
+                constructors.add(path.stem)
+    assert constructors == {"game_core"}
+
+
 def test_ne_certification_by_grid():
     cases = [
         (DilemmaParams(0.9, 0.2), 0.15),
