@@ -167,20 +167,15 @@ _LOSS_KEYS = {
 def cmd_rde(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
-    losses = ()
     if gamma is None:
         game = game_core.classify_dilemma(params).kind
         outcome = risk_dominance._classical_rde(params, game)
-        if game is game_core.DilemmaKind.CH:
-            losses = risk_dominance.deviation_losses_asymmetric(game_core.build_dilemma_matrix(params))
-        elif game is game_core.DilemmaKind.SH:
-            losses = risk_dominance.deviation_losses_symmetric(game_core.build_dilemma_matrix(params))
+        losses = risk_dominance._classical_losses(params, game) if game in _LOSS_KEYS else ()
         payload = {"d_g": params.d_g, "d_r": params.d_r, "mode": "classical"}
     else:
         resolved = ewl.resolve_phase(params, gamma)
         game, outcome = quantum_rde._select_rde(params, gamma, resolved)
-        if game in _LOSS_KEYS:
-            losses = quantum_rde.deviation_losses_quantum(params, gamma)
+        losses = quantum_rde.deviation_losses_quantum(params, gamma) if game in _LOSS_KEYS else ()
         payload = {"d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
                    "mode": "quantum", "phase": game, **resolved.thresholds._asdict()}
     payload.update({

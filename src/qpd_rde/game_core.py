@@ -184,25 +184,31 @@ def expected_payoff_classical(params: DilemmaParams, profile: StrategyProfile) -
     return pay_a, pay_b
 
 
+# The four pure profiles, indexed [row][col]: row (column) 0 is A's (B's) first action.
+_PURE = tuple(tuple(StrategyProfile(p, q) for q in (1.0, 0.0)) for p in (1.0, 0.0))
+_NE_CC = NashEquilibriumRecord(_PURE[0][0], (1.0, 1.0))
+_NE_DD = NashEquilibriumRecord(_PURE[1][1], (0.0, 0.0))
+
+
 def _layout_ne(s1: float, s2: float, sucker: float, temptation: float) -> list[NashEquilibriumRecord]:
     """Row-major pure NEs of the dilemma layout; s1 has the sign of sucker, s2 of 1 - temptation."""
-    cells = ((s2 >= 0, 1.0, 1.0, (1.0, 1.0)), (s1 >= 0 >= s2, 1.0, 0.0, (sucker, temptation)),
-             (s1 >= 0 >= s2, 0.0, 1.0, (temptation, sucker)), (s1 <= 0, 0.0, 0.0, (0.0, 0.0)))
-    return [NashEquilibriumRecord(StrategyProfile(p, q), pay) for is_ne, p, q, pay in cells if is_ne]
+    records = [_NE_CC] if s2 >= 0 else []
+    if s1 >= 0 >= s2:
+        records += (NashEquilibriumRecord(_PURE[0][1], (sucker, temptation)),
+                    NashEquilibriumRecord(_PURE[1][0], (temptation, sucker)))
+    if s1 <= 0:
+        records.append(_NE_DD)
+    return records
 
 
 def enumerate_pure_ne(matrix: PayoffMatrix2x2) -> list[NashEquilibriumRecord]:
-    """All pure-strategy NEs of the float bimatrix given; exact ties count as equilibria.
+    """Row-major pure NEs of the float bimatrix, compared on its payoff tuples; exact ties count.
 
     In build_dilemma_matrix's, 1 + d_g rounds to 1 for d_g in [-2^-54, 2^-53]: ties the dilemma lacks.
     """
-    records = []
-    for row in range(2):
-        for col in range(2):
-            if matrix.is_pure_ne(row, col):
-                profile = StrategyProfile(p=1.0 - row, q=1.0 - col)
-                records.append(NashEquilibriumRecord(profile, matrix.payoff(row, col)))
-    return records
+    a, b = matrix.a, matrix.b
+    return [NashEquilibriumRecord(_PURE[r][c], (a[r][c], b[r][c])) for r in (0, 1) for c in (0, 1)
+            if a[r][c] >= a[1 - r][c] and b[r][c] >= b[r][1 - c]]
 
 
 def verify_mixed_ne(params: DilemmaParams, profile: StrategyProfile) -> bool:

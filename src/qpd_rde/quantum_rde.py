@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
-from .game_core import DilemmaParams, StrategyProfile
+from .game_core import _PURE, DilemmaParams, StrategyProfile
 from .risk_dominance import _RDE_DD, DeviationLossPair, RdeOutcome
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "unilateral_deviation_payoffs",
 ]
 
-_RDE_QQ = RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(Q,Q)")
+_RDE_QQ = RdeOutcome("pure", _PURE[0][0], (1.0, 1.0), "(Q,Q)")
 
 
 class SituRisk(namedtuple("SituRisk", "risk_a risk_b")):

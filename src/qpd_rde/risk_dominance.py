@@ -13,6 +13,7 @@ from collections import namedtuple
 from .errors import DegenerateDenominator, NotAnEquilibrium, WrongClass
 from .game_core import (
     TIE_EPS,
+    _PURE,
     DilemmaKind,
     DilemmaParams,
     PayoffMatrix2x2,
@@ -50,14 +51,13 @@ class RdeOutcome(namedtuple("RdeOutcome", "kind profile payoffs label", defaults
     __slots__ = ()
 
 
-_RDE_CC = RdeOutcome("pure", StrategyProfile(1.0, 1.0), (1.0, 1.0), "(C,C)")
-_RDE_DD = RdeOutcome("pure", StrategyProfile(0.0, 0.0), (0.0, 0.0), "(D,D)")
+_RDE_CC = RdeOutcome("pure", _PURE[0][0], (1.0, 1.0), "(C,C)")
+_RDE_DD = RdeOutcome("pure", _PURE[1][1], (0.0, 0.0), "(D,D)")
 
 
 def _pure_outcome(matrix: PayoffMatrix2x2, row: int, col: int) -> RdeOutcome:
-    profile = StrategyProfile(p=1.0 - row, q=1.0 - col)
     label = f"({matrix.labels[row]},{matrix.labels[col]})"
-    return RdeOutcome("pure", profile, matrix.payoff(row, col), label)
+    return RdeOutcome("pure", _PURE[row][col], matrix.payoff(row, col), label)
 
 
 def _mixed_outcome(matrix: PayoffMatrix2x2, p: float, q: float) -> RdeOutcome:
@@ -105,6 +105,15 @@ def deviation_losses_symmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossPa
 def deviation_losses_asymmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossPair, DeviationLossPair]:
     """Deviation losses at the off-diagonal NEs, returned as (at (C,D), at (D,C))."""
     return _losses(matrix, ((0, 1), (1, 0)))
+
+
+def _classical_losses(params: DilemmaParams, kind: DilemmaKind) -> tuple[DeviationLossPair, ...]:
+    """Closed-form deviation losses of the classical CH at (C,D), (D,C) or SH at (C,C), (D,D)."""
+    if kind is DilemmaKind.CH:  # 0.0 - x and x + 0.0: no -0.0 at a zero strength
+        loss_c, loss_d = 0.0 - params.d_r, params.d_g + 0.0
+        return DeviationLossPair(loss_c, loss_d), DeviationLossPair(loss_d, loss_c)
+    loss_c, loss_d = 0.0 - params.d_g, params.d_r + 0.0
+    return DeviationLossPair(loss_c, loss_c), DeviationLossPair(loss_d, loss_d)
 
 
 def select_rde_symmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:

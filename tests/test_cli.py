@@ -374,6 +374,33 @@ def test_classical_losses_and_ne_payoffs_at_d_r_zero_are_positive_zero(capsys, d
         assert 0.0 in cells and all(math.copysign(1.0, x) == 1.0 for x in cells)
 
 
+@pytest.mark.parametrize("dg, dr, products", [
+    (1e-17, -0.5, {"delta_cd": 1e-17 * 0.5, "delta_dc": 1e-17 * 0.5}),
+    (1e-5, -0.5, {"delta_cd": 1e-5 * 0.5, "delta_dc": 1e-5 * 0.5}),
+    (-1e-5, 0.5, {"delta_cc": 1e-5 * 1e-5, "delta_dd": 0.5 * 0.5}),
+])
+def test_classical_losses_are_exact_where_1_plus_d_g_rounds(capsys, dg, dr, products):
+    # The losses are -d_r, d_g and -d_g themselves, not (1 + d_g) - 1, which is 1e-17 -> 0
+    # and 1e-5 -> 1.00000000000655e-05.
+    code, out, _ = run(capsys, "rde", f"--dg={dg!r}", f"--dr={dr!r}", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert {key: payload[key].hex() for key in products} == {
+        key: value.hex() for key, value in products.items()}
+    code, out, _ = run(capsys, "rde", f"--dg={dg!r}", f"--dr={dr!r}")
+    assert code == 0
+    assert "".join(f"{key}: {cli._fmt(value)}\n" for key, value in products.items()) in out
+
+
+@pytest.mark.parametrize("dg, dr", [("-0.0", "-0.5"), ("0", "-0.5"), ("-0.5", "-0.0"), ("-0.5", "0")])
+def test_classical_losses_at_a_zero_strength_are_positive_zero(capsys, dg, dr):
+    code, out, _ = run(capsys, "rde", f"--dg={dg}", f"--dr={dr}", "--format", "json")
+    assert code == 0
+    deltas = [value for key, value in json.loads(out).items() if key.startswith("delta_")]
+    assert len(deltas) == 2 and 0.0 in deltas
+    assert all(math.copysign(1.0, x) == 1.0 for x in deltas)
+
+
 def test_sweep_thresholds_at_negative_zero_strengths_are_positive_zero(capsys):
     code, out, _ = run(capsys, "sweep", "--dg=-0.0", "--dr=-0.0", "--quantities", "thresholds",
                        "--format", "json")
@@ -387,9 +414,9 @@ def test_sweep_thresholds_at_negative_zero_strengths_are_positive_zero(capsys):
                                            ("0.5", "0", "delta_dc")])
 def test_classical_sweep_row_computes_no_deviation_losses(capsys, monkeypatch, dg, dr, delta):
     calls = []
-    losses = risk_dominance._losses
-    monkeypatch.setattr(risk_dominance, "_losses",
-                        lambda *args: calls.append(args) or losses(*args))
+    for name in ("_losses", "_classical_losses"):  # from a matrix, and in closed form
+        monkeypatch.setattr(risk_dominance, name, lambda *args, losses=getattr(risk_dominance, name):
+                            calls.append(args) or losses(*args))
     code, _, err = run(capsys, "sweep", f"--dg={dg}", "--dr", dr, "--gamma", "0.5",
                        "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
     assert code == 0, err

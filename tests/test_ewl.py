@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpd_rde import ewl
+from qpd_rde import ewl, game_core
 from qpd_rde.errors import OutOfRegime
 from qpd_rde.ewl import (
     classify_quantum_ne,
@@ -249,6 +249,28 @@ def test_only_game_core_constructs_an_ne_record():
                     for n in ast.walk(node.func)):
                 constructors.add(path.stem)
     assert constructors == {"game_core"}
+
+
+def test_only_game_core_pure_table_builds_a_pure_profile():
+    """The four pure profiles are one table, game_core._PURE, built from loop variables: no
+    StrategyProfile anywhere takes two literals from {0, 1} or a 1.0 - x argument."""
+    pure_calls = []
+    for path in sorted(Path(ewl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "StrategyProfile"):
+                continue
+            args = node.args + [kw.value for kw in node.keywords]
+            literal = len(args) == 2 and all(isinstance(a, ast.Constant) and a.value in (0.0, 1.0)
+                                             for a in args)
+            one_minus = any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub)
+                            and isinstance(a.left, ast.Constant) and a.left.value == 1.0
+                            for a in args)
+            if literal or one_minus:
+                pure_calls.append((path.stem, node.lineno))
+    assert pure_calls == []
+    assert [[(s.p, s.q) for s in row] for row in game_core._PURE] == [[(1.0, 1.0), (1.0, 0.0)],
+                                                                       [(0.0, 1.0), (0.0, 0.0)]]
 
 
 def test_ne_certification_by_grid():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qpd_rde
 from qpd_rde import cli, errors, ewl, game_core, quantum_rde, risk_dominance
@@ -166,6 +168,43 @@ def test_enumerate_agrees_with_verify_on_pure_profiles():
             for col in (0, 1):
                 profile = StrategyProfile(1.0 - row, 1.0 - col)
                 assert matrix.is_pure_ne(row, col, TIE_EPS) == verify_mixed_ne(params, profile)
+
+
+# Exact ties, both zeros, subnormals and the ends of the float range come up often.
+_EDGES = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308)
+_payoffs = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bits(records):
+    """Each record's types and exact bits, sign of zero included, in list order."""
+    return [(type(rec), type(rec.profile), type(rec.payoffs),
+             *(type(x) for x in rec.payoffs), *(x.hex() for x in rec.profile + rec.payoffs))
+            for rec in records]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_payoffs, _payoffs), min_size=4, max_size=4),
+       st.tuples(st.text(max_size=3), st.text(max_size=3)))
+@example([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)], ("C", "D"))  # every cell a tie
+@example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)], ("Q", "D"))
+def test_enumerate_pure_ne_is_the_cell_by_cell_check(cells, labels):
+    matrix = PayoffMatrix2x2([cells[:2], cells[2:]], labels)
+    reference = [game_core.NashEquilibriumRecord(StrategyProfile(1.0 - row, 1.0 - col),
+                                                 matrix.payoff(row, col))
+                 for row in (0, 1) for col in (0, 1) if matrix.is_pure_ne(row, col)]
+    assert _bits(enumerate_pure_ne(matrix)) == _bits(reference)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_payoffs, _payoffs)
+@example(0.0, 1.0)
+@example(-0.0, 1.0)
+@example(5e-324, 1.0 + 2 ** -52)
+def test_layout_ne_is_the_ne_set_of_the_dilemma_layout(sucker, temptation):
+    # Exact: float subtraction keeps the sign, so 1.0 - temptation >= 0 iff 1.0 >= temptation.
+    matrix = game_core._dilemma_matrix(sucker, temptation, ("C", "D"))
+    assert _bits(game_core._layout_ne(sucker, 1.0 - temptation, sucker, temptation)) == _bits(
+        enumerate_pure_ne(matrix))
 
 
 def test_matrix_helpers():

@@ -57,8 +57,8 @@ delta_dc: 0.27
   "q": 0.25,
   "payoff_a": 0.475,
   "payoff_b": 0.475,
-  "delta_cd": 0.26999999999999996,
-  "delta_dc": 0.26999999999999996
+  "delta_cd": 0.27,
+  "delta_dc": 0.27
 }
 """),
     # SH
