@@ -155,29 +155,25 @@ def cmd_ne(args) -> int:
 # rde
 
 
-# Deviation-loss keys of each two-NE game, by classical class or quantum band, in loss order.
-_LOSS_KEYS = {
-    game_core.DilemmaKind.CH: ("delta_cd", "delta_dc"),
-    game_core.DilemmaKind.SH: ("delta_cc", "delta_dd"),
-    "transitional": ("delta_qd", "delta_dq"),
-    "coexistence": ("delta_qq", "delta_dd"),
-}
+# The NE cells of each two-NE class, in risk_dominance._layout_losses order.
+_LOSS_CELLS = {game_core.DilemmaKind.CH: ((0, 1), (1, 0)), game_core.DilemmaKind.SH: ((0, 0), (1, 1))}
 
 
 def cmd_rde(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
     if gamma is None:
-        game = game_core.classify_dilemma(params).kind
-        outcome = risk_dominance._classical_rde(params, game)
-        losses = risk_dominance._classical_losses(params, game) if game in _LOSS_KEYS else ()
+        kind = game_core.classify_dilemma(params).kind
+        outcome = risk_dominance._classical_rde(params, kind)
+        x, actions = 0.0, "cd"
         payload = {"d_g": params.d_g, "d_r": params.d_r, "mode": "classical"}
     else:
         resolved = ewl.resolve_phase(params, gamma)
-        game, outcome = quantum_rde._select_rde(params, gamma, resolved)
-        losses = quantum_rde.deviation_losses_quantum(params, gamma) if game in _LOSS_KEYS else ()
+        phase, outcome = quantum_rde._select_rde(params, gamma, resolved)
+        kind = quantum_rde._KIND.get(phase)  # None on a seam
+        x, actions = ewl._shift(params, gamma), "qd"
         payload = {"d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
-                   "mode": "quantum", "phase": game, **resolved.thresholds._asdict()}
+                   "mode": "quantum", "phase": phase, **resolved.thresholds._asdict()}
     payload.update({
         "rde_kind": outcome.kind,
         "rde_label": outcome.label,
@@ -186,7 +182,9 @@ def cmd_rde(args) -> int:
         "payoff_a": outcome.payoffs[0],
         "payoff_b": outcome.payoffs[1],
     })
-    payload.update((key, loss.product) for key, loss in zip(_LOSS_KEYS.get(game, ()), losses))
+    cells = _LOSS_CELLS.get(kind, ())
+    losses = risk_dominance._layout_losses(params, kind, x) if cells else ()
+    payload.update((f"delta_{actions[r]}{actions[c]}", loss.product) for (r, c), loss in zip(cells, losses))
     _emit_report(payload, args)
     return EXIT_OK
 

@@ -4,7 +4,8 @@ Covers the transitional phase (d_g > d_r, two asymmetric NEs) and the
 coexistence phase (d_r > d_g, mutual defection vs. mutual quantum-cooperation),
 plus Situ risk measures, sensitivity analysis of the transitional mixing
 probability, the group-benefit entanglement threshold, and the
-unilateral-deviation payoff curves.
+unilateral-deviation payoff curves. Both RDEs and their deviation losses are
+risk_dominance's rule for the dilemma layout shifted by x = ewl._shift.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
-from .game_core import _PURE, DilemmaParams, StrategyProfile
-from .risk_dominance import _RDE_DD, DeviationLossPair, RdeOutcome
+from .game_core import _PURE, DilemmaParams
+from .risk_dominance import (_CH, _PD, _RDE_DD, _SH, _TRIVIAL, DeviationLossPair, RdeOutcome,
+                             _chicken_weight, _layout_losses, _layout_rde)
 
 __all__ = [
     "SituRisk",
@@ -36,6 +38,9 @@ __all__ = [
 ]
 
 _RDE_QQ = RdeOutcome("pure", _PURE[0][0], (1.0, 1.0), "(Q,Q)")
+_TIE_LABEL = "U(0.5)xU(0.5)"
+# Off the seams each phase is the class of the effective strengths (d_g - x, d_r - x).
+_KIND = {"classical-like": _PD, "transitional": _CH, "coexistence": _SH, "fully-quantum": _TRIVIAL}
 
 
 class SituRisk(namedtuple("SituRisk", "risk_a risk_b")):
@@ -78,8 +83,7 @@ def _p_star(params: DilemmaParams, gamma: float, phase: Phase) -> float:
     """Transitional mixing probability, snapped to 0 or 1 on a seam."""
     if phase.seam is not None:
         return 0.0 if phase.seam == "lower" else 1.0
-    t = (-params.d_r + _shift(params, gamma)) / (params.d_g - params.d_r)
-    return min(1.0, max(0.0, t))
+    return _chicken_weight(params, _shift(params, gamma))
 
 
 def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
@@ -107,16 +111,9 @@ def deviation_losses_quantum(params: DilemmaParams, gamma: float
     On the transitional band (d_g > d_r) returns the pairs at (Q(x)D, D(x)Q);
     on the coexistence band (d_r > d_g) the pairs at (Q(x)Q, D(x)D).
     """
-    transitional = params.d_g > params.d_r
-    _in_band(params, gamma, "transitional" if transitional else "coexistence")
-    x = _shift(params, gamma)
-    if transitional:
-        loss_hi = params.d_g - x          # deviation loss of the defector
-        loss_lo = -params.d_r + x         # deviation loss of the cooperator
-        return DeviationLossPair(loss_lo, loss_hi), DeviationLossPair(loss_hi, loss_lo)
-    loss_qq = -params.d_g + x
-    loss_dd = params.d_r - x
-    return DeviationLossPair(loss_qq, loss_qq), DeviationLossPair(loss_dd, loss_dd)
+    band = "transitional" if params.d_g > params.d_r else "coexistence"
+    _in_band(params, gamma, band)
+    return _layout_losses(params, _KIND[band], _shift(params, gamma))
 
 
 def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> float:
@@ -126,27 +123,15 @@ def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> floa
 
 def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
     """Transitional-phase RDE: both players quantum-cooperate with probability p*."""
-    return _rde_transitional(params, gamma, _in_band(params, gamma, "transitional"))
-
-
-def _rde_transitional(params: DilemmaParams, gamma: float, phase: Phase) -> RdeOutcome:
-    t = _p_star(params, gamma, phase)
-    dg, dr = params.d_g, params.d_r
-    pay = (dr - dg) * t * t + (1.0 - dr + dg) * t
-    return RdeOutcome("mixed", StrategyProfile(t, t), (pay, pay))
+    phase = _in_band(params, gamma, "transitional")
+    return _layout_rde(params, _CH, _shift(params, gamma), 0, _RDE_QQ, None, phase.seam)
 
 
 def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
     """Coexistence-phase RDE: D(x)D below gamma_star, Q(x)Q above, U(0.5) pair at it."""
-    return _rde_coexistence(params, gamma, _in_band(params, gamma, "coexistence"))
-
-
-def _rde_coexistence(params: DilemmaParams, gamma: float, phase: Phase) -> RdeOutcome:
-    side = _side(gamma, phase.thresholds.gamma_star)
-    if side == 0:
-        pay = (2.0 + params.d_g - params.d_r) / 4.0
-        return RdeOutcome("mixed", StrategyProfile(0.5, 0.5), (pay, pay), "U(0.5)xU(0.5)")
-    return _RDE_DD if side < 0 else _RDE_QQ
+    phase = _in_band(params, gamma, "coexistence")
+    return _layout_rde(params, _SH, _shift(params, gamma), _side(gamma, phase.thresholds.gamma_star),
+                       _RDE_QQ, _TIE_LABEL)
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:
@@ -163,9 +148,10 @@ def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOut
 def _select_rde(params: DilemmaParams, gamma: float, phase: Phase) -> tuple[str, RdeOutcome]:
     """select_rde_quantum at the phase already resolved for gamma."""
     if phase.name == "transitional":
-        return phase.name, _rde_transitional(params, gamma, phase)
+        return phase.name, _layout_rde(params, _CH, _shift(params, gamma), 0, _RDE_QQ)
     if phase.name == "coexistence":
-        return phase.name, _rde_coexistence(params, gamma, phase)
+        return phase.name, _layout_rde(params, _SH, _shift(params, gamma),
+                                       _side(gamma, phase.thresholds.gamma_star), _RDE_QQ, _TIE_LABEL)
     if phase.name == "boundary" and phase.band is None:
         # d_g == d_r at the common threshold: both deviation-loss products vanish.
         raise DegenerateDenominator("RDE undefined at the common threshold when d_g equals d_r")

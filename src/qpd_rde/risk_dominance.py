@@ -11,17 +11,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DegenerateDenominator, NotAnEquilibrium, WrongClass
-from .game_core import (
-    TIE_EPS,
-    _PURE,
-    DilemmaKind,
-    DilemmaParams,
-    PayoffMatrix2x2,
-    StrategyProfile,
-    build_dilemma_matrix,
-    classify_dilemma,
-    expected_payoff_classical,
-)
+from .game_core import (TIE_EPS, _PURE, DilemmaKind, DilemmaParams, PayoffMatrix2x2, StrategyProfile,
+                        classify_dilemma, expected_payoff_classical)
 
 __all__ = [
     "DeviationLossPair",
@@ -53,16 +44,13 @@ class RdeOutcome(namedtuple("RdeOutcome", "kind profile payoffs label", defaults
 
 _RDE_CC = RdeOutcome("pure", _PURE[0][0], (1.0, 1.0), "(C,C)")
 _RDE_DD = RdeOutcome("pure", _PURE[1][1], (0.0, 0.0), "(D,D)")
+# Bound once, so that each game's dispatch reads module names, not enum attributes.
+_PD, _CH, _SH, _TRIVIAL = DilemmaKind.PD, DilemmaKind.CH, DilemmaKind.SH, DilemmaKind.TRIVIAL
 
 
 def _pure_outcome(matrix: PayoffMatrix2x2, row: int, col: int) -> RdeOutcome:
     label = f"({matrix.labels[row]},{matrix.labels[col]})"
     return RdeOutcome("pure", _PURE[row][col], matrix.payoff(row, col), label)
-
-
-def _mixed_outcome(matrix: PayoffMatrix2x2, p: float, q: float) -> RdeOutcome:
-    profile = StrategyProfile(p, q)
-    return RdeOutcome("mixed", profile, matrix.expected_payoffs(p, q))
 
 
 def _losses(matrix: PayoffMatrix2x2, cells) -> tuple[DeviationLossPair, DeviationLossPair]:
@@ -94,7 +82,8 @@ def _select(matrix: PayoffMatrix2x2, cells) -> RdeOutcome:
         raise DegenerateDenominator("tie with vanishing loss sums; mixed profile undefined")
     at_a_second = second if cells[1][0] else first
     at_b_second = second if cells[1][1] else first
-    return _mixed_outcome(matrix, at_a_second.loss_b / denom_p, at_b_second.loss_a / denom_q)
+    p, q = at_a_second.loss_b / denom_p, at_b_second.loss_a / denom_q
+    return RdeOutcome("mixed", StrategyProfile(p, q), matrix.expected_payoffs(p, q))
 
 
 def deviation_losses_symmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossPair, DeviationLossPair]:
@@ -107,12 +96,13 @@ def deviation_losses_asymmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossP
     return _losses(matrix, ((0, 1), (1, 0)))
 
 
-def _classical_losses(params: DilemmaParams, kind: DilemmaKind) -> tuple[DeviationLossPair, ...]:
-    """Closed-form deviation losses of the classical CH at (C,D), (D,C) or SH at (C,C), (D,D)."""
-    if kind is DilemmaKind.CH:  # 0.0 - x and x + 0.0: no -0.0 at a zero strength
-        loss_c, loss_d = 0.0 - params.d_r, params.d_g + 0.0
+def _layout_losses(params: DilemmaParams, kind: DilemmaKind, x: float) -> tuple[DeviationLossPair, ...]:
+    """Closed-form deviation losses of the dilemma layout shifted by x, CH at (C,D), (D,C) or SH at
+    (C,C), (D,D): the classical game at x = 0.0, the pure-quantum game at its angle's ewl._shift."""
+    if kind is _CH:  # d - x + 0.0: no -0.0 at a zero strength
+        loss_c, loss_d = x - params.d_r, params.d_g - x + 0.0
         return DeviationLossPair(loss_c, loss_d), DeviationLossPair(loss_d, loss_c)
-    loss_c, loss_d = 0.0 - params.d_g, params.d_r + 0.0
+    loss_c, loss_d = x - params.d_g, params.d_r - x + 0.0
     return DeviationLossPair(loss_c, loss_c), DeviationLossPair(loss_d, loss_d)
 
 
@@ -128,30 +118,51 @@ def select_rde_asymmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:
 
 def rde_chicken(params: DilemmaParams) -> RdeOutcome:
     """Closed-form chicken RDE: the symmetric mixed profile -d_r/(-d_r + d_g)."""
-    if classify_dilemma(params).kind is not DilemmaKind.CH:
+    if classify_dilemma(params).kind is not _CH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a chicken game")
-    return _classical_rde(params, DilemmaKind.CH)
+    return _classical_rde(params, _CH)
 
 
 def rde_staghunt(params: DilemmaParams) -> RdeOutcome:
     """Closed-form stag-hunt RDE: (C,C) if |d_g|>d_r, (D,D) if |d_g|<d_r, else (0.5, 0.5)."""
-    if classify_dilemma(params).kind is not DilemmaKind.SH:
+    if classify_dilemma(params).kind is not _SH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a stag-hunt game")
-    return _classical_rde(params, DilemmaKind.SH)
+    return _classical_rde(params, _SH)
+
+
+def _chicken_weight(params: DilemmaParams, x: float) -> float:
+    """Weight of the chicken's symmetric mixed RDE on the first action, at shift x, clamped to [0, 1]."""
+    t = (x - params.d_r) / (params.d_g - params.d_r)
+    return 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
+
+
+def _layout_rde(params: DilemmaParams, kind: DilemmaKind, x: float, tie_side: int,
+                first: RdeOutcome, tie_label: str | None = None, seam: str | None = None) -> RdeOutcome:
+    """RDE, or the unique NE, of the dilemma layout shifted by x, of class ``kind`` at (d_g - x, d_r - x).
+
+    x is 0.0 in the classical game and ewl._shift at angle gamma in the pure-quantum one, whose
+    phases are the classes of those strengths: classical-like PD, transitional CH, coexistence SH,
+    fully-quantum TRIVIAL. ``first`` is the game's pure record of its first action, the trivial
+    game's NE; a stag hunt selects it on ``tie_side`` > 0, (D,D) below 0 and U(0.5) labelled
+    ``tie_label`` at 0. On a ``seam``, "lower" or "upper", the chicken's weight is its pure limit,
+    at its cell's payoffs.
+    """
+    if kind is _CH:
+        if seam is not None:
+            limit = _RDE_DD if seam == "lower" else first
+            return RdeOutcome("mixed", limit.profile, limit.payoffs)
+        t = _chicken_weight(params, x)
+        profile = StrategyProfile(t, t)  # p == q: the entanglement term (p - q) x vanishes
+        return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
+    if kind is _SH:
+        if tie_side:
+            return first if tie_side > 0 else _RDE_DD
+        pay = ((1.0 - params.d_r) + (1.0 + params.d_g)) / 4.0
+        return RdeOutcome("mixed", StrategyProfile(0.5, 0.5), (pay, pay), tie_label)
+    return _RDE_DD if kind is _PD else first
 
 
 def _classical_rde(params: DilemmaParams, kind: DilemmaKind) -> RdeOutcome:
-    """RDE, or the unique NE, of the classical dilemma of class ``kind``."""
-    if kind is DilemmaKind.CH:
-        t = -params.d_r / (-params.d_r + params.d_g) + 0.0  # + 0.0: no -0.0 when d_r == 0
-        profile = StrategyProfile(t, t)
-        return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
-    if kind is DilemmaKind.SH:
-        diff = abs(params.d_g) - params.d_r
-        if diff > TIE_EPS:
-            return _RDE_CC
-        if diff < -TIE_EPS:
-            return _RDE_DD
-        return _mixed_outcome(build_dilemma_matrix(params), 0.5, 0.5)
-    # PD: defection dominates; TRIVIAL: cooperation dominates.
-    return _RDE_DD if kind is DilemmaKind.PD else _RDE_CC
+    """_layout_rde of the classical dilemma of class ``kind``, whose tie is |d_g| - d_r within TIE_EPS."""
+    diff = abs(params.d_g) - params.d_r
+    return _layout_rde(params, kind, 0.0, (diff > TIE_EPS) - (diff < -TIE_EPS), _RDE_CC)

@@ -414,7 +414,7 @@ def test_sweep_thresholds_at_negative_zero_strengths_are_positive_zero(capsys):
                                            ("0.5", "0", "delta_dc")])
 def test_classical_sweep_row_computes_no_deviation_losses(capsys, monkeypatch, dg, dr, delta):
     calls = []
-    for name in ("_losses", "_classical_losses"):  # from a matrix, and in closed form
+    for name in ("_losses", "_layout_losses"):  # from a matrix, and in closed form
         monkeypatch.setattr(risk_dominance, name, lambda *args, losses=getattr(risk_dominance, name):
                             calls.append(args) or losses(*args))
     code, _, err = run(capsys, "sweep", f"--dg={dg}", "--dr", dr, "--gamma", "0.5",
@@ -426,6 +426,36 @@ def test_classical_sweep_row_computes_no_deviation_losses(capsys, monkeypatch, d
     assert code == 0
     assert len(calls) == 1
     assert delta in json.loads(out)
+
+
+@pytest.mark.parametrize("dg, dr, gamma, deltas", [
+    ("0.9", "0.2", "0.5", ("delta_qd", "delta_dq")),      # transitional
+    ("0.2", "0.9", "0.45", ("delta_qq", "delta_dd")),     # coexistence
+    ("0.9", "0.2", "0.1", ()),                            # classical-like
+    ("0.9", "0.2", repr(thresholds(DilemmaParams(0.9, 0.2)).gamma2), ()),  # upper seam
+])
+def test_quantum_rde_resolves_the_phase_once(capsys, monkeypatch, dg, dr, gamma, deltas):
+    calls = []
+    pair_thresholds = ewl.thresholds
+    monkeypatch.setattr(ewl, "thresholds", lambda params: calls.append(params) or pair_thresholds(params))
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, err = run(capsys, "rde", "--dg", dg, "--dr", dr, f"--gamma={gamma}", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert len(calls) == 1
+    assert tuple(key for key in json.loads(out) if key.startswith("delta_")) == deltas
+
+
+def test_classical_stag_hunt_ties_pay_both_players_alike(capsys):
+    # On the 81-point axis -d_g and d_r differ in the last bits at 27 of its 40 ties; the
+    # payoff at U(0.5) x U(0.5) is one closed form, the same for both players.
+    code, out, err = run(capsys, "sweep", "--dg-range", "-1", "1", "81", "--dr-range", "-1", "1", "81",
+                         "--quantities", "class,rde", "--format", "json")
+    assert (code, err) == (0, "")
+    ties = [row for row in json.loads(out) if row["class"] == "SH" and row["rde_kind"] == "mixed"]
+    assert len(ties) == 40
+    assert sum(row["d_g"] != -row["d_r"] for row in ties) == 27
+    assert all(row["rde_payoff_a"] == row["rde_payoff_b"] for row in ties)
 
 
 def test_sweep_blanks_the_undefined_rde_and_prints_every_row(capsys):
@@ -487,8 +517,8 @@ def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, mo
     assert len(out.splitlines()) == 1 + 3 * 3 * 5
     assert calls == {"thresholds": 9, "PayoffMatrix2x2": 0}
 
-    # A cube of all four classes builds a matrix only for the (0.5, 0.5) payoff of a stag hunt's
-    # tie, |d_g| - d_r within TIE_EPS: at (-1, 1) and (-0.5, 0.5), once per pair.
+    # A cube of all four classes builds none either: a stag hunt's tie, |d_g| - d_r within
+    # TIE_EPS at (-1, 1) and (-0.5, 0.5), takes its (0.5, 0.5) payoff in closed form.
     calls.update(thresholds=0, PayoffMatrix2x2=0)
     code, out, err = run(capsys, "sweep", "--dg-range", "-1", "1", "5", "--dr-range", "-1", "1", "5",
                          "--gamma-range", "0", "1.5", "3",
@@ -498,7 +528,7 @@ def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, mo
             if game_core.classify_dilemma(DilemmaParams(dg, dr)).kind is game_core.DilemmaKind.SH
             and abs(abs(dg) - dr) <= game_core.TIE_EPS]
     assert ties == [(-1.0, 1.0), (-0.5, 0.5)]
-    assert calls == {"thresholds": 25, "PayoffMatrix2x2": len(ties)}
+    assert calls == {"thresholds": 25, "PayoffMatrix2x2": 0}
 
 
 @pytest.mark.parametrize("fmt, renderer", [("csv", "_csv_text"), ("json", "_json_text")])

@@ -251,6 +251,27 @@ def test_only_game_core_constructs_an_ne_record():
     assert constructors == {"game_core"}
 
 
+def test_only_risk_dominance_computes_rde_payoffs_and_losses():
+    """One risk-dominance rule for both games: no other module builds a DeviationLossPair or an
+    RdeOutcome whose payoffs are not literals, and risk_dominance builds no payoff matrix."""
+    builders, names = set(), {}
+    for path in sorted(Path(ewl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names[path.stem] = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+                            for n in ast.walk(tree)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            payoffs = node.args[2:3] + [kw.value for kw in node.keywords if kw.arg == "payoffs"]
+            literal = all(isinstance(a, ast.Tuple) and all(isinstance(e, ast.Constant) for e in a.elts)
+                          for a in payoffs)
+            if name == "DeviationLossPair" or name == "RdeOutcome" and not literal:
+                builders.add(path.stem)
+    assert builders == {"risk_dominance"}
+    assert not names["risk_dominance"] & {"build_dilemma_matrix", "_dilemma_matrix"}
+
+
 def test_only_game_core_pure_table_builds_a_pure_profile():
     """The four pure profiles are one table, game_core._PURE, built from loop variables: no
     StrategyProfile anywhere takes two literals from {0, 1} or a 1.0 - x argument."""

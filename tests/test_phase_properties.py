@@ -174,6 +174,52 @@ def test_transitional_seam_p_star_is_pure(data):
         assert p_star == 1.0
 
 
+@SETTINGS
+@given(st.data())
+def test_transitional_seam_rde_takes_its_pure_cells_payoffs(data):
+    # Snapped to 0 or 1 on a seam, p* is a pure profile: its payoffs are the cell's, (0, 0) or
+    # (1, 1), as select_rde_quantum gives them, not the mixed formula's rounding of them.
+    d_g, d_r = sorted((data.draw(positive_strength), data.draw(positive_strength)), reverse=True)
+    assume(d_g > d_r)
+    params = DilemmaParams(d_g, d_r)
+    thr = thresholds(params)
+    gamma = data.draw(st.sampled_from((thr.gamma1, thr.gamma2))) + data.draw(st.sampled_from(OFFSETS))
+    assume(in_domain(gamma) and resolve_phase(params, gamma).name == "boundary")
+    t = 0.0 if resolve_phase(params, gamma).seam == "lower" else 1.0
+    outcome = quantum_rde.rde_transitional(params, gamma)
+    assert (outcome.kind, outcome.profile, outcome.payoffs) == ("mixed", (t, t), (t, t))
+    _, selected = select_rde_quantum(params, gamma)
+    assert (selected.profile, selected.payoffs) == (outcome.profile, outcome.payoffs)
+
+
+# Each phase off the seams and the class of the effective strengths (d_g - x, d_r - x).
+CLASS_OF_PHASE = {"classical-like": "PD", "transitional": "CH", "coexistence": "SH",
+                  "fully-quantum": "TRIVIAL"}
+
+
+@SETTINGS
+@given(positive_strength, positive_strength, st.floats(0.0, math.pi / 2))
+def test_off_the_seams_the_quantum_rde_is_the_classical_rule_at_the_effective_strengths(
+        d_g, d_r, gamma):
+    params = DilemmaParams(d_g, d_r)
+    assume(all(abs(gamma - angle) > 1e-6 for angle in thresholds(params)))
+    x = (1.0 + d_g + d_r) * math.sin(gamma) ** 2
+    g, r = d_g - x, d_r - x
+    # The classical rule, written out at (g, r) with Q as the first action.
+    if g > 0 and r > 0:
+        kind, expected = "PD", ("pure", "(D,D)", 0.0)
+    elif g < 0 and r < 0:
+        kind, expected = "TRIVIAL", ("pure", "(Q,Q)", 1.0)
+    elif g > r:
+        kind, expected = "CH", ("mixed", None, -r / (g - r))
+    else:
+        kind, expected = "SH", ("pure", "(Q,Q)", 1.0) if abs(g) > r else ("pure", "(D,D)", 0.0)
+    phase, outcome = select_rde_quantum(params, gamma)
+    assert CLASS_OF_PHASE[phase] == kind
+    assert (outcome.kind, outcome.label) == expected[:2]
+    assert outcome.profile.p == outcome.profile.q == pytest.approx(expected[2], abs=1e-12)
+
+
 def _gamma_functions():
     """Every public function of ewl and quantum_rde with a gamma parameter."""
     for module in (ewl, quantum_rde):

@@ -207,8 +207,8 @@ delta_dq: 0.121875
   "rde_label": null,
   "p": 0.4642857142857142,
   "q": 0.4642857142857142,
-  "payoff_a": 0.6383928571428572,
-  "payoff_b": 0.6383928571428572,
+  "payoff_a": 0.638392857142857,
+  "payoff_b": 0.638392857142857,
   "delta_qd": 0.121875,
   "delta_dq": 0.121875
 }
