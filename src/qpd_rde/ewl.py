@@ -3,8 +3,9 @@
 Two routes to the outcome statistics are kept deliberately independent:
 closed-form expressions for the joint distribution and payoffs, and a dense
 two-qubit state-vector pipeline (entangle, apply local unitaries, disentangle,
-measure) that serves as the oracle. Basis ordering is (CC, CD, DC, DD)
-throughout.
+measure) that serves as the oracle. One dense kernel, ``_states``, runs that
+pipeline for final_state and for oracle-check's grid. Basis ordering is
+(CC, CD, DC, DD) throughout.
 """
 
 from __future__ import annotations
@@ -61,8 +62,15 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _kron(a, b):
-    """Row-major Kronecker product of two square matrices."""
-    return tuple(tuple(x * y for x in row_a for y in row_b) for row_a in a for row_b in b)
+    """Row-major Kronecker product of two 2x2 matrices."""
+    (a00, a01), (a10, a11), (b00, b01), (b10, b11) = *a, *b
+    return ((a00 * b00, a00 * b01, a01 * b00, a01 * b01), (a00 * b10, a00 * b11, a01 * b10, a01 * b11),
+            (a10 * b00, a10 * b01, a11 * b00, a11 * b01), (a10 * b10, a10 * b11, a11 * b10, a11 * b11))
+
+
+# Each gate's Pauli square as (r == c, k) terms, built once: its entry is cos * (r == c) - isin * k.
+_TERMS_Y, _TERMS_X = (tuple(tuple((r == c, k) for c, k in enumerate(row)) for r, row in enumerate(square))
+                      for square in (_kron(_SIGMA_Y, _SIGMA_Y), _kron(_SIGMA_X, _SIGMA_X)))
 
 
 def _matvec(matrix, vector):
@@ -127,37 +135,40 @@ def entangling_gate(gamma: float, tampered: bool = False) -> tuple[tuple[complex
     closed-form joint distribution.
     """
     _check_gamma(gamma)
-    pauli = _SIGMA_X if tampered else _SIGMA_Y
     cos, isin = math.cos(gamma / 2), 1.0j * math.sin(gamma / 2)
-    return tuple(tuple(cos * (r == c) - isin * k for c, k in enumerate(row))
-                 for r, row in enumerate(_kron(pauli, pauli)))
+    terms = _TERMS_X if tampered else _TERMS_Y
+    return tuple([tuple([cos * e - isin * k for e, k in row]) for row in terms])
 
 
-def _dagger(matrix):
-    """Conjugate transpose."""
-    return tuple(tuple(z.conjugate() for z in column) for column in zip(*matrix))
+def _entangled(gamma, tampered):
+    """The angle's gate J as its flattened adjoint Jdag, then J|CC>: 20 amplitudes."""
+    gate = entangling_gate(gamma, tampered=tampered)
+    return (*[z.conjugate() for column in zip(*gate) for z in column], *_matvec(gate, _KET_CC))
+
+
+def _states(products, entangled):
+    """Dense kernel: Jdag L J|CC> per operator product L, then per angle's _entangled, in _matvec sums."""
+    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in products:
+        for e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, k0, k1, k2, k3 in entangled:
+            v0 = a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3
+            v1 = b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3
+            v2 = c0 * k0 + c1 * k1 + c2 * k2 + c3 * k3
+            v3 = d0 * k0 + d1 * k1 + d2 * k2 + d3 * k3
+            yield (e0 * v0 + e1 * v1 + e2 * v2 + e3 * v3, f0 * v0 + f1 * v1 + f2 * v2 + f3 * v3,
+                   g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3, h0 * v0 + h1 * v1 + h2 * v2 + h3 * v3)
 
 
 def final_state(p: float, q: float, gamma: float, tampered: bool = False) -> tuple[complex, ...]:
     """State-vector oracle: Jdag (U(p) x U(q)) J |CC>."""
-    gate = entangling_gate(gamma, tampered=tampered)
-    local = _kron(strategy_operator(p), strategy_operator(q))
-    return _matvec(_dagger(gate), _matvec(local, _matvec(gate, _KET_CC)))
+    entangled = _entangled(gamma, tampered)  # checks gamma, then p, then q
+    return next(_states([_kron(strategy_operator(p), strategy_operator(q))], [entangled]))
 
 
 def _grid_states(weights, angles, tampered=False):
-    """final_state(p, q, gamma, tampered) over product(weights, weights, angles), bit for bit.
-
-    Builds each angle's gate, adjoint and J|CC>, each operator and each (p, q) product once.
-    """
-    gates = [entangling_gate(gamma, tampered=tampered) for gamma in angles]
-    entangled = [(_dagger(gate), _matvec(gate, _KET_CC)) for gate in gates]
+    """final_state over product(weights, weights, angles), bit for bit; builds each operand once."""
+    entangled = [_entangled(gamma, tampered) for gamma in angles]
     operators = [strategy_operator(t) for t in weights]
-    for u_p in operators:
-        for u_q in operators:
-            local = _kron(u_p, u_q)
-            for dagger, ket in entangled:
-                yield _matvec(dagger, _matvec(local, ket))
+    return _states((_kron(u_p, u_q) for u_p in operators for u_q in operators), entangled)
 
 
 def joint_distribution(p: float, q: float, gamma: float) -> JointDistribution:

@@ -128,10 +128,11 @@ def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
 
 
 def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
-    """Coexistence-phase RDE: D(x)D below gamma_star, Q(x)Q above, U(0.5) pair at it."""
-    phase = _in_band(params, gamma, "coexistence")
-    return _layout_rde(params, _SH, _shift(params, gamma), _side(gamma, phase.thresholds.gamma_star),
-                       _RDE_QQ, _TIE_LABEL)
+    """Coexistence-phase RDE: D(x)D below gamma_star, Q(x)Q above, U(0.5) pair at it.
+
+    On a seam it is select_rde_quantum's pure record, even where gamma_star lies within PHASE_TOL.
+    """
+    return _select_rde(params, gamma, _in_band(params, gamma, "coexistence"))[1]
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:

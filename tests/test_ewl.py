@@ -1,4 +1,5 @@
 import ast
+import collections
 import functools
 import itertools
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpd_rde import ewl, game_core
+from qpd_rde import cli, ewl, game_core
 from qpd_rde.errors import OutOfRegime
 from qpd_rde.ewl import (
     classify_quantum_ne,
@@ -380,10 +381,112 @@ def test_grid_states_equal_final_state_bit_for_bit_anywhere(p, q, gamma, tampere
     assert_grid_states_equal_final_state([p, q], [gamma], tampered)
 
 
-def test_grid_states_use_no_closed_form(monkeypatch):
-    def closed_form(*args):
-        raise AssertionError("the state-vector oracle must not use a closed form")
+# The parent's pipeline as nested compositions, written here apart from ewl's kernel: the gate
+# is cos(g/2) I - i sin(g/2) sigma x sigma, the adjoint a conjugate transpose, and each sum a
+# reduce over map(mul), left to right from its first term.
+SIGMA_Y, SIGMA_X = ((0.0, -1.0j), (1.0j, 0.0)), ((0.0, 1.0), (1.0, 0.0))
+
+
+def reference_kron(a, b):
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def reference_matvec(matrix, vector):
+    return [functools.reduce(operator.add, map(operator.mul, row, vector)) for row in matrix]
+
+
+def reference_gate(gamma, tampered):
+    pauli = SIGMA_X if tampered else SIGMA_Y
+    cos, isin = math.cos(gamma / 2), 1.0j * math.sin(gamma / 2)
+    return [[cos * (r == c) - isin * k for c, k in enumerate(row)]
+            for r, row in enumerate(reference_kron(pauli, pauli))]
+
+
+def reference_operator(t):
+    rt, ru = math.sqrt(t), math.sqrt(1.0 - t)
+    return ((1.0j * rt, complex(ru)), (complex(-ru), -1.0j * rt))
+
+
+def reference_state(p, q, gamma, tampered):
+    gate = reference_gate(gamma, tampered)
+    adjoint = [[z.conjugate() for z in column] for column in zip(*gate)]
+    local = reference_kron(reference_operator(p), reference_operator(q))
+    ket = reference_matvec(gate, (1.0 + 0.0j, 0j, 0j, 0j))
+    return reference_matvec(adjoint, reference_matvec(local, ket))
+
+
+def assert_oracle_equals_reference(weights, angles, tampered):
+    for gamma in angles:
+        assert ([amplitude_bits(row) for row in entangling_gate(gamma, tampered)]
+                == [amplitude_bits(row) for row in reference_gate(gamma, tampered)]), gamma
+    points = list(itertools.product(weights, weights, angles))
+    states = list(ewl._grid_states(weights, angles, tampered))
+    assert len(states) == len(points)
+    for (p, q, gamma), state in zip(points, states):
+        expected = amplitude_bits(reference_state(p, q, gamma, tampered))
+        assert amplitude_bits(state) == expected, (p, q, gamma)
+        assert amplitude_bits(final_state(p, q, gamma, tampered)) == expected, (p, q, gamma)
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_oracle_equals_the_nested_reference_bit_for_bit(tampered):
+    # The corners, where sqrt, cos and sin are exact, and an interior grid, where none is.
+    assert_oracle_equals_reference([0.0, 1.0], [0.0, math.pi / 2], tampered)
+    assert_oracle_equals_reference(ewl._linspace(0.1, 0.9, 4), ewl._linspace(0.2, 1.4, 4), tampered)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, math.pi / 2), st.booleans())
+@example(0.0, 1.0, math.pi / 2, True)
+@example(1.0, 0.0, 5e-324, False)
+def test_oracle_equals_the_nested_reference_bit_for_bit_anywhere(p, q, gamma, tampered):
+    assert_oracle_equals_reference([p, q], [gamma], tampered)
+
+
+def test_grid_states_use_no_closed_form(monkeypatch, capsys):
+    # Every closed form fails while the oracle runs: _grid_states and final_state called
+    # directly, and in oracle-check, where each grid step and each seeded final_state takes
+    # its turn with the closed form it is checked against.
+    running, calls = [], collections.Counter()
+
+    def closed_form(original):
+        def guarded(*args):
+            assert not running, "the state-vector oracle must not use a closed form"
+            return original(*args)
+        return guarded
+
+    def oracle(original):
+        def step(*args, **kwargs):
+            calls[original.__name__] += 1
+            running.append(original)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                running.pop()
+        return step
 
     for name in ("joint_distribution", "_joint", "_shift", "_pure_payoffs"):
-        monkeypatch.setattr(ewl, name, closed_form)
+        monkeypatch.setattr(ewl, name, closed_form(getattr(ewl, name)))
+    running.append("direct")
     assert len(list(ewl._grid_states([0.0, 0.5, 1.0], [0.0, 0.7, math.pi / 2]))) == 27
+    assert len(final_state(0.3, 0.6, 0.4)) == len(final_state(0.3, 0.6, 0.4, tampered=True)) == 4
+    running.pop()
+    grid = ewl._grid_states
+    monkeypatch.setattr(ewl, "_grid_states",
+                        lambda *args: iter(functools.partial(oracle(next), oracle(grid)(*args), None), None))
+    monkeypatch.setattr(ewl, "final_state", oracle(final_state))
+    assert cli.main(["oracle-check", "--grid", "5", "--seed", "3"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    assert calls["_grid_states"] == 1 and calls["next"] >= 5 ** 3 and calls["final_state"] == 100
+
+
+@pytest.mark.parametrize("p, q, gamma, message", [
+    (2.0, 3.0, 4.0, "gamma must lie in [0, pi/2], got 4.0"),
+    (2.0, 3.0, 1.0, "must lie in [0, 1], got 2.0"),
+    (0.5, 3.0, 1.0, "must lie in [0, 1], got 3.0"),
+])
+@pytest.mark.parametrize("tampered", [False, True])
+def test_final_state_checks_gamma_then_p_then_q(p, q, gamma, message, tampered):
+    with pytest.raises(ValueError) as error:
+        final_state(p, q, gamma, tampered=tampered)
+    assert str(error.value).endswith(message)

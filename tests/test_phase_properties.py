@@ -7,8 +7,10 @@ payoff antisymmetry, the [0, 1] domain of every strategy weight, and the
 classical two-NE selection on chicken games. The quantum NE set must agree
 with the phase: each interior phase lists its own set and a boundary the union
 of the sets beside its thresholds, at angles within a few ulps of
-gamma1, gamma2 +- PHASE_TOL. Hypothesis runs derandomized, so every run draws
-the same examples.
+gamma1, gamma2 +- PHASE_TOL. On coexistence bands down to d_r - d_g = 1e-12,
+where gamma_star lies within PHASE_TOL of a seam, rde_coexistence,
+select_rde_quantum, rde and a one-row sweep give one RDE. Hypothesis runs
+derandomized, so every run draws the same examples.
 """
 
 import inspect
@@ -35,7 +37,7 @@ from qpd_rde.quantum_rde import (
     unilateral_deviation_payoffs,
 )
 from qpd_rde.risk_dominance import select_rde_asymmetric, select_rde_symmetric
-from test_entry_points import shifted
+from test_entry_points import run_json, same, shifted
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -190,6 +192,45 @@ def test_transitional_seam_rde_takes_its_pure_cells_payoffs(data):
     assert (outcome.kind, outcome.profile, outcome.payoffs) == ("mixed", (t, t), (t, t))
     _, selected = select_rde_quantum(params, gamma)
     assert (selected.profile, selected.payoffs) == (outcome.profile, outcome.payoffs)
+
+
+@st.composite
+def narrow_coexistence_points(draw):
+    """A coexistence band down to d_r - d_g = 1e-12, at its seams +-PHASE_TOL or at gamma_star."""
+    d_g = draw(st.floats(0.0, 1.0, exclude_min=True))
+    d_r = d_g + 10.0 ** draw(st.floats(-12.0, -6.0))
+    assume(d_g < d_r <= 1.0)
+    thr = thresholds(DilemmaParams(d_g, d_r))
+    gamma = draw(st.one_of(
+        st.builds(shifted, st.sampled_from((thr.gamma1, thr.gamma2)),
+                  st.sampled_from((-PHASE_TOL, 0.0, PHASE_TOL)), st.sampled_from((-1, 0, 1))),
+        st.just(thr.gamma_star)))
+    return d_g, d_r, gamma
+
+
+@SETTINGS
+@given(narrow_coexistence_points())
+@example((0.5, 0.5 + 2e-9, 0.5235987753096237))  # gamma2, with gamma_star within PHASE_TOL of it
+@example((0.5, 0.5 + 2e-9, 0.523598775886974))  # gamma_star
+@example((0.5, 0.5 + 2e-9, 0.5235987764643242))  # gamma1
+def test_every_entry_point_takes_one_coexistence_rde_on_a_narrow_band(point):
+    # Where gamma_star lies within PHASE_TOL of a seam, rde_coexistence takes the seam's record,
+    # as select_rde_quantum, rde and the sweep do, not the U(0.5) tie.
+    d_g, d_r, gamma = point
+    params = DilemmaParams(d_g, d_r)
+    assume(in_domain(gamma) and resolve_phase(params, gamma).name in ("coexistence", "boundary"))
+    outcome = quantum_rde.rde_coexistence(params, gamma)
+    expected = [outcome.kind, outcome.profile.p, outcome.profile.q, *outcome.payoffs]
+    _, selected = select_rde_quantum(params, gamma)
+    assert same([selected.kind, *selected.profile, *selected.payoffs], expected)
+    argv = (f"--dg={d_g!r}", f"--dr={d_r!r}", f"--gamma={gamma!r}")
+    code, rde, err = run_json(point, "rde", *argv)
+    assert code == 0, err
+    assert same([rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b")], expected)
+    code, (row,), err = run_json(point, "sweep", *argv, "--quantities", "rde")
+    assert code == 0, err
+    assert same([row[cell] for cell in ("rde_kind", "rde_p", "rde_q", "rde_payoff_a", "rde_payoff_b")],
+                expected)
 
 
 # Each phase off the seams and the class of the effective strengths (d_g - x, d_r - x).
