@@ -16,7 +16,7 @@ import random
 import re
 import sys
 
-from . import ewl, game_core, quantum_rde, risk_dominance
+from . import ewl, game_core, quantum_rde
 from .errors import DegenerateBase, DegenerateDenominator, QpdError
 from .game_core import DilemmaParams
 
@@ -104,8 +104,9 @@ def _emit_report(payload: dict, args) -> None:
     _write_output([text, "\n"], args.out)
 
 
-def _ne_labels(records, labels) -> list[str]:
-    """Action-label pairs of pure profiles: weight 1 on the first action is labels[0]."""
+def _ne_labels(records, classical: bool) -> list[str]:
+    """Action-label pairs of pure profiles: C and D in the classical game, Q and D in the quantum one."""
+    labels = "CD" if classical else "QD"  # weight 1 on the first action is labels[0]
     return [f"({labels[rec.profile.p != 1.0]},{labels[rec.profile.q != 1.0]})" for rec in records]
 
 
@@ -113,26 +114,22 @@ def _ne_labels(records, labels) -> list[str]:
 # classify / ne
 
 
-def _pure_ne(params: DilemmaParams, gamma: float | None):
-    """Phase label, pure NEs and action labels; the quantum game when gamma is given."""
-    if gamma is None:  # the sides are the signs of -d_r and -d_g, exact where 1 + d_g rounds
-        dg, dr = params
-        return "classical", game_core._layout_ne(-dr, -dg, 0.0 - dr, 1.0 + dg), ("C", "D")
-    report = ewl.classify_quantum_ne(params, gamma)
-    return report.phase, report.equilibria, ("Q", "D")
-
-
-def _ne_payload(records, labels) -> dict:
-    return {"pure_ne": _ne_labels(records, labels),
+def _ne_payload(records, classical: bool) -> dict:
+    return {"pure_ne": _ne_labels(records, classical),
             "pure_ne_payoffs": [list(rec.payoffs) for rec in records]}
+
+
+def _head(params: DilemmaParams, gamma: float | None, phase: str) -> dict:
+    """The strengths, then the classical mode, or gamma, the quantum mode and the phase."""
+    game = {"mode": "classical"} if gamma is None else {"gamma": gamma, "mode": "quantum", "phase": phase}
+    return {"d_g": params.d_g, "d_r": params.d_r, **game}
 
 
 def cmd_classify(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     cls = game_core.classify_dilemma(params)
-    _, records, labels = _pure_ne(params, None)
     payload = {"d_g": params.d_g, "d_r": params.d_r, "class": cls.kind.value,
-               "boundary": cls.boundary, **_ne_payload(records, labels)}
+               "boundary": cls.boundary, **_ne_payload(ewl.pure_ne(params).equilibria, True)}
     _emit_report(payload, args)
     return EXIT_OK
 
@@ -140,14 +137,8 @@ def cmd_classify(args) -> int:
 def cmd_ne(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
-    phase, records, labels = _pure_ne(params, gamma)
-    payload = {"d_g": params.d_g, "d_r": params.d_r}
-    if gamma is None:
-        payload["mode"] = "classical"
-    else:
-        payload.update(gamma=gamma, mode="quantum", phase=phase)
-    payload.update(_ne_payload(records, labels))
-    _emit_report(payload, args)
+    phase, records = ewl.pure_ne(params, gamma)
+    _emit_report({**_head(params, gamma, phase), **_ne_payload(records, gamma is None)}, args)
     return EXIT_OK
 
 
@@ -155,36 +146,15 @@ def cmd_ne(args) -> int:
 # rde
 
 
-# The NE cells of each two-NE class, in risk_dominance._layout_losses order.
-_LOSS_CELLS = {game_core.DilemmaKind.CH: ((0, 1), (1, 0)), game_core.DilemmaKind.SH: ((0, 0), (1, 1))}
-
-
 def cmd_rde(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
-    if gamma is None:
-        kind = game_core.classify_dilemma(params).kind
-        outcome = risk_dominance._classical_rde(params, kind)
-        x, actions = 0.0, "cd"
-        payload = {"d_g": params.d_g, "d_r": params.d_r, "mode": "classical"}
-    else:
-        resolved = ewl.resolve_phase(params, gamma)
-        phase, outcome = quantum_rde._select_rde(params, gamma, resolved)
-        kind = quantum_rde._KIND.get(phase)  # None on a seam
-        x, actions = ewl._shift(params, gamma), "qd"
-        payload = {"d_g": params.d_g, "d_r": params.d_r, "gamma": gamma,
-                   "mode": "quantum", "phase": phase, **resolved.thresholds._asdict()}
-    payload.update({
-        "rde_kind": outcome.kind,
-        "rde_label": outcome.label,
-        "p": outcome.profile.p,
-        "q": outcome.profile.q,
-        "payoff_a": outcome.payoffs[0],
-        "payoff_b": outcome.payoffs[1],
-    })
-    cells = _LOSS_CELLS.get(kind, ())
-    losses = risk_dominance._layout_losses(params, kind, x) if cells else ()
-    payload.update((f"delta_{actions[r]}{actions[c]}", loss.product) for (r, c), loss in zip(cells, losses))
+    phase, outcome, losses = quantum_rde.select_rde(params, gamma)
+    payload = _head(params, gamma, phase.name) | ({} if gamma is None else phase.thresholds._asdict())
+    payload.update(rde_kind=outcome.kind, rde_label=outcome.label, p=outcome.profile.p, q=outcome.profile.q,
+                   payoff_a=outcome.payoffs[0], payoff_b=outcome.payoffs[1])
+    actions = "cd" if gamma is None else "qd"
+    payload.update((f"delta_{actions[p != 1.0]}{actions[q != 1.0]}", loss.product) for (p, q), loss in losses)
     _emit_report(payload, args)
     return EXIT_OK
 
@@ -227,16 +197,14 @@ def _json_text(group, cells) -> str:
 
 
 def _ne_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
-    name, records, labels = (_pure_ne(params, None) if phase is None else
-                             (phase.name, ewl._quantum_ne(params, gamma, phase).equilibria, ("Q", "D")))
-    return name, len(records), "|".join(_ne_labels(records, labels))
+    name, records = ewl._pure_ne(params, gamma, phase)
+    return name, len(records), "|".join(_ne_labels(records, phase is None))
 
 
 def _rde_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
     """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined."""
     try:
-        outcome = (risk_dominance._classical_rde(params, kind) if phase is None
-                   else quantum_rde._select_rde(params, gamma, phase)[1])
+        outcome = quantum_rde._select_rde(params, gamma, phase, kind)[1]
     except DegenerateDenominator:
         return _BLANK["rde"]
     return (outcome.kind, outcome.label or "", *outcome.profile, *outcome.payoffs)
@@ -350,7 +318,7 @@ def _check_table2():
     for (dg, dr), expected_class, expected_ne in cases:
         params = DilemmaParams(dg, dr)
         cls = game_core.classify_dilemma(params).kind.value
-        found = set(_ne_labels(*_pure_ne(params, None)[1:]))
+        found = set(_ne_labels(ewl.pure_ne(params).equilibria, True))
         yield ("PASS", f"Table2 class({dg},{dr})", cls == expected_class,
                f"computed {cls}, expected {expected_class}")
         yield ("PASS", f"Table2 NE({dg},{dr})", found == expected_ne,
@@ -367,8 +335,8 @@ def _check_table5():
     for (dg, dr), bands in cases:
         params = DilemmaParams(dg, dr)
         for gamma, expected in bands:
-            _, records, labels = _pure_ne(params, gamma)
-            found = set(_ne_labels(records, labels))
+            records = ewl.pure_ne(params, gamma).equilibria
+            found = set(_ne_labels(records, False))
             certified = all(
                 max(ewl.grid_best_response_gain(params, rec.profile.p, rec.profile.q,
                                                 gamma)) <= game_core.TIE_EPS

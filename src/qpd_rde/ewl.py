@@ -33,6 +33,7 @@ __all__ = [
     "thresholds",
     "resolve_phase",
     "classify_quantum_ne",
+    "pure_ne",
     "grid_best_response_gain",
 ]
 
@@ -160,7 +161,9 @@ def _states(products, entangled):
 
 def final_state(p: float, q: float, gamma: float, tampered: bool = False) -> tuple[complex, ...]:
     """State-vector oracle: Jdag (U(p) x U(q)) J |CC>."""
-    entangled = _entangled(gamma, tampered)  # checks gamma, then p, then q
+    entangled = _entangled(gamma, tampered)  # checks gamma
+    _check_prob(p, "p")  # by name, as joint_distribution does, not as strategy_operator's t
+    _check_prob(q, "q")
     return next(_states([_kron(strategy_operator(p), strategy_operator(q))], [entangled]))
 
 
@@ -273,15 +276,21 @@ def _phase(params: DilemmaParams, gamma: float, thr: PhaseThresholds) -> Phase:
 
 
 def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
-    """Phase label and pure-quantum-strategy NEs at the given entanglement.
-
-    The dilemma layout's NEs, row-major, on the sides of gamma1 and gamma2 the phase reads.
-    """
-    return _quantum_ne(params, gamma, resolve_phase(params, gamma))
+    """Phase label and pure-quantum-strategy NEs at the given entanglement: pure_ne of the quantum game."""
+    return _pure_ne(params, gamma, resolve_phase(params, gamma))
 
 
-def _quantum_ne(params: DilemmaParams, gamma: float, phase: Phase) -> QuantumNeReport:
-    """classify_quantum_ne at the phase already resolved for gamma."""
+def pure_ne(params: DilemmaParams, gamma: float | None = None) -> QuantumNeReport:
+    """Phase and pure NEs, row-major, of the dilemma layout: the classical game (phase "classical") where
+    gamma is None, read from the signs of the strengths, or the pure-quantum game at entanglement gamma."""
+    return _pure_ne(params, gamma, None if gamma is None else resolve_phase(params, gamma))
+
+
+def _pure_ne(params: DilemmaParams, gamma: float, phase: Phase | None) -> QuantumNeReport:
+    """pure_ne at the phase already resolved for gamma; phase None is the classical game."""
+    if phase is None:
+        dg, dr = params
+        return QuantumNeReport("classical", _layout_ne(-dr, -dg, 0.0 - dr, 1.0 + dg))
     thr = phase.thresholds
     return QuantumNeReport(phase.name, _layout_ne(_side(gamma, thr.gamma1), _side(gamma, thr.gamma2),
                                                   *_pure_payoffs(params, gamma)))

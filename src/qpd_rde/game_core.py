@@ -205,6 +205,7 @@ def enumerate_pure_ne(matrix: PayoffMatrix2x2) -> list[NashEquilibriumRecord]:
     """Row-major pure NEs of the float bimatrix, compared on its payoff tuples; exact ties count.
 
     In build_dilemma_matrix's, 1 + d_g rounds to 1 for d_g in [-2^-54, 2^-53]: ties the dilemma lacks.
+    The dilemma's own NE set, in both games, is ewl.pure_ne's.
     """
     a, b = matrix.a, matrix.b
     return [NashEquilibriumRecord(_PURE[r][c], (a[r][c], b[r][c])) for r in (0, 1) for c in (0, 1)

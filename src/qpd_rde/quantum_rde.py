@@ -1,7 +1,7 @@
-"""Risk-dominant equilibrium selection inside the quantum PD phases.
+"""Risk-dominant equilibrium selection in the classical dilemma and across the quantum PD phases.
 
-Covers the transitional phase (d_g > d_r, two asymmetric NEs) and the
-coexistence phase (d_r > d_g, mutual defection vs. mutual quantum-cooperation),
+select_rde answers for either game. Covers the transitional phase (d_g > d_r, two asymmetric
+NEs) and the coexistence phase (d_r > d_g, mutual defection vs. mutual quantum-cooperation),
 plus Situ risk measures, sensitivity analysis of the transitional mixing
 probability, the group-benefit entanglement threshold, and the
 unilateral-deviation payoff curves. Both RDEs and their deviation losses are
@@ -15,11 +15,12 @@ from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
-from .game_core import _PURE, DilemmaParams
+from .game_core import _PURE, DilemmaKind, DilemmaParams, classify_dilemma
 from .risk_dominance import (_CH, _PD, _RDE_DD, _SH, _TRIVIAL, DeviationLossPair, RdeOutcome,
                              _chicken_weight, _layout_losses, _layout_rde)
 
 __all__ = [
+    "RdeReport",
     "SituRisk",
     "SensitivityReport",
     "CriticalAngles",
@@ -29,6 +30,7 @@ __all__ = [
     "rde_transitional",
     "rde_coexistence",
     "select_rde_quantum",
+    "select_rde",
     "transitional_mixing_probability",
     "sensitivity_partials",
     "sensitivity_critical_angles",
@@ -41,6 +43,14 @@ _RDE_QQ = RdeOutcome("pure", _PURE[0][0], (1.0, 1.0), "(Q,Q)")
 _TIE_LABEL = "U(0.5)xU(0.5)"
 # Off the seams each phase is the class of the effective strengths (d_g - x, d_r - x).
 _KIND = {"classical-like": _PD, "transitional": _CH, "coexistence": _SH, "fully-quantum": _TRIVIAL}
+_CLASSICAL = Phase("classical", None, None, None)
+
+
+class RdeReport(namedtuple("RdeReport", "phase rde losses")):
+    """The Phase ("classical", without thresholds, in the classical game), the RdeOutcome, and
+    (StrategyProfile, DeviationLossPair) at each NE of a two-NE class, row-major, or () off one."""
+
+    __slots__ = ()
 
 
 class SituRisk(namedtuple("SituRisk", "risk_a risk_b")):
@@ -113,7 +123,7 @@ def deviation_losses_quantum(params: DilemmaParams, gamma: float
     """
     band = "transitional" if params.d_g > params.d_r else "coexistence"
     _in_band(params, gamma, band)
-    return _layout_losses(params, _KIND[band], _shift(params, gamma))
+    return tuple(loss for _, loss in _layout_losses(params, _KIND[band], _shift(params, gamma)))
 
 
 def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> float:
@@ -136,18 +146,27 @@ def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:
-    """Phase label and RDE of the quantum PD at any entanglement angle.
-
-    Outside the multi-equilibrium bands the game has a unique pure NE, which is
-    trivially the selection. On a seam the RDE is the pure limit both sides
-    share: (D,D) at the lower threshold, (Q,Q) at the upper one. Requires the
-    quantum-dilemma regime (d_g, d_r > 0).
-    """
+    """select_rde's phase label and RDE in the quantum game; requires d_g, d_r > 0."""
     return _select_rde(params, gamma, resolve_phase(params, gamma))
 
 
-def _select_rde(params: DilemmaParams, gamma: float, phase: Phase) -> tuple[str, RdeOutcome]:
-    """select_rde_quantum at the phase already resolved for gamma."""
+def select_rde(params: DilemmaParams, gamma: float | None = None) -> RdeReport:
+    """Phase, RDE and deviation losses of the classical game where gamma is None, or else of the
+    pure-quantum game at entanglement gamma: the unique NE outside the two-NE bands and on a seam
+    the pure limit both sides share, (D,D) at the lower threshold and (Q,Q) at the upper one."""
+    if gamma is None:
+        kind = classify_dilemma(params).kind
+        return RdeReport(_CLASSICAL, _select_rde(params, None, None, kind)[1], _layout_losses(params, kind))
+    phase = resolve_phase(params, gamma)
+    return RdeReport(phase, _select_rde(params, gamma, phase)[1],
+                     _layout_losses(params, _KIND.get(phase.name), _shift(params, gamma)))
+
+
+def _select_rde(params: DilemmaParams, gamma: float, phase: Phase | None,
+                kind: DilemmaKind | None = None) -> tuple[str, RdeOutcome]:
+    """Phase label and RDE at the phase resolved for gamma, or of the classical game of ``kind`` at None."""
+    if phase is None:
+        return "classical", _layout_rde(params, kind)
     if phase.name == "transitional":
         return phase.name, _layout_rde(params, _CH, _shift(params, gamma), 0, _RDE_QQ)
     if phase.name == "coexistence":

@@ -96,14 +96,18 @@ def deviation_losses_asymmetric(matrix: PayoffMatrix2x2) -> tuple[DeviationLossP
     return _losses(matrix, ((0, 1), (1, 0)))
 
 
-def _layout_losses(params: DilemmaParams, kind: DilemmaKind, x: float) -> tuple[DeviationLossPair, ...]:
-    """Closed-form deviation losses of the dilemma layout shifted by x, CH at (C,D), (D,C) or SH at
-    (C,C), (D,D): the classical game at x = 0.0, the pure-quantum game at its angle's ewl._shift."""
+def _layout_losses(params: DilemmaParams, kind: DilemmaKind | None, x: float = 0.0) -> tuple:
+    """Closed-form (profile, DeviationLossPair) at each NE of the layout shifted by x (see _layout_rde):
+    CH at (C,D), (D,C), SH at (C,C), (D,D), and () for any other kind."""
     if kind is _CH:  # d - x + 0.0: no -0.0 at a zero strength
         loss_c, loss_d = x - params.d_r, params.d_g - x + 0.0
-        return DeviationLossPair(loss_c, loss_d), DeviationLossPair(loss_d, loss_c)
-    loss_c, loss_d = x - params.d_g, params.d_r - x + 0.0
-    return DeviationLossPair(loss_c, loss_c), DeviationLossPair(loss_d, loss_d)
+        return ((_PURE[0][1], DeviationLossPair(loss_c, loss_d)),
+                (_PURE[1][0], DeviationLossPair(loss_d, loss_c)))
+    if kind is _SH:
+        loss_c, loss_d = x - params.d_g, params.d_r - x + 0.0
+        return ((_PURE[0][0], DeviationLossPair(loss_c, loss_c)),
+                (_PURE[1][1], DeviationLossPair(loss_d, loss_d)))
+    return ()
 
 
 def select_rde_symmetric(matrix: PayoffMatrix2x2) -> RdeOutcome:
@@ -120,14 +124,14 @@ def rde_chicken(params: DilemmaParams) -> RdeOutcome:
     """Closed-form chicken RDE: the symmetric mixed profile -d_r/(-d_r + d_g)."""
     if classify_dilemma(params).kind is not _CH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a chicken game")
-    return _classical_rde(params, _CH)
+    return _layout_rde(params, _CH)
 
 
 def rde_staghunt(params: DilemmaParams) -> RdeOutcome:
     """Closed-form stag-hunt RDE: (C,C) if |d_g|>d_r, (D,D) if |d_g|<d_r, else (0.5, 0.5)."""
     if classify_dilemma(params).kind is not _SH:
         raise WrongClass(f"({params.d_g}, {params.d_r}) is not a stag-hunt game")
-    return _classical_rde(params, _SH)
+    return _layout_rde(params, _SH)
 
 
 def _chicken_weight(params: DilemmaParams, x: float) -> float:
@@ -136,16 +140,17 @@ def _chicken_weight(params: DilemmaParams, x: float) -> float:
     return 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
 
 
-def _layout_rde(params: DilemmaParams, kind: DilemmaKind, x: float, tie_side: int,
-                first: RdeOutcome, tie_label: str | None = None, seam: str | None = None) -> RdeOutcome:
+def _layout_rde(params: DilemmaParams, kind: DilemmaKind, x: float = 0.0, tie_side: int | None = None,
+                first: RdeOutcome = _RDE_CC, tie_label: str | None = None, seam: str | None = None
+                ) -> RdeOutcome:
     """RDE, or the unique NE, of the dilemma layout shifted by x, of class ``kind`` at (d_g - x, d_r - x).
 
-    x is 0.0 in the classical game and ewl._shift at angle gamma in the pure-quantum one, whose
-    phases are the classes of those strengths: classical-like PD, transitional CH, coexistence SH,
-    fully-quantum TRIVIAL. ``first`` is the game's pure record of its first action, the trivial
+    The defaults are the classical game's; x is ewl._shift at angle gamma in the pure-quantum one,
+    whose phases are the classes of those strengths: classical-like PD, transitional CH, coexistence
+    SH, fully-quantum TRIVIAL. ``first`` is the game's pure record of its first action, the trivial
     game's NE; a stag hunt selects it on ``tie_side`` > 0, (D,D) below 0 and U(0.5) labelled
-    ``tie_label`` at 0. On a ``seam``, "lower" or "upper", the chicken's weight is its pure limit,
-    at its cell's payoffs.
+    ``tie_label`` at 0, and a None ``tie_side`` is the sign of |d_g| - d_r outside TIE_EPS. On a
+    ``seam``, "lower" or "upper", the chicken's weight is its pure limit, at its cell's payoffs.
     """
     if kind is _CH:
         if seam is not None:
@@ -155,14 +160,11 @@ def _layout_rde(params: DilemmaParams, kind: DilemmaKind, x: float, tie_side: in
         profile = StrategyProfile(t, t)  # p == q: the entanglement term (p - q) x vanishes
         return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))
     if kind is _SH:
+        if tie_side is None:
+            diff = abs(params.d_g) - params.d_r
+            tie_side = (diff > TIE_EPS) - (diff < -TIE_EPS)
         if tie_side:
             return first if tie_side > 0 else _RDE_DD
         pay = ((1.0 - params.d_r) + (1.0 + params.d_g)) / 4.0
         return RdeOutcome("mixed", StrategyProfile(0.5, 0.5), (pay, pay), tie_label)
     return _RDE_DD if kind is _PD else first
-
-
-def _classical_rde(params: DilemmaParams, kind: DilemmaKind) -> RdeOutcome:
-    """_layout_rde of the classical dilemma of class ``kind``, whose tie is |d_g| - d_r within TIE_EPS."""
-    diff = abs(params.d_g) - params.d_r
-    return _layout_rde(params, kind, 0.0, (diff > TIE_EPS) - (diff < -TIE_EPS), _RDE_CC)

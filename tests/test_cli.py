@@ -414,8 +414,10 @@ def test_sweep_thresholds_at_negative_zero_strengths_are_positive_zero(capsys):
                                            ("0.5", "0", "delta_dc")])
 def test_classical_sweep_row_computes_no_deviation_losses(capsys, monkeypatch, dg, dr, delta):
     calls = []
-    for name in ("_losses", "_layout_losses"):  # from a matrix, and in closed form
-        monkeypatch.setattr(risk_dominance, name, lambda *args, losses=getattr(risk_dominance, name):
+    # From a matrix, and in closed form, where risk_dominance and select_rde read it.
+    for module, name in ((risk_dominance, "_losses"), (risk_dominance, "_layout_losses"),
+                         (quantum_rde, "_layout_losses")):
+        monkeypatch.setattr(module, name, lambda *args, losses=getattr(module, name):
                             calls.append(args) or losses(*args))
     code, _, err = run(capsys, "sweep", f"--dg={dg}", "--dr", dr, "--gamma", "0.5",
                        "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
@@ -571,7 +573,7 @@ def test_sweep_renders_no_group_it_does_not_print(capsys, monkeypatch, fmt, rend
 def test_classical_rde_classifies_the_pair_once(capsys, monkeypatch, dg, dr):
     calls = []
     classify = game_core.classify_dilemma
-    for module in (game_core, risk_dominance):
+    for module in (game_core, risk_dominance, quantum_rde):
         monkeypatch.setattr(module, "classify_dilemma",
                             lambda params: calls.append(params) or classify(params))
     code, _, err = run(capsys, "rde", f"--dg={dg}", "--dr", dr)
@@ -605,12 +607,12 @@ def test_a_sweep_that_fails_on_a_later_pair_writes_nothing(tmp_path, capsys, mon
     pairs = []
     select = quantum_rde._select_rde
 
-    def planted(params, gamma, phase):
+    def planted(params, gamma, phase, *kind):
         if params not in pairs:
             pairs.append(params)
         if len(pairs) == 7:
             raise qpd_rde.errors.NotAnEquilibrium("planted")
-        return select(params, gamma, phase)
+        return select(params, gamma, phase, *kind)
 
     monkeypatch.setattr(quantum_rde, "_select_rde", planted)
     target = tmp_path / f"rows.{fmt}"

@@ -2,7 +2,8 @@
 
 One derandomized hypothesis property runs ``classify``, ``ne``, ``rde`` and
 ``sensitivity`` with ``--format json``, a one-row all-quantity
-``sweep --format json`` and the scalar API in-process, and compares them field
+``sweep --format json``, the single-game scalar API and the two entries for
+both games, ``pure_ne`` and ``select_rde``, in-process, and compares them field
 by field, bit for bit. Points sit on the seams on purpose: d_g or d_r in
 {0, -0.0, +-1}, d_g == d_r, and gamma at 0, pi/2 or gamma1, gamma2, gamma_star
 shifted by +-PHASE_TOL and +-1 ulp.
@@ -17,7 +18,9 @@ d_g == d_r pair) and the sensitivity cells exactly where ``sensitivity`` fails.
 
 Another checks that the classical NEs are the exact game's, where 1 + d_g rounds
 to 1 too: one NE in PD and TRIVIAL and two in CH and SH off a class boundary,
-and the quantum game's at gamma = 0 where that game is classical.
+and the quantum game's at gamma = 0 where that game is classical. ``pure_ne``
+lists them there, while ``enumerate_pure_ne`` on the float bimatrix keeps the
+ties that the rounding adds.
 
 Two more properties pin the sweep's layout: a multi-row sweep is its one-row
 sweeps, in JSON and as CSV text, and any ``--quantities`` subset, order or
@@ -41,12 +44,16 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from qpd_rde.cli import _COLUMNS, build_parser, main
 from qpd_rde.errors import QpdError
-from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_quantum_matrix,
+from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_ne, pure_quantum_matrix,
                          thresholds)
-from qpd_rde.game_core import DilemmaKind, DilemmaParams, classify_dilemma
-from qpd_rde.quantum_rde import select_rde_quantum, sensitivity_critical_angles, sensitivity_indices
+from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
+                               enumerate_pure_ne)
+from qpd_rde.quantum_rde import (deviation_losses_quantum, select_rde, select_rde_quantum,
+                                 sensitivity_critical_angles, sensitivity_indices)
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -163,6 +170,9 @@ def test_entry_points_agree(point):
     assert out["class"] == cls.kind.value and out["boundary"] == cls.boundary
     assert out["pure_ne"] == [label for label, _ in classical_ne]
     assert same(out["pure_ne_payoffs"], [payoffs for _, payoffs in classical_ne])
+    phase, records = pure_ne(params)
+    assert phase == "classical" and labels(records, "CD") == out["pure_ne"]
+    assert same([rec.payoffs for rec in records], out["pure_ne_payoffs"])
 
     # ne
     code, ne, err = run_json(point, "ne", *pair, at)
@@ -171,8 +181,12 @@ def test_entry_points_agree(point):
         assert code == 0 and ne["phase"] == report.phase
         assert ne["pure_ne"] == labels(report.equilibria, "QD")
         assert same(ne["pure_ne_payoffs"], [rec.payoffs for rec in report.equilibria])
+        assert same(pure_ne(params, gamma), report)
     else:
         assert code == 1 and err == "error: quantum PD regime requires d_g > 0 and d_r > 0\n"
+        with pytest.raises(QpdError) as error:
+            pure_ne(params, gamma)
+        assert err == f"error: {error.value}\n"
         code, ne, _ = run_json(point, "ne", *pair)
         assert code == 0 and ne["mode"] == "classical"
         assert ne["pure_ne"] == out["pure_ne"] and same(ne["pure_ne_payoffs"], out["pure_ne_payoffs"])
@@ -184,13 +198,45 @@ def test_entry_points_agree(point):
         # Only the d_g == d_r seam has no RDE.
         assert quantum and d_g == d_r
         assert run_json(point, "rde", *pair, at)[::2] == (1, f"error: {exc}\n")
+        with pytest.raises(type(exc)) as error:
+            select_rde(params, gamma)
+        assert str(error.value) == str(exc)
         assert all(row[cell] is None for cell in RDE_CELLS)
     else:
         code, rde, err = run_json(point, "rde", *pair, at)
         if not quantum:
             assert code == 1 and err == "error: quantum PD regime requires d_g > 0 and d_r > 0\n"
+            with pytest.raises(QpdError) as error:
+                select_rde(params, gamma)
+            assert err == f"error: {error.value}\n"
             code, rde, _ = run_json(point, "rde", *pair)
         assert code == 0
+        report = select_rde(params, gamma if quantum else None)
+        assert report.phase.name == (rde["phase"] if quantum else "classical")
+        assert same([report.rde.kind, *report.rde.profile, *report.rde.payoffs, report.rde.label],
+                    [rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b", "rde_label")])
+        actions = "qd" if quantum else "cd"
+        assert same({f"delta_{actions[p != 1.0]}{actions[q != 1.0]}": loss.product
+                     for (p, q), loss in report.losses},
+                    {key: value for key, value in rde.items() if key.startswith("delta_")})
+        # The losses at the two NEs, off-diagonal or diagonal: in the quantum game those of
+        # deviation_losses_quantum inside its band, in the classical one each player's payoff
+        # drop in exact arithmetic, -d_r and 1 + d_g - 1 at (C,D), 1 - (1 + d_g) and 0 + d_r
+        # at (C,C) and (D,D).
+        two = report.phase.name in ("transitional", "coexistence") if quantum else cls.kind in (
+            DilemmaKind.CH, DilemmaKind.SH)
+        off_diagonal = d_g > d_r if quantum else cls.kind is DilemmaKind.CH
+        if not two:
+            expected = ()
+        elif quantum:
+            expected = deviation_losses_quantum(params, gamma)
+        elif off_diagonal:
+            expected = ((0.0 - d_r, d_g + 0.0), (d_g + 0.0, 0.0 - d_r))
+        else:
+            expected = ((0.0 - d_g, 0.0 - d_g), (d_r + 0.0, d_r + 0.0))
+        assert same([loss for _, loss in report.losses], expected)
+        cells = ((1.0, 0.0), (0.0, 1.0)) if off_diagonal else ((1.0, 1.0), (0.0, 0.0))
+        assert [tuple(profile) for profile, _ in report.losses] == (list(cells) if two else [])
         if quantum:
             thr = thresholds(params)
             assert rde["phase"] == ne["phase"]
@@ -246,11 +292,21 @@ TINY = st.sampled_from([sign * x for x in (5e-324, 1e-300, 1e-17, 2.0 ** -54, 2.
 @example(-1e-17, 0.0)
 def test_the_classical_ne_set_is_the_dilemmas_own(d_g, d_r):
     """Off a class boundary PD and TRIVIAL have one NE and CH and SH two; a PD pair whose
-    thresholds lie above PHASE_TOL has at gamma = 0 the classical NEs, with Q read as C."""
+    thresholds lie above PHASE_TOL has at gamma = 0 the classical NEs, with Q read as C. ne
+    prints pure_ne's list; enumerate_pure_ne on the float bimatrix lists the same NEs, and
+    more only where 1 + d_g rounds to 1 for a nonzero d_g."""
     params = DilemmaParams(d_g, d_r)
     pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")
     code, classical, err = run_json((d_g, d_r, None), "ne", *pair)
     assert code == 0, err
+    records = pure_ne(params).equilibria
+    assert labels(records, "CD") == classical["pure_ne"]
+    assert same([rec.payoffs for rec in records], classical["pure_ne_payoffs"])
+    generic = labels(enumerate_pure_ne(build_dilemma_matrix(params)), "CD")
+    if 1.0 + d_g == 1.0 and d_g != 0.0:
+        assert set(classical["pure_ne"]) <= set(generic)
+    else:
+        assert generic == classical["pure_ne"]
     cls = classify_dilemma(params)
     if not cls.boundary:
         two = cls.kind in (DilemmaKind.CH, DilemmaKind.SH)
@@ -261,6 +317,19 @@ def test_the_classical_ne_set_is_the_dilemmas_own(d_g, d_r):
         assert code == 0, err
         assert [label.replace("Q", "C") for label in quantum["pure_ne"]] == classical["pure_ne"]
         assert same(quantum["pure_ne_payoffs"], classical["pure_ne_payoffs"])
+
+
+@pytest.mark.parametrize("d_g, d_r, own, generic", [
+    (1e-17, 0.5, ["(D,D)"], ["(C,C)", "(D,D)"]),
+    (-1e-17, -0.5, ["(C,C)"], ["(C,C)", "(C,D)", "(D,C)"]),
+])
+def test_pure_ne_is_the_dilemmas_own_where_the_float_bimatrix_ties(d_g, d_r, own, generic):
+    """1 + d_g rounds to 1: pure_ne lists the dilemma's NEs, as ne prints them, and
+    enumerate_pure_ne keeps the ties its docstring concedes."""
+    params = DilemmaParams(d_g, d_r)
+    assert labels(pure_ne(params).equilibria, "CD") == own
+    assert run_json((d_g, d_r, None), "ne", f"--dg={d_g!r}", f"--dr={d_r!r}")[1]["pure_ne"] == own
+    assert labels(enumerate_pure_ne(build_dilemma_matrix(params)), "CD") == generic
 
 
 ALL = "class,ne,rde,payoffs,sensitivity,thresholds"

@@ -490,3 +490,13 @@ def test_final_state_checks_gamma_then_p_then_q(p, q, gamma, message, tampered):
     with pytest.raises(ValueError) as error:
         final_state(p, q, gamma, tampered=tampered)
     assert str(error.value).endswith(message)
+
+
+@pytest.mark.parametrize("p, q, message", [(2.0, 3.0, "p must lie in [0, 1], got 2.0"),
+                                           (0.5, 3.0, "q must lie in [0, 1], got 3.0")])
+@pytest.mark.parametrize("tampered", [False, True])
+def test_final_state_names_the_weight_it_rejects(p, q, message, tampered):
+    # As joint_distribution does, not by strategy_operator's parameter t.
+    with pytest.raises(ValueError) as error:
+        final_state(p, q, 1.0, tampered=tampered)
+    assert str(error.value) == message

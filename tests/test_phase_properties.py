@@ -278,9 +278,9 @@ def test_gamma_functions_are_discovered():
     assert [fn.__name__ for fn in GAMMA_FUNCTIONS] == [
         "initial_state", "entangling_gate", "final_state", "joint_distribution",
         "expected_payoff_quantum", "pure_quantum_matrix", "resolve_phase",
-        "classify_quantum_ne", "grid_best_response_gain",
+        "classify_quantum_ne", "pure_ne", "grid_best_response_gain",
         "situ_risk_transitional", "situ_risk_coexistence", "deviation_losses_quantum",
-        "rde_transitional", "rde_coexistence", "select_rde_quantum",
+        "rde_transitional", "rde_coexistence", "select_rde_quantum", "select_rde",
         "transitional_mixing_probability", "sensitivity_partials", "sensitivity_indices",
         "unilateral_deviation_payoffs",
     ]

@@ -1,5 +1,7 @@
-"""The public surface: each module's ``__all__``, the package re-exports and the version."""
+"""The public surface: each module's ``__all__``, the package re-exports and the version, and the
+library's private names that the CLI reads."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -24,12 +26,12 @@ PUBLIC = {
         "JointDistribution", "QuantumPayoffMatrix", "PhaseThresholds", "Phase", "QuantumNeReport",
         "initial_state", "strategy_operator", "entangling_gate", "final_state",
         "joint_distribution", "expected_payoff_quantum", "pure_quantum_matrix", "thresholds",
-        "resolve_phase", "classify_quantum_ne", "grid_best_response_gain",
+        "resolve_phase", "classify_quantum_ne", "pure_ne", "grid_best_response_gain",
     ],
     quantum_rde: [
-        "SituRisk", "SensitivityReport", "CriticalAngles", "situ_risk_transitional",
+        "RdeReport", "SituRisk", "SensitivityReport", "CriticalAngles", "situ_risk_transitional",
         "situ_risk_coexistence", "deviation_losses_quantum", "rde_transitional",
-        "rde_coexistence", "select_rde_quantum", "transitional_mixing_probability",
+        "rde_coexistence", "select_rde_quantum", "select_rde", "transitional_mixing_probability",
         "sensitivity_partials", "sensitivity_critical_angles", "sensitivity_indices",
         "group_benefit_threshold", "unilateral_deviation_payoffs",
     ],
@@ -56,3 +58,29 @@ def test_version_agrees_with_pyproject():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE)
     assert qpd_rde.__version__ == version
+
+
+# The private library names cli.py reads: the sweep's per-side helpers, which its scope reuse
+# needs, its axis and gamma checks, and the oracle grid's kernels. The game decision of classify,
+# ne, rde and tables is behind pure_ne and select_rde.
+CLI_PRIVATE = {
+    "ewl._check_gamma", "ewl._grid_states", "ewl._joint", "ewl._linspace", "ewl._phase",
+    "ewl._pure_ne", "ewl._pure_payoffs", "ewl._side", "quantum_rde._indices", "quantum_rde._on_band",
+    "quantum_rde._select_rde",
+}
+
+
+def test_cli_reads_only_the_pinned_private_library_names():
+    source = (Path(__file__).resolve().parents[1] / "src" / "qpd_rde" / "cli.py").read_text()
+    modules = {module.__name__.rsplit(".", 1)[1] for module in PUBLIC}
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            read.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in modules:
+            read.update(f"{node.module}.{alias.name}" for alias in node.names)
+    read = {name for name in read if name.split(".")[0] in modules and name.split(".")[1].startswith("_")}
+    assert read == CLI_PRIVATE
+    assert len(read) <= 11
+    assert not read & {"game_core._layout_ne", "risk_dominance._classical_rde",
+                       "risk_dominance._layout_losses", "quantum_rde._KIND", "ewl._shift"}

@@ -1,12 +1,16 @@
-"""The shared risk-dominance forms against a 60-digit reference.
+"""The closed forms against a 60-digit reference.
 
 The chicken weight, the chicken's mixed payoff and the stag hunt's tie payoff are
 checked in both games: the classical game at (d_g, d_r) and the pure-quantum game at
 (d_g, d_r, gamma), whose transitional RDE is the chicken of the layout shifted by
-x = (1 + d_g + d_r) sin^2(gamma). The reference is mpmath at 60 digits on the same
-float inputs, from the paper's formulas, and never calls the package. Each float must
-lie within C * EPS * (|ref| + sum_i |x_i d ref / d x_i|) of it: C roundings of the
-result, or relative perturbations of the inputs, of size EPS; mp.diff takes the partials.
+x = (1 + d_g + d_r) sin^2(gamma). So are the quantum game's own forms: the deviation
+losses on both bands, both situ risks, the critical angles of the sensitivity
+partials, the mixed outcome probabilities eps2 and eps3, and both players' expected
+payoffs. The reference is mpmath at 60 digits on the same float inputs, from the
+paper's formulas, and never calls the package. Each float must lie within
+C * EPS * (|ref| + sum_i |x_i d ref / d x_i|) of it: C roundings of the result, or
+relative perturbations of the inputs, of size EPS; mp.diff takes the partials, with
+a step relative to each input, so that strengths down to 5e-324 get theirs.
 """
 
 import math
@@ -14,9 +18,11 @@ import random
 
 import pytest
 
-from qpd_rde.ewl import thresholds
+from qpd_rde.ewl import expected_payoff_quantum, joint_distribution, thresholds
 from qpd_rde.game_core import DilemmaParams
-from qpd_rde.quantum_rde import rde_coexistence, rde_transitional, transitional_mixing_probability
+from qpd_rde.quantum_rde import (deviation_losses_quantum, rde_coexistence, rde_transitional,
+                                 sensitivity_critical_angles, situ_risk_coexistence,
+                                 situ_risk_transitional, transitional_mixing_probability)
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
 
 mpmath = pytest.importorskip("mpmath")
@@ -43,6 +49,60 @@ def tie_payoff(d_g, d_r):
     return (2 + d_g - d_r) / 4
 
 
+def shift(d_g, d_r, gamma):
+    return (1 + d_g + d_r) * mp.sin(gamma) ** 2
+
+
+def sucker_gain(d_g, d_r, gamma):
+    """x - d_r: the quantum sucker payoff, a deviation loss at Q(x)D and D(x)Q."""
+    return shift(d_g, d_r, gamma) - d_r
+
+
+def temptation_gain(d_g, d_r, gamma):
+    """d_g - x: the quantum temptation payoff less 1, the other loss at Q(x)D and D(x)Q."""
+    return d_g - shift(d_g, d_r, gamma)
+
+
+def loss_at_qq(d_g, d_r, gamma):
+    return shift(d_g, d_r, gamma) - d_g
+
+
+def loss_at_dd(d_g, d_r, gamma):
+    return d_r - shift(d_g, d_r, gamma)
+
+
+def situ_transitional(d_g, d_r, gamma):
+    """The defector's worst loss at D(x)Q: the temptation payoff 1 + d_g - x."""
+    return 1 + d_g - shift(d_g, d_r, gamma)
+
+
+def situ_coexistence(d_g, d_r, gamma):
+    """Each player's worst loss at Q(x)Q: 1 less the sucker payoff x - d_r."""
+    return 1 + d_r - shift(d_g, d_r, gamma)
+
+
+def critical_angle(d):
+    """The angle where a partial of p* changes sign: sin^2 = d / (1 + 2 d), d the other strength."""
+    return mp.asin(mp.sqrt(d / (1 + 2 * d)))
+
+
+def eps2(p, q, gamma):
+    return p * (1 - q) * mp.cos(gamma) ** 2 + (1 - p) * q * mp.sin(gamma) ** 2
+
+
+def eps3(p, q, gamma):
+    return (1 - p) * q * mp.cos(gamma) ** 2 + p * (1 - q) * mp.sin(gamma) ** 2
+
+
+def payoff_a(d_g, d_r, p, q, gamma):
+    """A's expected payoff: the cells 1, -d_r, 1 + d_g and 0 weighted by the joint distribution."""
+    return p * q - d_r * eps2(p, q, gamma) + (1 + d_g) * eps3(p, q, gamma)
+
+
+def payoff_b(d_g, d_r, p, q, gamma):
+    return payoff_a(d_g, d_r, q, p, gamma)
+
+
 def margin(value, reference, inputs):
     """|value - ref| in units of EPS * (|ref| + sum_i |x_i d ref / d x_i|)."""
     with mp.workdps(60):
@@ -53,7 +113,7 @@ def margin(value, reference, inputs):
             if x:
                 order = [0] * len(args)
                 order[i] = 1
-                scale += abs(x * mp.diff(reference, args, tuple(order)))
+                scale += abs(x * mp.diff(reference, args, tuple(order), h=abs(x) * mp.mpf(2) ** -100))
         error = abs(mp.mpf(value) - ref)
         return float(error / (EPS * scale)) if scale else (0.0 if error == 0 else math.inf)
 
@@ -118,13 +178,93 @@ def cases():
         yield "coexistence tie payoff", outcome.payoffs[0], tie_payoff, (d_g, d_r)
 
 
-def test_shared_forms_are_within_the_conditioning_bound():
+def band_points(rng, count, band):
+    """PD pairs with the band's order of d_g and d_r, a fifth of them 1e-12, 1e-9 or 1e-6 apart,
+    at angles inside the band, on its seams and within 1e-8 of them."""
+    points = []
+    while len(points) < count:
+        d_g, d_r = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        if rng.random() < 0.2:
+            d_r = d_g + rng.choice((1e-12, 1e-9, 1e-6)) * rng.choice((1.0, -1.0))
+        if (d_g > d_r) != (band == "transitional") or not 0.0 < d_r < 1.0 or d_g == d_r:
+            continue
+        lo, hi = sorted(thresholds(DilemmaParams(d_g, d_r))[:2])
+        gamma = rng.choice((rng.uniform(lo, hi), lo, hi, min(lo + 1e-8, hi), max(hi - 1e-8, lo)))
+        points.append((d_g, d_r, gamma))
+    return points
+
+
+def critical_pairs(rng, count):
+    """PD pairs with either strength uniform or tiny: 5e-324, 1e-300, 1e-17."""
+    tiny = (5e-324, 1e-300, 1e-17)
+    pairs = [(a, b) for a in tiny for b in (*tiny, 0.5, 1.0)] + [(b, a) for a in tiny for b in (0.5, 1.0)]
+    pairs += [(rng.uniform(0.0, 1.0) or 0.5, rng.uniform(0.0, 1.0) or 0.5) for _ in range(count)]
+    return pairs
+
+
+def weights(rng, count):
+    """(p, q, gamma) uniform, with each weight sometimes 0, 1 or 0.5 and gamma sometimes 0 or pi/2."""
+    def pick(ends, low, high):
+        return rng.choice(ends) if rng.random() < 0.2 else rng.uniform(low, high)
+    return [(pick((0.0, 0.5, 1.0), 0.0, 1.0), pick((0.0, 0.5, 1.0), 0.0, 1.0),
+             pick((0.0, math.pi / 2), 0.0, math.pi / 2)) for _ in range(count)]
+
+
+def quantum_cases():
+    rng = random.Random(2025)
+    for d_g, d_r, gamma in band_points(rng, 200, "transitional"):
+        params, inputs = DilemmaParams(d_g, d_r), (d_g, d_r, gamma)
+        at_qd, at_dq = deviation_losses_quantum(params, gamma)
+        for value, reference in zip((*at_qd, *at_dq),
+                                    (sucker_gain, temptation_gain, temptation_gain, sucker_gain)):
+            yield "transitional deviation losses", value, reference, inputs
+        at_dq, at_qd = situ_risk_transitional(params, gamma)
+        assert at_dq.risk_b == at_qd.risk_a == 0.0
+        for value in (at_dq.risk_a, at_qd.risk_b):
+            yield "transitional situ risk", value, situ_transitional, inputs
+    for d_g, d_r, gamma in band_points(rng, 200, "coexistence"):
+        params, inputs = DilemmaParams(d_g, d_r), (d_g, d_r, gamma)
+        at_qq, at_dd = deviation_losses_quantum(params, gamma)
+        for value, reference in zip((*at_qq, *at_dd), (loss_at_qq,) * 2 + (loss_at_dd,) * 2):
+            yield "coexistence deviation losses", value, reference, inputs
+        at_dd, at_qq = situ_risk_coexistence(params, gamma)
+        assert at_dd == (0.0, 0.0)
+        for value in at_qq:
+            yield "coexistence situ risk", value, situ_coexistence, inputs
+    for d_g, d_r in critical_pairs(rng, 200):
+        angles = sensitivity_critical_angles(DilemmaParams(d_g, d_r))
+        yield "critical angle gamma_g", angles.gamma_g, critical_angle, (d_r,)
+        yield "critical angle gamma_r", angles.gamma_r, critical_angle, (d_g,)
+    for p, q, gamma in weights(rng, 200):
+        dist = joint_distribution(p, q, gamma)
+        yield "joint eps2", dist.eps2, eps2, (p, q, gamma)
+        yield "joint eps3", dist.eps3, eps3, (p, q, gamma)
+    for p, q, gamma in weights(rng, 200):
+        d_g, d_r = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        pay_a, pay_b = expected_payoff_quantum(DilemmaParams(d_g, d_r), p, q, gamma)
+        yield "quantum payoff A", pay_a, payoff_a, (d_g, d_r, p, q, gamma)
+        yield "quantum payoff B", pay_b, payoff_b, (d_g, d_r, p, q, gamma)
+
+
+def worst_margins(cases):
+    """The worst margin of each quantity and its inputs, printed one line each."""
     worst = {}
-    for name, value, reference, inputs in cases():
+    for name, value, reference, inputs in cases:
         m = margin(value, reference, inputs)
         if m > worst.get(name, (-1.0,))[0]:
             worst[name] = (m, inputs)
     for name, (m, inputs) in worst.items():
         print(f"{name}: worst margin {m:.3g} of C = {C} at {inputs}")
+    return worst
+
+
+def test_shared_forms_are_within_the_conditioning_bound():
+    worst = worst_margins(cases())
     assert len(worst) == 6
+    assert all(m <= C for m, _ in worst.values()), worst
+
+
+def test_quantum_forms_are_within_the_conditioning_bound():
+    worst = worst_margins(quantum_cases())
+    assert len(worst) == 10
     assert all(m <= C for m, _ in worst.values()), worst
