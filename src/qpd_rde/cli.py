@@ -196,21 +196,21 @@ def _json_text(group, cells) -> str:
     return _json_object(dict(zip(_KEYS[group], cells)))[1:-1]
 
 
-def _ne_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
+def _ne_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     name, records = ewl._pure_ne(params, gamma, phase)
     return name, len(records), "|".join(_ne_labels(records, phase is None))
 
 
-def _rde_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
+def _rde_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined."""
     try:
-        outcome = quantum_rde._select_rde(params, gamma, phase, kind)[1]
+        outcome = quantum_rde._select_rde(params, gamma, phase)
     except DegenerateDenominator:
         return _BLANK["rde"]
     return (outcome.kind, outcome.label or "", *outcome.profile, *outcome.payoffs)
 
 
-def _sensitivity_cells(params: DilemmaParams, gamma: float, phase, kind) -> tuple:
+def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     """Sensitivity cells on the transitional band; blank off it, where p* is 0 or the gap underflows."""
     if phase is None or not quantum_rde._on_band(phase, "transitional"):
         return _BLANK["sensitivity"]
@@ -220,9 +220,9 @@ def _sensitivity_cells(params: DilemmaParams, gamma: float, phase, kind) -> tupl
         return _BLANK["sensitivity"]
 
 
-# Cells of each quantity below the pair scope; phase None is the classical game of class kind.
+# Cells of each quantity below the pair scope; phase None is the classical game.
 _CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells,
-          "payoffs": lambda params, gamma, phase, kind: ewl._pure_payoffs(params, gamma)}
+          "payoffs": lambda params, gamma, phase: ewl._pure_payoffs(params, gamma)}
 
 
 def _pair_rows(dg: float, dr: float, angles, quantities, render, memo):
@@ -251,12 +251,12 @@ def _pair_rows(dg: float, dr: float, angles, quantities, render, memo):
             side = dict(pair)
             for group in quantities:
                 if _COLUMNS[group][0] in (("side",) if on_band else ("side", "band")):
-                    entry = group, _CELLS[group](params, gamma, phase, cls.kind)
+                    entry = group, _CELLS[group](params, gamma, phase)
                     side[group] = memo[entry] if entry in memo else memo.setdefault(entry, render(*entry))
             sides[key] = side, phase
         side, phase = sides[key]
         yield [head, gamma_text, *[side[q] if q in side else
-                                   render(q, _CELLS[q](params, gamma, phase, cls.kind)) for q in quantities]]
+                                   render(q, _CELLS[q](params, gamma, phase)) for q in quantities]]
 
 
 def cmd_sweep(args) -> int:

@@ -11,6 +11,7 @@ pipeline for final_state and for oracle-check's grid. Basis ordering is
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import OutOfRegime
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 GAMMA_MAX = math.pi / 2
+_NORMAL_MIN = sys.float_info.min  # below it a threshold's radicand has lost digits to underflow
 
 # The one angle tolerance of the phase structure, read only by _side: within it
 # of gamma1 or gamma2 every entry point reports the boundary phase.
@@ -219,9 +221,12 @@ def pure_quantum_matrix(params: DilemmaParams, gamma: float) -> QuantumPayoffMat
     return QuantumPayoffMatrix(_dilemma_matrix(pi_q, pi_d, ("Q", "D")), pi_q, pi_d)
 
 
-def _arcsin_sqrt(radicand: float) -> float | None:
-    if 0.0 <= radicand <= 1.0:
-        return math.asin(math.sqrt(radicand)) + 0.0  # + 0.0: no -0.0 from a -0.0 strength
+def _arcsin_sqrt(num: float, den: float) -> float | None:
+    radicand = num / den
+    if _NORMAL_MIN <= radicand <= 1.0:
+        return math.asin(math.sqrt(radicand))
+    if 0.0 <= radicand < _NORMAL_MIN:  # subnormal or 0: sqrt(num) / sqrt(den) keeps what num / den lost
+        return math.asin(math.sqrt(num) / math.sqrt(den)) if num > 0.0 else 0.0  # 0.0, not -0.0
     return None
 
 
@@ -237,9 +242,9 @@ def thresholds(params: DilemmaParams) -> PhaseThresholds:
     if s <= 0.0:
         return PhaseThresholds(None, None, None)
     return PhaseThresholds(
-        gamma1=_arcsin_sqrt(dr / s),
-        gamma2=_arcsin_sqrt(dg / s),
-        gamma_star=_arcsin_sqrt((dg + dr) / (2.0 * s)),
+        gamma1=_arcsin_sqrt(dr, s),
+        gamma2=_arcsin_sqrt(dg, s),
+        gamma_star=_arcsin_sqrt(dg + dr, 2.0 * s),
     )
 
 

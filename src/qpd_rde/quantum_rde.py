@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
-from .game_core import _PURE, DilemmaKind, DilemmaParams, classify_dilemma
+from .game_core import _PURE, DilemmaParams, classify_dilemma
 from .risk_dominance import (_CH, _PD, _RDE_DD, _SH, _TRIVIAL, DeviationLossPair, RdeOutcome,
                              _chicken_weight, _layout_losses, _layout_rde)
 
@@ -132,9 +132,8 @@ def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> floa
 
 
 def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
-    """Transitional-phase RDE: both players quantum-cooperate with probability p*."""
-    phase = _in_band(params, gamma, "transitional")
-    return _layout_rde(params, _CH, _shift(params, gamma), 0, _RDE_QQ, None, phase.seam)
+    """Transitional-phase RDE: both quantum-cooperate with probability p*; on a seam the pure record."""
+    return _select_rde(params, gamma, _in_band(params, gamma, "transitional"))
 
 
 def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
@@ -142,12 +141,13 @@ def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
 
     On a seam it is select_rde_quantum's pure record, even where gamma_star lies within PHASE_TOL.
     """
-    return _select_rde(params, gamma, _in_band(params, gamma, "coexistence"))[1]
+    return _select_rde(params, gamma, _in_band(params, gamma, "coexistence"))
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:
     """select_rde's phase label and RDE in the quantum game; requires d_g, d_r > 0."""
-    return _select_rde(params, gamma, resolve_phase(params, gamma))
+    phase = resolve_phase(params, gamma)
+    return phase.name, _select_rde(params, gamma, phase)
 
 
 def select_rde(params: DilemmaParams, gamma: float | None = None) -> RdeReport:
@@ -155,29 +155,25 @@ def select_rde(params: DilemmaParams, gamma: float | None = None) -> RdeReport:
     pure-quantum game at entanglement gamma: the unique NE outside the two-NE bands and on a seam
     the pure limit both sides share, (D,D) at the lower threshold and (Q,Q) at the upper one."""
     if gamma is None:
-        kind = classify_dilemma(params).kind
-        return RdeReport(_CLASSICAL, _select_rde(params, None, None, kind)[1], _layout_losses(params, kind))
+        kind = classify_dilemma(params).kind  # once, for both the RDE and the losses
+        return RdeReport(_CLASSICAL, _layout_rde(params, kind), _layout_losses(params, kind))
     phase = resolve_phase(params, gamma)
-    return RdeReport(phase, _select_rde(params, gamma, phase)[1],
+    return RdeReport(phase, _select_rde(params, gamma, phase),
                      _layout_losses(params, _KIND.get(phase.name), _shift(params, gamma)))
 
 
-def _select_rde(params: DilemmaParams, gamma: float, phase: Phase | None,
-                kind: DilemmaKind | None = None) -> tuple[str, RdeOutcome]:
-    """Phase label and RDE at the phase resolved for gamma, or of the classical game of ``kind`` at None."""
+def _select_rde(params: DilemmaParams, gamma: float, phase: Phase | None) -> RdeOutcome:
+    """The RDE at the phase resolved for gamma, the one phase-to-record rule; phase None is the
+    classical game. Off a seam it is _layout_rde of the phase's class; on one, the pure limit."""
     if phase is None:
-        return "classical", _layout_rde(params, kind)
-    if phase.name == "transitional":
-        return phase.name, _layout_rde(params, _CH, _shift(params, gamma), 0, _RDE_QQ)
-    if phase.name == "coexistence":
-        return phase.name, _layout_rde(params, _SH, _shift(params, gamma),
-                                       _side(gamma, phase.thresholds.gamma_star), _RDE_QQ, _TIE_LABEL)
-    if phase.name == "boundary" and phase.band is None:
+        return _layout_rde(params, classify_dilemma(params).kind)
+    if phase.seam is None:
+        return _layout_rde(params, _KIND[phase.name], _shift(params, gamma),
+                           _side(gamma, phase.thresholds.gamma_star), _RDE_QQ, _TIE_LABEL)
+    if phase.band is None:
         # d_g == d_r at the common threshold: both deviation-loss products vanish.
         raise DegenerateDenominator("RDE undefined at the common threshold when d_g equals d_r")
-    if phase.name == "classical-like" or phase.seam == "lower":
-        return phase.name, _RDE_DD
-    return phase.name, _RDE_QQ
+    return _RDE_DD if phase.seam == "lower" else _RDE_QQ
 
 
 def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityReport:
@@ -236,15 +232,14 @@ def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityRe
 def group_benefit_threshold(params: DilemmaParams) -> float:
     """Smallest transitional angle where the RDE's group benefit beats the other NEs.
 
-    The condition is sin(2 gamma) > sqrt(2(d_r + 2 d_r d_g + d_g))/(1+d_r+d_g);
-    the lower crossing on the rising part of sin(2 gamma) is asin(rhs)/2. For
+    The condition is sin(2 gamma) > rhs = sqrt(2(d_r + 2 d_r d_g + d_g))/(1+d_r+d_g); the lower
+    crossing is atan2 of rhs and its cosine hypot(1, d_g-d_r)/(1+d_r+d_g), free of cancellation. For
     d_g > d_r > 0 it lies inside the band, as sin(2 gamma1) < rhs < sin(2 min(gamma2, pi/4)).
     """
     dg, dr = params.d_g, params.d_r
     if not (dg > dr > 0.0):
         raise OutOfPhase("group-benefit threshold requires d_g > d_r > 0")
-    rhs = math.sqrt(2.0 * (dr + 2.0 * dr * dg + dg)) / _strength_sum(params)
-    return math.asin(rhs) / 2.0
+    return math.atan2(math.sqrt(2.0 * (dr + 2.0 * dr * dg + dg)), math.hypot(1.0, dg - dr)) / 2.0
 
 
 def unilateral_deviation_payoffs(params: DilemmaParams, gamma: float, fixed_a: str,
@@ -254,7 +249,7 @@ def unilateral_deviation_payoffs(params: DilemmaParams, gamma: float, fixed_a: s
     ``fixed_a`` is "D", "Q" or "half" (A plays U(0.5)): the general expected
     payoff at p in {0, 1, 0.5}.
     """
-    p = {"D": 0.0, "Q": 1.0, "half": 0.5}.get(fixed_a)
+    p = {"D": 0.0, "Q": 1.0, "half": 0.5}.get(fixed_a) if isinstance(fixed_a, str) else None
     if p is None:
         raise ValueError(f"fixed_a must be 'D', 'Q' or 'half', got {fixed_a!r}")
     return expected_payoff_quantum(params, p, q, gamma)

@@ -141,21 +141,16 @@ def _chicken_weight(params: DilemmaParams, x: float) -> float:
 
 
 def _layout_rde(params: DilemmaParams, kind: DilemmaKind, x: float = 0.0, tie_side: int | None = None,
-                first: RdeOutcome = _RDE_CC, tie_label: str | None = None, seam: str | None = None
-                ) -> RdeOutcome:
+                first: RdeOutcome = _RDE_CC, tie_label: str | None = None) -> RdeOutcome:
     """RDE, or the unique NE, of the dilemma layout shifted by x, of class ``kind`` at (d_g - x, d_r - x).
 
     The defaults are the classical game's; x is ewl._shift at angle gamma in the pure-quantum one,
     whose phases are the classes of those strengths: classical-like PD, transitional CH, coexistence
     SH, fully-quantum TRIVIAL. ``first`` is the game's pure record of its first action, the trivial
     game's NE; a stag hunt selects it on ``tie_side`` > 0, (D,D) below 0 and U(0.5) labelled
-    ``tie_label`` at 0, and a None ``tie_side`` is the sign of |d_g| - d_r outside TIE_EPS. On a
-    ``seam``, "lower" or "upper", the chicken's weight is its pure limit, at its cell's payoffs.
+    ``tie_label`` at 0, and a None ``tie_side`` is the sign of |d_g| - d_r outside TIE_EPS.
     """
     if kind is _CH:
-        if seam is not None:
-            limit = _RDE_DD if seam == "lower" else first
-            return RdeOutcome("mixed", limit.profile, limit.payoffs)
         t = _chicken_weight(params, x)
         profile = StrategyProfile(t, t)  # p == q: the entanglement term (p - q) x vanishes
         return RdeOutcome("mixed", profile, expected_payoff_classical(params, profile))

@@ -607,12 +607,12 @@ def test_a_sweep_that_fails_on_a_later_pair_writes_nothing(tmp_path, capsys, mon
     pairs = []
     select = quantum_rde._select_rde
 
-    def planted(params, gamma, phase, *kind):
+    def planted(params, gamma, phase):
         if params not in pairs:
             pairs.append(params)
         if len(pairs) == 7:
             raise qpd_rde.errors.NotAnEquilibrium("planted")
-        return select(params, gamma, phase, *kind)
+        return select(params, gamma, phase)
 
     monkeypatch.setattr(quantum_rde, "_select_rde", planted)
     target = tmp_path / f"rows.{fmt}"

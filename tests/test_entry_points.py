@@ -2,8 +2,9 @@
 
 One derandomized hypothesis property runs ``classify``, ``ne``, ``rde`` and
 ``sensitivity`` with ``--format json``, a one-row all-quantity
-``sweep --format json``, the single-game scalar API and the two entries for
-both games, ``pure_ne`` and ``select_rde``, in-process, and compares them field
+``sweep --format json``, the single-game scalar API (``rde_transitional`` and
+``rde_coexistence`` on their closed bands too) and the two entries for both
+games, ``pure_ne`` and ``select_rde``, in-process, and compares them field
 by field, bit for bit. Points sit on the seams on purpose: d_g or d_r in
 {0, -0.0, +-1}, d_g == d_r, and gamma at 0, pi/2 or gamma1, gamma2, gamma_star
 shifted by +-PHASE_TOL and +-1 ulp.
@@ -52,8 +53,8 @@ from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_
                          thresholds)
 from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
                                enumerate_pure_ne)
-from qpd_rde.quantum_rde import (deviation_losses_quantum, select_rde, select_rde_quantum,
-                                 sensitivity_critical_angles, sensitivity_indices)
+from qpd_rde.quantum_rde import (deviation_losses_quantum, rde_coexistence, rde_transitional, select_rde,
+                                 select_rde_quantum, sensitivity_critical_angles, sensitivity_indices)
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -213,6 +214,11 @@ def test_entry_points_agree(point):
         assert code == 0
         report = select_rde(params, gamma if quantum else None)
         assert report.phase.name == (rde["phase"] if quantum else "classical")
+        band = report.phase.band if quantum else None
+        if band is not None and report.phase.name in (band, "boundary"):
+            # The band's own entry on its closed band, seams included, gives the same record.
+            band_rde = rde_transitional if band == "transitional" else rde_coexistence
+            assert same(band_rde(params, gamma), report.rde)
         assert same([report.rde.kind, *report.rde.profile, *report.rde.payoffs, report.rde.label],
                     [rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b", "rde_label")])
         actions = "qd" if quantum else "cd"

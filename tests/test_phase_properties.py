@@ -9,8 +9,9 @@ with the phase: each interior phase lists its own set and a boundary the union
 of the sets beside its thresholds, at angles within a few ulps of
 gamma1, gamma2 +- PHASE_TOL. On coexistence bands down to d_r - d_g = 1e-12,
 where gamma_star lies within PHASE_TOL of a seam, rde_coexistence,
-select_rde_quantum, rde and a one-row sweep give one RDE. Hypothesis runs
-derandomized, so every run draws the same examples.
+select_rde_quantum, rde and a one-row sweep give one RDE, as rde_transitional
+and the others do on a transitional seam: the seam's pure record. Hypothesis
+runs derandomized, so every run draws the same examples.
 """
 
 import inspect
@@ -179,8 +180,8 @@ def test_transitional_seam_p_star_is_pure(data):
 @SETTINGS
 @given(st.data())
 def test_transitional_seam_rde_takes_its_pure_cells_payoffs(data):
-    # Snapped to 0 or 1 on a seam, p* is a pure profile: its payoffs are the cell's, (0, 0) or
-    # (1, 1), as select_rde_quantum gives them, not the mixed formula's rounding of them.
+    # Where p* snaps to 0 or 1, rde_transitional is the seam's pure record, (D,D) at (0, 0) below
+    # and (Q,Q) at (1, 1) above, kind and label included, as select_rde_quantum, rde and the sweep give it.
     d_g, d_r = sorted((data.draw(positive_strength), data.draw(positive_strength)), reverse=True)
     assume(d_g > d_r)
     params = DilemmaParams(d_g, d_r)
@@ -189,9 +190,17 @@ def test_transitional_seam_rde_takes_its_pure_cells_payoffs(data):
     assume(in_domain(gamma) and resolve_phase(params, gamma).name == "boundary")
     t = 0.0 if resolve_phase(params, gamma).seam == "lower" else 1.0
     outcome = quantum_rde.rde_transitional(params, gamma)
-    assert (outcome.kind, outcome.profile, outcome.payoffs) == ("mixed", (t, t), (t, t))
-    _, selected = select_rde_quantum(params, gamma)
-    assert (selected.profile, selected.payoffs) == (outcome.profile, outcome.payoffs)
+    assert outcome == select_rde_quantum(params, gamma)[1]
+    assert outcome == ("pure", (t, t), (t, t), "(D,D)" if t == 0.0 else "(Q,Q)")
+    expected = [outcome.kind, outcome.label, *outcome.profile, *outcome.payoffs]
+    argv = (f"--dg={d_g!r}", f"--dr={d_r!r}", f"--gamma={gamma!r}")
+    code, rde, err = run_json((d_g, d_r, gamma), "rde", *argv)
+    assert code == 0, err
+    assert same([rde[key] for key in ("rde_kind", "rde_label", "p", "q", "payoff_a", "payoff_b")], expected)
+    code, (row,), err = run_json((d_g, d_r, gamma), "sweep", *argv, "--quantities", "rde")
+    assert code == 0, err
+    assert same([row[cell] for cell in ("rde_kind", "rde_label", "rde_p", "rde_q", "rde_payoff_a",
+                                        "rde_payoff_b")], expected)
 
 
 @st.composite

@@ -1,5 +1,5 @@
-"""The public surface: each module's ``__all__``, the package re-exports and the version, and the
-library's private names that the CLI reads."""
+"""The public surface: each module's ``__all__``, the package re-exports and the version, the
+library's private names that the CLI reads, and the one phase-to-RDE rule."""
 
 import ast
 import inspect
@@ -84,3 +84,26 @@ def test_cli_reads_only_the_pinned_private_library_names():
     assert len(read) <= 11
     assert not read & {"game_core._layout_ne", "risk_dominance._classical_rde",
                        "risk_dominance._layout_losses", "quantum_rde._KIND", "ewl._shift"}
+
+
+def test_one_phase_to_rde_rule():
+    # _layout_rde has no seam option, and in quantum_rde only _select_rde, the phase-to-record rule,
+    # and select_rde's classical branch, which classifies once for the RDE and the losses, read it.
+    (layout,) = [node for node in ast.parse(Path(risk_dominance.__file__).read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_layout_rde"]
+    assert "seam" not in {arg.arg for arg in [*layout.args.args, *layout.args.kwonlyargs]}
+    tree = ast.parse(Path(quantum_rde.__file__).read_text())
+    readers = [getattr(node, "name", None) for node in tree.body for sub in ast.walk(node)
+               if isinstance(sub, ast.Name) and sub.id == "_layout_rde"]
+    assert sorted(readers) == ["_select_rde", "_select_rde", "select_rde"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (classical,) = [node for node in ast.walk(functions["select_rde"])
+                    if isinstance(node, ast.If) and ast.unparse(node.test) == "gamma is None"]
+    assert "_layout_rde" in {sub.id for stmt in classical.body for sub in ast.walk(stmt)
+                             if isinstance(sub, ast.Name)}
+    # _select_rde reads a phase name only as _KIND's key: no if-chain over the phases.
+    names = [node for node in ast.walk(functions["_select_rde"])
+             if isinstance(node, ast.Attribute) and node.attr == "name"]
+    keys = [node.slice for node in ast.walk(functions["_select_rde"])
+            if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "_KIND"]
+    assert names == keys and len(keys) == 1

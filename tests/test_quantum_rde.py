@@ -449,7 +449,10 @@ def test_group_benefit_threshold_always_inside_band():
         dg, dr = params.d_g, params.d_r
         thr = thresholds(params)
         threshold = group_benefit_threshold(params)
-        assert threshold == math.asin(math.sqrt(2 * (dr + 2 * dr * dg + dg)) / (1 + dr + dg)) / 2
+        # The paper's asin form loses up to 3.5 eps (300,000 pairs) that the atan2 form keeps;
+        # tests/test_reference.py bounds the threshold against 60 digits.
+        assert threshold == pytest.approx(
+            math.asin(math.sqrt(2 * (dr + 2 * dr * dg + dg)) / (1 + dr + dg)) / 2, rel=4 * 2.0 ** -52, abs=0)
         assert thr.gamma1 - PHASE_TOL <= threshold <= thr.gamma2 + PHASE_TOL
 
 
@@ -509,6 +512,10 @@ def test_unilateral_deviation_validation():
         unilateral_deviation_payoffs(COEX, 0.5, "D", 1.5)
     with pytest.raises(ValueError):
         unilateral_deviation_payoffs(COEX, 5.0, "D", 0.5)
+    for fixed_a in (["D"], {"Q": 1.0}):  # unhashable: the documented error, not a TypeError
+        with pytest.raises(ValueError) as excinfo:
+            unilateral_deviation_payoffs(COEX, 0.5, fixed_a, 0.5)
+        assert str(excinfo.value) == f"fixed_a must be 'D', 'Q' or 'half', got {fixed_a!r}"
 
 
 # ---------------------------------------------------------------------------

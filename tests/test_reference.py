@@ -5,9 +5,11 @@ checked in both games: the classical game at (d_g, d_r) and the pure-quantum gam
 (d_g, d_r, gamma), whose transitional RDE is the chicken of the layout shifted by
 x = (1 + d_g + d_r) sin^2(gamma). So are the quantum game's own forms: the deviation
 losses on both bands, both situ risks, the critical angles of the sensitivity
-partials, the mixed outcome probabilities eps2 and eps3, and both players' expected
-payoffs. The reference is mpmath at 60 digits on the same float inputs, from the
-paper's formulas, and never calls the package. Each float must lie within
+partials, the mixed outcome probabilities eps2 and eps3, both players' expected
+payoffs, the thresholds gamma1, gamma2 and gamma_star (subnormal strengths
+included) and the group-benefit threshold. The reference is mpmath at 60 digits
+on the same float inputs, from the paper's formulas, and never calls the
+package. Each float must lie within
 C * EPS * (|ref| + sum_i |x_i d ref / d x_i|) of it: C roundings of the result, or
 relative perturbations of the inputs, of size EPS; mp.diff takes the partials, with
 a step relative to each input, so that strengths down to 5e-324 get theirs.
@@ -20,8 +22,8 @@ import pytest
 
 from qpd_rde.ewl import expected_payoff_quantum, joint_distribution, thresholds
 from qpd_rde.game_core import DilemmaParams
-from qpd_rde.quantum_rde import (deviation_losses_quantum, rde_coexistence, rde_transitional,
-                                 sensitivity_critical_angles, situ_risk_coexistence,
+from qpd_rde.quantum_rde import (deviation_losses_quantum, group_benefit_threshold, rde_coexistence,
+                                 rde_transitional, sensitivity_critical_angles, situ_risk_coexistence,
                                  situ_risk_transitional, transitional_mixing_probability)
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
 
@@ -84,6 +86,25 @@ def situ_coexistence(d_g, d_r, gamma):
 def critical_angle(d):
     """The angle where a partial of p* changes sign: sin^2 = d / (1 + 2 d), d the other strength."""
     return mp.asin(mp.sqrt(d / (1 + 2 * d)))
+
+
+def gamma1(d_g, d_r):
+    """The lower PD threshold: sin^2(gamma1) = d_r / (1 + d_g + d_r)."""
+    return mp.asin(mp.sqrt(d_r / (1 + d_g + d_r)))
+
+
+def gamma2(d_g, d_r):
+    return gamma1(d_r, d_g)
+
+
+def gamma_star(d_g, d_r):
+    """The coexistence switch: sin^2(gamma_star) = (d_g + d_r) / (2 (1 + d_g + d_r))."""
+    return mp.asin(mp.sqrt((d_g + d_r) / (2 * (1 + d_g + d_r))))
+
+
+def group_benefit(d_g, d_r):
+    """The lower angle where sin(2 gamma) = sqrt(2 (d_r + 2 d_r d_g + d_g)) / (1 + d_r + d_g)."""
+    return mp.asin(mp.sqrt(2 * (d_r + 2 * d_r * d_g + d_g)) / (1 + d_r + d_g)) / 2
 
 
 def eps2(p, q, gamma):
@@ -195,10 +216,21 @@ def band_points(rng, count, band):
 
 
 def critical_pairs(rng, count):
-    """PD pairs with either strength uniform or tiny: 5e-324, 1e-300, 1e-17."""
-    tiny = (5e-324, 1e-300, 1e-17)
+    """PD pairs with either strength uniform or tiny: 5e-324, 1e-310, 1e-300, 1e-17."""
+    tiny = (5e-324, 1e-310, 1e-300, 1e-17)
     pairs = [(a, b) for a in tiny for b in (*tiny, 0.5, 1.0)] + [(b, a) for a in tiny for b in (0.5, 1.0)]
     pairs += [(rng.uniform(0.0, 1.0) or 0.5, rng.uniform(0.0, 1.0) or 0.5) for _ in range(count)]
+    return pairs
+
+
+def group_benefit_pairs(rng, count):
+    """Pairs d_g > d_r > 0, uniform, with tiny d_r and gaps down to 1 ulp of 1."""
+    pairs = [(0.5, 5e-324), (1e-17, 5e-324), (1.0, 1e-310), (1.0, 1e-300), (0.5, 0.5 - 1e-12),
+             (1.0, 1.0 - 2.0 ** -53)]
+    while len(pairs) < count:
+        d_g, d_r = sorted((rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)), reverse=True)
+        if d_g > d_r > 0.0:
+            pairs.append((d_g, d_r))
     return pairs
 
 
@@ -246,6 +278,19 @@ def quantum_cases():
         yield "quantum payoff B", pay_b, payoff_b, (d_g, d_r, p, q, gamma)
 
 
+def angle_cases():
+    rng = random.Random(2026)
+    cube = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(200)]
+    for d_g, d_r in critical_pairs(rng, 200) + cube:
+        for name, value, reference in zip(("gamma1", "gamma2", "gamma_star"),
+                                          thresholds(DilemmaParams(d_g, d_r)), (gamma1, gamma2, gamma_star)):
+            if value is not None:  # defined where the radicand lies in [0, 1]
+                yield f"threshold {name}", value, reference, (d_g, d_r)
+    for d_g, d_r in group_benefit_pairs(rng, 300):
+        yield ("group-benefit threshold", group_benefit_threshold(DilemmaParams(d_g, d_r)), group_benefit,
+               (d_g, d_r))
+
+
 def worst_margins(cases):
     """The worst margin of each quantity and its inputs, printed one line each."""
     worst = {}
@@ -267,4 +312,10 @@ def test_shared_forms_are_within_the_conditioning_bound():
 def test_quantum_forms_are_within_the_conditioning_bound():
     worst = worst_margins(quantum_cases())
     assert len(worst) == 10
+    assert all(m <= C for m, _ in worst.values()), worst
+
+
+def test_angle_forms_are_within_the_conditioning_bound():
+    worst = worst_margins(angle_cases())
+    assert len(worst) == 4
     assert all(m <= C for m, _ in worst.values()), worst
