@@ -16,8 +16,7 @@ from collections import namedtuple
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
 from .game_core import _PURE, DilemmaParams, classify_dilemma
-from .risk_dominance import (_CH, _PD, _RDE_DD, _SH, _TRIVIAL, DeviationLossPair, RdeOutcome,
-                             _chicken_weight, _layout_losses, _layout_rde)
+from .risk_dominance import _CH, _PD, _RDE_DD, _SH, _TRIVIAL, RdeOutcome, _layout_losses, _layout_rde
 
 __all__ = [
     "RdeReport",
@@ -26,9 +25,6 @@ __all__ = [
     "CriticalAngles",
     "situ_risk_transitional",
     "situ_risk_coexistence",
-    "deviation_losses_quantum",
-    "rde_transitional",
-    "rde_coexistence",
     "select_rde_quantum",
     "select_rde",
     "transitional_mixing_probability",
@@ -89,13 +85,6 @@ def _in_band(params: DilemmaParams, gamma: float, band: str) -> Phase:
     return phase
 
 
-def _p_star(params: DilemmaParams, gamma: float, phase: Phase) -> float:
-    """Transitional mixing probability, snapped to 0 or 1 on a seam."""
-    if phase.seam is not None:
-        return 0.0 if phase.seam == "lower" else 1.0
-    return _chicken_weight(params, _shift(params, gamma))
-
-
 def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
     """Situ risks at the asymmetric NEs, returned as (at D(x)Q, at Q(x)D).
 
@@ -114,34 +103,9 @@ def situ_risk_coexistence(params: DilemmaParams, gamma: float) -> tuple[SituRisk
     return SituRisk(0.0, 0.0), SituRisk(loss, loss)
 
 
-def deviation_losses_quantum(params: DilemmaParams, gamma: float
-                             ) -> tuple[DeviationLossPair, DeviationLossPair]:
-    """Closed-form deviation losses at the NE pair of the pair's band.
-
-    On the transitional band (d_g > d_r) returns the pairs at (Q(x)D, D(x)Q);
-    on the coexistence band (d_r > d_g) the pairs at (Q(x)Q, D(x)D).
-    """
-    band = "transitional" if params.d_g > params.d_r else "coexistence"
-    _in_band(params, gamma, band)
-    return tuple(loss for _, loss in _layout_losses(params, _KIND[band], _shift(params, gamma)))
-
-
 def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> float:
-    """Mixing probability of the transitional RDE: exactly 0 at the lower seam, 1 at the upper."""
-    return _p_star(params, gamma, _in_band(params, gamma, "transitional"))
-
-
-def rde_transitional(params: DilemmaParams, gamma: float) -> RdeOutcome:
-    """Transitional-phase RDE: both quantum-cooperate with probability p*; on a seam the pure record."""
-    return _select_rde(params, gamma, _in_band(params, gamma, "transitional"))
-
-
-def rde_coexistence(params: DilemmaParams, gamma: float) -> RdeOutcome:
-    """Coexistence-phase RDE: D(x)D below gamma_star, Q(x)Q above, U(0.5) pair at it.
-
-    On a seam it is select_rde_quantum's pure record, even where gamma_star lies within PHASE_TOL.
-    """
-    return _select_rde(params, gamma, _in_band(params, gamma, "coexistence"))
+    """Mixing probability p* of the transitional RDE, its weight on Q: 0 at the lower seam, 1 at the upper."""
+    return _select_rde(params, gamma, _in_band(params, gamma, "transitional")).profile.p
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:
@@ -167,9 +131,11 @@ def _select_rde(params: DilemmaParams, gamma: float, phase: Phase | None) -> Rde
     classical game. Off a seam it is _layout_rde of the phase's class; on one, the pure limit."""
     if phase is None:
         return _layout_rde(params, classify_dilemma(params).kind)
-    if phase.seam is None:
-        return _layout_rde(params, _KIND[phase.name], _shift(params, gamma),
-                           _side(gamma, phase.thresholds.gamma_star), _RDE_QQ, _TIE_LABEL)
+    if phase.seam is None:  # the shift is read only by CH, the side of gamma_star only by SH
+        kind = _KIND[phase.name]
+        return _layout_rde(params, kind, _shift(params, gamma) if kind is _CH else 0.0,
+                           _side(gamma, phase.thresholds.gamma_star) if kind is _SH else None,
+                           _RDE_QQ, _TIE_LABEL)
     if phase.band is None:
         # d_g == d_r at the common threshold: both deviation-loss products vanish.
         raise DegenerateDenominator("RDE undefined at the common threshold when d_g equals d_r")
@@ -189,7 +155,7 @@ def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityR
     if gap2 == 0.0:
         raise DegenerateDenominator("(d_g - d_r)^2 underflows; the partials are undefined")
     return SensitivityReport(
-        p_star=_p_star(params, gamma, phase),
+        p_star=_select_rde(params, gamma, phase).profile.p,
         partial_dg=(dr - (1.0 + 2.0 * dr) * s2) / gap2,
         partial_dr=(-dg + (1.0 + 2.0 * dg) * s2) / gap2,
         partial_gamma=2.0 * _strength_sum(params) * math.sin(gamma) * math.cos(gamma) / (dg - dr),

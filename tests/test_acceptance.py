@@ -26,8 +26,7 @@ from qpd_rde.ewl import (
 )
 from qpd_rde.game_core import DilemmaParams, StrategyProfile, expected_payoff_classical
 from qpd_rde.quantum_rde import (
-    rde_coexistence,
-    rde_transitional,
+    select_rde,
     sensitivity_critical_angles,
     sensitivity_indices,
     sensitivity_partials,
@@ -161,8 +160,8 @@ def test_acceptance_6_coexistence_rde():
     ok_star = abs(thr.gamma_star - oracle_star) <= 1e-9
     ok_printed = oracle_product_difference(params, PRINTED_GAMMA_STAR) < 0
 
-    ok_sel = rde_coexistence(params, 0.4).label == "(D,D)"
-    ok_sel &= rde_coexistence(params, 0.6).label == "(Q,Q)"
+    ok_sel = select_rde(params, 0.4).rde.label == "(D,D)"
+    ok_sel &= select_rde(params, 0.6).rde.label == "(Q,Q)"
 
     gammas = np.linspace(thr.gamma2 + 1e-9, thr.gamma1 - 1e-9, 2001)
     s = 1 + 0.2 + 0.9
@@ -237,7 +236,7 @@ def test_acceptance_9_midpoint_identity():
         gamma = math.asin(math.sqrt((dg + dr) / (2 * (1 + dg + dr))))
         ok &= abs(transitional_mixing_probability(params, gamma) - 0.5) <= 1e-9
         expected = (2 + dg - dr) / 4
-        pay = rde_transitional(params, gamma).payoffs
+        pay = select_rde(params, gamma).rde.payoffs
         ok &= abs(pay[0] - expected) <= 1e-12 and abs(pay[1] - expected) <= 1e-12
     assert report(9, ok)
 

@@ -2,8 +2,8 @@
 
 One derandomized hypothesis property runs ``classify``, ``ne``, ``rde`` and
 ``sensitivity`` with ``--format json``, a one-row all-quantity
-``sweep --format json``, the single-game scalar API (``rde_transitional`` and
-``rde_coexistence`` on their closed bands too) and the two entries for both
+``sweep --format json``, the single-game scalar API
+(``transitional_mixing_probability`` on its closed band too) and the two entries for both
 games, ``pure_ne`` and ``select_rde``, in-process, and compares them field
 by field, bit for bit. Points sit on the seams on purpose: d_g or d_r in
 {0, -0.0, +-1}, d_g == d_r, and gamma at 0, pi/2 or gamma1, gamma2, gamma_star
@@ -53,8 +53,8 @@ from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_
                          thresholds)
 from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
                                enumerate_pure_ne)
-from qpd_rde.quantum_rde import (deviation_losses_quantum, rde_coexistence, rde_transitional, select_rde,
-                                 select_rde_quantum, sensitivity_critical_angles, sensitivity_indices)
+from qpd_rde.quantum_rde import (select_rde, select_rde_quantum, sensitivity_critical_angles, sensitivity_indices,
+                                 transitional_mixing_probability)
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -215,27 +215,30 @@ def test_entry_points_agree(point):
         report = select_rde(params, gamma if quantum else None)
         assert report.phase.name == (rde["phase"] if quantum else "classical")
         band = report.phase.band if quantum else None
-        if band is not None and report.phase.name in (band, "boundary"):
-            # The band's own entry on its closed band, seams included, gives the same record.
-            band_rde = rde_transitional if band == "transitional" else rde_coexistence
-            assert same(band_rde(params, gamma), report.rde)
+        if band == "transitional" and report.phase.name in (band, "boundary"):
+            # p* on its closed band, seams included, is the record's weight.
+            assert same(transitional_mixing_probability(params, gamma), report.rde.profile.p)
         assert same([report.rde.kind, *report.rde.profile, *report.rde.payoffs, report.rde.label],
                     [rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b", "rde_label")])
         actions = "qd" if quantum else "cd"
         assert same({f"delta_{actions[p != 1.0]}{actions[q != 1.0]}": loss.product
                      for (p, q), loss in report.losses},
                     {key: value for key, value in rde.items() if key.startswith("delta_")})
-        # The losses at the two NEs, off-diagonal or diagonal: in the quantum game those of
-        # deviation_losses_quantum inside its band, in the classical one each player's payoff
-        # drop in exact arithmetic, -d_r and 1 + d_g - 1 at (C,D), 1 - (1 + d_g) and 0 + d_r
-        # at (C,C) and (D,D).
+        # The losses at the two NEs, off-diagonal or diagonal: in the quantum game x - d_r and
+        # d_g - x at Q(x)D, x - d_g and d_r - x at Q(x)Q and D(x)D, at the shift x of gamma and
+        # inside the band; in the classical one each player's payoff drop in exact arithmetic,
+        # -d_r and 1 + d_g - 1 at (C,D), 1 - (1 + d_g) and 0 + d_r at (C,C) and (D,D).
         two = report.phase.name in ("transitional", "coexistence") if quantum else cls.kind in (
             DilemmaKind.CH, DilemmaKind.SH)
         off_diagonal = d_g > d_r if quantum else cls.kind is DilemmaKind.CH
         if not two:
             expected = ()
         elif quantum:
-            expected = deviation_losses_quantum(params, gamma)
+            x = (1.0 + d_r + d_g) * math.sin(gamma) ** 2
+            low, high = (d_r, d_g) if off_diagonal else (d_g, d_r)
+            first, second = x - low, high - x + 0.0
+            expected = (((first, second), (second, first)) if off_diagonal
+                        else ((first, first), (second, second)))
         elif off_diagonal:
             expected = ((0.0 - d_r, d_g + 0.0), (d_g + 0.0, 0.0 - d_r))
         else:

@@ -8,9 +8,9 @@ classical two-NE selection on chicken games. The quantum NE set must agree
 with the phase: each interior phase lists its own set and a boundary the union
 of the sets beside its thresholds, at angles within a few ulps of
 gamma1, gamma2 +- PHASE_TOL. On coexistence bands down to d_r - d_g = 1e-12,
-where gamma_star lies within PHASE_TOL of a seam, rde_coexistence,
-select_rde_quantum, rde and a one-row sweep give one RDE, as rde_transitional
-and the others do on a transitional seam: the seam's pure record. Hypothesis
+where gamma_star lies within PHASE_TOL of a seam, select_rde,
+select_rde_quantum, rde and a one-row sweep give one RDE, as they do on a
+transitional seam: the seam's pure record. Hypothesis
 runs derandomized, so every run draws the same examples.
 """
 
@@ -180,7 +180,7 @@ def test_transitional_seam_p_star_is_pure(data):
 @SETTINGS
 @given(st.data())
 def test_transitional_seam_rde_takes_its_pure_cells_payoffs(data):
-    # Where p* snaps to 0 or 1, rde_transitional is the seam's pure record, (D,D) at (0, 0) below
+    # Where p* snaps to 0 or 1, select_rde gives the seam's pure record, (D,D) at (0, 0) below
     # and (Q,Q) at (1, 1) above, kind and label included, as select_rde_quantum, rde and the sweep give it.
     d_g, d_r = sorted((data.draw(positive_strength), data.draw(positive_strength)), reverse=True)
     assume(d_g > d_r)
@@ -189,7 +189,7 @@ def test_transitional_seam_rde_takes_its_pure_cells_payoffs(data):
     gamma = data.draw(st.sampled_from((thr.gamma1, thr.gamma2))) + data.draw(st.sampled_from(OFFSETS))
     assume(in_domain(gamma) and resolve_phase(params, gamma).name == "boundary")
     t = 0.0 if resolve_phase(params, gamma).seam == "lower" else 1.0
-    outcome = quantum_rde.rde_transitional(params, gamma)
+    outcome = quantum_rde.select_rde(params, gamma).rde
     assert outcome == select_rde_quantum(params, gamma)[1]
     assert outcome == ("pure", (t, t), (t, t), "(D,D)" if t == 0.0 else "(Q,Q)")
     expected = [outcome.kind, outcome.label, *outcome.profile, *outcome.payoffs]
@@ -223,12 +223,12 @@ def narrow_coexistence_points(draw):
 @example((0.5, 0.5 + 2e-9, 0.523598775886974))  # gamma_star
 @example((0.5, 0.5 + 2e-9, 0.5235987764643242))  # gamma1
 def test_every_entry_point_takes_one_coexistence_rde_on_a_narrow_band(point):
-    # Where gamma_star lies within PHASE_TOL of a seam, rde_coexistence takes the seam's record,
+    # Where gamma_star lies within PHASE_TOL of a seam, select_rde takes the seam's record,
     # as select_rde_quantum, rde and the sweep do, not the U(0.5) tie.
     d_g, d_r, gamma = point
     params = DilemmaParams(d_g, d_r)
     assume(in_domain(gamma) and resolve_phase(params, gamma).name in ("coexistence", "boundary"))
-    outcome = quantum_rde.rde_coexistence(params, gamma)
+    outcome = quantum_rde.select_rde(params, gamma).rde
     expected = [outcome.kind, outcome.profile.p, outcome.profile.q, *outcome.payoffs]
     _, selected = select_rde_quantum(params, gamma)
     assert same([selected.kind, *selected.profile, *selected.payoffs], expected)
@@ -288,8 +288,7 @@ def test_gamma_functions_are_discovered():
         "initial_state", "entangling_gate", "final_state", "joint_distribution",
         "expected_payoff_quantum", "pure_quantum_matrix", "resolve_phase",
         "classify_quantum_ne", "pure_ne", "grid_best_response_gain",
-        "situ_risk_transitional", "situ_risk_coexistence", "deviation_losses_quantum",
-        "rde_transitional", "rde_coexistence", "select_rde_quantum", "select_rde",
+        "situ_risk_transitional", "situ_risk_coexistence", "select_rde_quantum", "select_rde",
         "transitional_mixing_probability", "sensitivity_partials", "sensitivity_indices",
         "unilateral_deviation_payoffs",
     ]

@@ -1,5 +1,5 @@
 """The public surface: each module's ``__all__``, the package re-exports and the version, the
-library's private names that the CLI reads, and the one phase-to-RDE rule."""
+library's private names that the CLI reads, the one phase-to-RDE rule and its one seam snap."""
 
 import ast
 import inspect
@@ -30,8 +30,7 @@ PUBLIC = {
     ],
     quantum_rde: [
         "RdeReport", "SituRisk", "SensitivityReport", "CriticalAngles", "situ_risk_transitional",
-        "situ_risk_coexistence", "deviation_losses_quantum", "rde_transitional",
-        "rde_coexistence", "select_rde_quantum", "select_rde", "transitional_mixing_probability",
+        "situ_risk_coexistence", "select_rde_quantum", "select_rde", "transitional_mixing_probability",
         "sensitivity_partials", "sensitivity_critical_angles", "sensitivity_indices",
         "group_benefit_threshold", "unilateral_deviation_payoffs",
     ],
@@ -107,3 +106,17 @@ def test_one_phase_to_rde_rule():
     keys = [node.slice for node in ast.walk(functions["_select_rde"])
             if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "_KIND"]
     assert names == keys and len(keys) == 1
+
+
+def test_one_seam_snap_and_one_chicken_weight():
+    # In quantum_rde only _select_rde reads a phase's seam, so p*, the RDE and the sensitivity
+    # report snap to a seam's pure record in one place; only risk_dominance names _chicken_weight.
+    tree = ast.parse(Path(quantum_rde.__file__).read_text())
+    readers = {node.name for node in tree.body for sub in ast.walk(node)
+               if isinstance(sub, ast.Attribute) and sub.attr == "seam"}
+    assert readers == {"_select_rde"}
+    for path in Path(quantum_rde.__file__).parent.glob("*.py"):
+        # Names, attributes, imported aliases and definitions.
+        names = {value for node in ast.walk(ast.parse(path.read_text())) for value in
+                 (getattr(node, field, None) for field in ("id", "attr", "name")) if isinstance(value, str)}
+        assert ("_chicken_weight" in names) == (path.stem == "risk_dominance"), path.name

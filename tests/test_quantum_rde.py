@@ -7,10 +7,8 @@ from qpd_rde.errors import DegenerateBase, OutOfPhase, OutOfRegime
 from qpd_rde.ewl import PHASE_TOL, expected_payoff_quantum, pure_quantum_matrix, thresholds
 from qpd_rde.game_core import TIE_EPS, DilemmaParams
 from qpd_rde.quantum_rde import (
-    deviation_losses_quantum,
     group_benefit_threshold,
-    rde_coexistence,
-    rde_transitional,
+    select_rde,
     select_rde_quantum,
     sensitivity_critical_angles,
     sensitivity_indices,
@@ -29,6 +27,15 @@ from qpd_rde.risk_dominance import (
 
 TRANS = DilemmaParams(0.9, 0.2)   # transitional-phase parameters
 COEX = DilemmaParams(0.2, 0.9)    # coexistence-phase parameters
+
+
+def rde_at(params, gamma):
+    return select_rde(params, gamma).rde
+
+
+def losses_at(params, gamma):
+    """select_rde's deviation-loss pairs, row-major: (Q(x)D, D(x)Q) or (Q(x)Q, D(x)D)."""
+    return tuple(loss for _, loss in select_rde(params, gamma).losses)
 
 
 def p_star_oracle(dg, dr, gamma):
@@ -110,30 +117,34 @@ def test_situ_out_of_phase():
 
 
 def test_deviation_losses_transitional_example():
-    qd, dq = deviation_losses_quantum(TRANS, math.pi / 6)
+    qd, dq = losses_at(TRANS, math.pi / 6)
     assert qd.product == pytest.approx(0.121875, abs=1e-12)
     assert dq.product == pytest.approx(0.121875, abs=1e-12)
 
 
 def test_deviation_losses_coexistence_example():
-    qq, dd = deviation_losses_quantum(COEX, 0.4)
+    qq, dd = losses_at(COEX, 0.4)
     s2 = math.sin(0.4) ** 2
     assert qq.product == pytest.approx((-0.2 + 2.1 * s2) ** 2, abs=1e-12)
     assert dd.product == pytest.approx((0.9 - 2.1 * s2) ** 2, abs=1e-12)
 
 
 def test_deviation_losses_vanish_at_gamma1():
+    # On the seam the NE set is three pure NEs, so select_rde gives no two-NE losses; inside the
+    # band the products fall linearly, as x - d_r does, toward it.
     thr = thresholds(TRANS)
-    qd, dq = deviation_losses_quantum(TRANS, thr.gamma1)
-    assert abs(qd.product) < 1e-12
-    assert abs(dq.product) < 1e-12
+    assert select_rde(TRANS, thr.gamma1).losses == ()
+    for k in (2, 20, 200):
+        qd, dq = losses_at(TRANS, thr.gamma1 + k * PHASE_TOL)
+        assert qd.product == dq.product
+        assert 0.0 < qd.product < 2.0 * k * PHASE_TOL
 
 
 def test_deviation_losses_match_generic_machinery():
     rng = np.random.default_rng(31)
     for _ in range(200):
         params, gamma = draw_transitional(rng)
-        qd, dq = deviation_losses_quantum(params, gamma)
+        qd, dq = losses_at(params, gamma)
         cd, dc = deviation_losses_asymmetric(pure_quantum_matrix(params, gamma).matrix)
         assert qd.loss_a == pytest.approx(cd.loss_a, abs=1e-12)
         assert qd.loss_b == pytest.approx(cd.loss_b, abs=1e-12)
@@ -146,26 +157,15 @@ def test_deviation_losses_match_generic_machinery():
         params = DilemmaParams(dg, dr)
         thr = thresholds(params)
         gamma = rng.uniform(thr.gamma2 + 1e-6, thr.gamma1 - 1e-6)
-        qq, dd = deviation_losses_quantum(params, gamma)
+        qq, dd = losses_at(params, gamma)
         cc_g, dd_g = deviation_losses_symmetric(pure_quantum_matrix(params, gamma).matrix)
         assert qq.product == pytest.approx(cc_g.product, abs=1e-12)
         assert dd.product == pytest.approx(dd_g.product, abs=1e-12)
 
 
-def test_deviation_losses_outside_the_pairs_band():
-    with pytest.raises(OutOfPhase):
-        deviation_losses_quantum(TRANS, 0.1)            # classical-like
-    with pytest.raises(OutOfPhase):
-        deviation_losses_quantum(COEX, 1.2)             # fully quantum
-    with pytest.raises(OutOfPhase):
-        deviation_losses_quantum(DilemmaParams(0.5, 0.5), thresholds(DilemmaParams(0.5, 0.5)).gamma1)
-    with pytest.raises(OutOfRegime):
-        deviation_losses_quantum(DilemmaParams(-0.5, 0.2), 0.5)
-
-
 def test_a_pair_with_equal_strengths_has_no_band_to_name():
     with pytest.raises(OutOfPhase) as excinfo:
-        deviation_losses_quantum(DilemmaParams(0.5, 0.5), math.pi / 6)
+        transitional_mixing_probability(DilemmaParams(0.5, 0.5), math.pi / 6)
     assert str(excinfo.value) == "(d_g, d_r) = (0.5, 0.5) has no two-NE band"
     with pytest.raises(OutOfPhase, match="no two-NE band"):
         sensitivity_indices(DilemmaParams(0.5, 0.5), 1.2)
@@ -181,7 +181,7 @@ def test_rde_transitional_seams_and_midband():
     assert transitional_mixing_probability(TRANS, thr.gamma2) == pytest.approx(1.0, abs=1e-9)
     assert transitional_mixing_probability(TRANS, math.pi / 6) == pytest.approx(13 / 28, abs=1e-12)
 
-    outcome = rde_transitional(TRANS, math.pi / 6)
+    outcome = rde_at(TRANS, math.pi / 6)
     assert outcome.kind == "mixed"
     assert outcome.profile.p == outcome.profile.q
 
@@ -202,15 +202,8 @@ def test_rde_transitional_monotone_in_gamma():
     gammas = np.linspace(thr.gamma1, thr.gamma2, 1001)
     values = [transitional_mixing_probability(TRANS, g) for g in gammas]
     assert all(b > a for a, b in zip(values, values[1:]))
-    payoffs = [rde_transitional(TRANS, g).payoffs[0] for g in gammas]
+    payoffs = [rde_at(TRANS, g).payoffs[0] for g in gammas]
     assert all(b > a for a, b in zip(payoffs, payoffs[1:]))
-
-
-def test_rde_transitional_out_of_phase():
-    with pytest.raises(OutOfPhase):
-        rde_transitional(TRANS, 0.2)
-    with pytest.raises(OutOfPhase):
-        rde_transitional(COEX, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +211,16 @@ def test_rde_transitional_out_of_phase():
 
 
 def test_rde_coexistence_branches():
-    outcome = rde_coexistence(COEX, 0.4)
+    outcome = rde_at(COEX, 0.4)
     assert outcome.label == "(D,D)"
     assert outcome.payoffs == (0.0, 0.0)
 
-    outcome = rde_coexistence(COEX, 0.6)
+    outcome = rde_at(COEX, 0.6)
     assert outcome.label == "(Q,Q)"
     assert outcome.payoffs == (1.0, 1.0)
 
     g_star = thresholds(COEX).gamma_star
-    outcome = rde_coexistence(COEX, g_star)
+    outcome = rde_at(COEX, g_star)
     assert outcome.kind == "mixed"
     assert outcome.profile.p == 0.5
     assert outcome.payoffs[0] == pytest.approx((2 + 0.2 - 0.9) / 4, abs=1e-12)
@@ -246,7 +239,7 @@ def test_rde_coexistence_agrees_with_generic_selector():
         if abs(gamma - thr.gamma_star) < 1e-6:
             continue
         count += 1
-        mine = rde_coexistence(params, gamma)
+        mine = rde_at(params, gamma)
         generic = select_rde_symmetric(pure_quantum_matrix(params, gamma).matrix)
         assert mine.kind == generic.kind == "pure"
         assert mine.label == generic.label
@@ -259,10 +252,10 @@ def test_near_the_diagonal_the_closed_form_and_generic_rde_differ_by_design():
     params = DilemmaParams(0.5, 0.50001)
     gamma = 0.5235984869
     assert abs(gamma - thresholds(params).gamma_star) > PHASE_TOL
-    qq, dd = deviation_losses_quantum(params, gamma)
+    qq, dd = losses_at(params, gamma)
     assert abs(qq.product - dd.product) <= TIE_EPS
-    assert select_rde_quantum(params, gamma) == ("coexistence", rde_coexistence(params, gamma))
-    assert rde_coexistence(params, gamma).label == "(D,D)"
+    assert select_rde_quantum(params, gamma) == ("coexistence", rde_at(params, gamma))
+    assert rde_at(params, gamma).label == "(D,D)"
     generic = select_rde_symmetric(pure_quantum_matrix(params, gamma).matrix)
     assert generic.kind == "mixed"
     assert generic.profile.p == pytest.approx(0.8, abs=1e-5)
@@ -275,10 +268,11 @@ def test_coexistence_switch_single_sign_change():
         dr = rng.uniform(dg + 0.05, 0.98)
         params = DilemmaParams(dg, dr)
         thr = thresholds(params)
-        gammas = np.linspace(thr.gamma2 + 1e-9, thr.gamma1 - 1e-9, 2001)
+        # Off the seams, where select_rde gives the two NEs' losses.
+        gammas = np.linspace(thr.gamma2 + 2 * PHASE_TOL, thr.gamma1 - 2 * PHASE_TOL, 2001)
         diffs = []
         for g in gammas:
-            qq, dd = deviation_losses_quantum(params, g)
+            qq, dd = losses_at(params, g)
             diffs.append(qq.product - dd.product)
         signs = np.sign(diffs)
         changes = np.nonzero(np.diff(signs))[0]
@@ -381,8 +375,8 @@ def test_sensitivity_indices_degenerate_base():
 
 def test_rde_expected_payoff_anchors():
     thr = thresholds(TRANS)
-    assert rde_transitional(TRANS, thr.gamma1).payoffs == pytest.approx((0, 0), abs=1e-9)
-    assert rde_transitional(TRANS, thr.gamma2).payoffs == pytest.approx((1, 1), abs=1e-9)
+    assert rde_at(TRANS, thr.gamma1).payoffs == pytest.approx((0, 0), abs=1e-9)
+    assert rde_at(TRANS, thr.gamma2).payoffs == pytest.approx((1, 1), abs=1e-9)
 
 
 def test_rde_expected_payoff_matches_direct_evaluation():
@@ -390,7 +384,7 @@ def test_rde_expected_payoff_matches_direct_evaluation():
     for _ in range(100):
         params, gamma = draw_transitional(rng)
         t = transitional_mixing_probability(params, gamma)
-        assert rde_transitional(params, gamma).payoffs == pytest.approx(
+        assert rde_at(params, gamma).payoffs == pytest.approx(
             expected_payoff_quantum(params, t, t, gamma), abs=1e-12)
 
 
@@ -402,7 +396,7 @@ def test_midpoint_identity():
         gamma = math.asin(math.sqrt((dg + dr) / (2 * (1 + dg + dr))))
         assert transitional_mixing_probability(params, gamma) == pytest.approx(0.5, abs=1e-9)
         expected = (2 + dg - dr) / 4
-        assert rde_transitional(params, gamma).payoffs == pytest.approx(
+        assert rde_at(params, gamma).payoffs == pytest.approx(
             (expected, expected), abs=1e-12)
 
 
@@ -419,11 +413,11 @@ def test_group_benefit_threshold():
 def test_group_benefit_threshold_marks_payoff_sum_crossing():
     # the mixed RDE's payoff sum crosses 1 exactly at the threshold angle
     threshold = group_benefit_threshold(TRANS)
-    assert sum(rde_transitional(TRANS, threshold).payoffs) == pytest.approx(1.0, abs=1e-9)
+    assert sum(rde_at(TRANS, threshold).payoffs) == pytest.approx(1.0, abs=1e-9)
     for gamma in np.linspace(threshold + 1e-3, thresholds(TRANS).gamma2, 20):
-        assert sum(rde_transitional(TRANS, gamma).payoffs) > 1.0
+        assert sum(rde_at(TRANS, gamma).payoffs) > 1.0
     for gamma in np.linspace(thresholds(TRANS).gamma1 + 1e-3, threshold - 1e-3, 20):
-        assert sum(rde_transitional(TRANS, gamma).payoffs) < 1.0
+        assert sum(rde_at(TRANS, gamma).payoffs) < 1.0
 
 
 def test_group_benefit_threshold_always_inside_band():
@@ -437,7 +431,7 @@ def test_group_benefit_threshold_always_inside_band():
         thr = thresholds(params)
         threshold = group_benefit_threshold(params)
         assert thr.gamma1 < threshold < thr.gamma2
-        assert sum(rde_transitional(params, threshold).payoffs) == pytest.approx(1.0, abs=1e-9)
+        assert sum(rde_at(params, threshold).payoffs) == pytest.approx(1.0, abs=1e-9)
     # a few ulps off the diagonal, where gamma1 and gamma2 coincide in floats
     for ulps in range(1, 9):
         for dr in rng.uniform(0.001, 0.999, 25):

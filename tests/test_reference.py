@@ -7,7 +7,9 @@ x = (1 + d_g + d_r) sin^2(gamma). So are the quantum game's own forms: the devia
 losses on both bands, both situ risks, the critical angles of the sensitivity
 partials, the mixed outcome probabilities eps2 and eps3, both players' expected
 payoffs, the thresholds gamma1, gamma2 and gamma_star (subnormal strengths
-included) and the group-benefit threshold. The reference is mpmath at 60 digits
+included), the group-benefit threshold, and the partials, indices and gamma
+semi-elasticity of the transitional mixing probability. So are the classical
+deviation losses, which select_rde gives for the gamma of None. The reference is mpmath at 60 digits
 on the same float inputs, from the paper's formulas, and never calls the
 package. Each float must lie within
 C * EPS * (|ref| + sum_i |x_i d ref / d x_i|) of it: C roundings of the result, or
@@ -22,9 +24,9 @@ import pytest
 
 from qpd_rde.ewl import expected_payoff_quantum, joint_distribution, thresholds
 from qpd_rde.game_core import DilemmaParams
-from qpd_rde.quantum_rde import (deviation_losses_quantum, group_benefit_threshold, rde_coexistence,
-                                 rde_transitional, sensitivity_critical_angles, situ_risk_coexistence,
-                                 situ_risk_transitional, transitional_mixing_probability)
+from qpd_rde.quantum_rde import (group_benefit_threshold, select_rde, sensitivity_critical_angles,
+                                 sensitivity_indices, situ_risk_coexistence, situ_risk_transitional,
+                                 transitional_mixing_probability)
 from qpd_rde.risk_dominance import rde_chicken, rde_staghunt
 
 mpmath = pytest.importorskip("mpmath")
@@ -71,6 +73,42 @@ def loss_at_qq(d_g, d_r, gamma):
 
 def loss_at_dd(d_g, d_r, gamma):
     return d_r - shift(d_g, d_r, gamma)
+
+
+def classical(reference):
+    """A quantum form of (d_g, d_r, gamma) at gamma = 0: the classical game's."""
+    return lambda d_g, d_r: reference(d_g, d_r, 0)
+
+
+def partial_dg(d_g, d_r, gamma):
+    """dp*/dd_g = (d_r - (1 + 2 d_r) sin^2 gamma) / (d_g - d_r)^2."""
+    return (d_r - (1 + 2 * d_r) * mp.sin(gamma) ** 2) / (d_g - d_r) ** 2
+
+
+def partial_dr(d_g, d_r, gamma):
+    """dp*/dd_r = (-d_g + (1 + 2 d_g) sin^2 gamma) / (d_g - d_r)^2."""
+    return (-d_g + (1 + 2 * d_g) * mp.sin(gamma) ** 2) / (d_g - d_r) ** 2
+
+
+def partial_gamma(d_g, d_r, gamma):
+    """dp*/dgamma = (1 + d_g + d_r) sin(2 gamma) / (d_g - d_r)."""
+    return (1 + d_g + d_r) * mp.sin(2 * gamma) / (d_g - d_r)
+
+
+def index_dg(d_g, d_r, gamma):
+    return partial_dg(d_g, d_r, gamma) * d_g / weight(d_g, d_r, gamma)
+
+
+def index_dr(d_g, d_r, gamma):
+    return partial_dr(d_g, d_r, gamma) * d_r / weight(d_g, d_r, gamma)
+
+
+def index_gamma(d_g, d_r, gamma):
+    return partial_gamma(d_g, d_r, gamma) * gamma / weight(d_g, d_r, gamma)
+
+
+def semi_elasticity_gamma(d_g, d_r, gamma):
+    return partial_gamma(d_g, d_r, gamma) / weight(d_g, d_r, gamma)
 
 
 def situ_transitional(d_g, d_r, gamma):
@@ -188,15 +226,23 @@ def cases():
         params = DilemmaParams(d_g, d_r)
         yield ("transitional weight", transitional_mixing_probability(params, gamma), weight,
                (d_g, d_r, gamma))
-        yield "transitional payoff", rde_transitional(params, gamma).payoffs[0], mixed_payoff, (
+        yield "transitional payoff", select_rde(params, gamma).rde.payoffs[0], mixed_payoff, (
             d_g, d_r, gamma)
     for d_g, d_r in tie_pairs(rng, 40):
         for value in rde_staghunt(DilemmaParams(d_g, d_r)).payoffs:
             yield "classical tie payoff", value, tie_payoff, (d_g, d_r)
     for d_g, d_r, gamma in coexistence_ties(rng, 40):
-        outcome = rde_coexistence(DilemmaParams(d_g, d_r), gamma)
+        outcome = select_rde(DilemmaParams(d_g, d_r), gamma).rde
         assert outcome.label == "U(0.5)xU(0.5)"
         yield "coexistence tie payoff", outcome.payoffs[0], tie_payoff, (d_g, d_r)
+    # The classical losses, row-major: (C,D) and (D,C) in a chicken, (C,C) and (D,D) in a stag hunt.
+    chicken = (sucker_gain, temptation_gain, temptation_gain, sucker_gain)
+    staghunt = (loss_at_qq,) * 2 + (loss_at_dd,) * 2
+    for (d_g, d_r), references in [*((pair, chicken) for pair in chicken_pairs(rng, 50)),
+                                   *((pair, staghunt) for pair in tie_pairs(rng, 20))]:
+        (_, first), (_, second) = select_rde(DilemmaParams(d_g, d_r)).losses
+        for value, reference in zip((*first, *second), references):
+            yield "classical deviation losses", value, classical(reference), (d_g, d_r)
 
 
 def band_points(rng, count, band):
@@ -246,19 +292,23 @@ def quantum_cases():
     rng = random.Random(2025)
     for d_g, d_r, gamma in band_points(rng, 200, "transitional"):
         params, inputs = DilemmaParams(d_g, d_r), (d_g, d_r, gamma)
-        at_qd, at_dq = deviation_losses_quantum(params, gamma)
-        for value, reference in zip((*at_qd, *at_dq),
-                                    (sucker_gain, temptation_gain, temptation_gain, sucker_gain)):
-            yield "transitional deviation losses", value, reference, inputs
+        losses = select_rde(params, gamma).losses  # at Q(x)D and D(x)Q; () on a seam's three NEs
+        if losses:
+            (_, at_qd), (_, at_dq) = losses
+            for value, reference in zip((*at_qd, *at_dq),
+                                        (sucker_gain, temptation_gain, temptation_gain, sucker_gain)):
+                yield "transitional deviation losses", value, reference, inputs
         at_dq, at_qd = situ_risk_transitional(params, gamma)
         assert at_dq.risk_b == at_qd.risk_a == 0.0
         for value in (at_dq.risk_a, at_qd.risk_b):
             yield "transitional situ risk", value, situ_transitional, inputs
     for d_g, d_r, gamma in band_points(rng, 200, "coexistence"):
         params, inputs = DilemmaParams(d_g, d_r), (d_g, d_r, gamma)
-        at_qq, at_dd = deviation_losses_quantum(params, gamma)
-        for value, reference in zip((*at_qq, *at_dd), (loss_at_qq,) * 2 + (loss_at_dd,) * 2):
-            yield "coexistence deviation losses", value, reference, inputs
+        losses = select_rde(params, gamma).losses
+        if losses:
+            (_, at_qq), (_, at_dd) = losses
+            for value, reference in zip((*at_qq, *at_dd), (loss_at_qq,) * 2 + (loss_at_dd,) * 2):
+                yield "coexistence deviation losses", value, reference, inputs
         at_dd, at_qq = situ_risk_coexistence(params, gamma)
         assert at_dd == (0.0, 0.0)
         for value in at_qq:
@@ -291,6 +341,20 @@ def angle_cases():
                (d_g, d_r))
 
 
+SENSITIVITY = (partial_dg, partial_dr, partial_gamma, index_dg, index_dr, index_gamma, semi_elasticity_gamma)
+
+
+def sensitivity_cases():
+    rng = random.Random(7)
+    for d_g, d_r, gamma in band_points(rng, 400, "transitional"):
+        params = DilemmaParams(d_g, d_r)
+        if select_rde(params, gamma).phase.seam is not None:
+            continue  # p* snaps to 0 or 1 on a seam: no closed form to check
+        report = sensitivity_indices(params, gamma)
+        for reference in SENSITIVITY:
+            yield reference.__name__, getattr(report, reference.__name__), reference, (d_g, d_r, gamma)
+
+
 def worst_margins(cases):
     """The worst margin of each quantity and its inputs, printed one line each."""
     worst = {}
@@ -305,7 +369,7 @@ def worst_margins(cases):
 
 def test_shared_forms_are_within_the_conditioning_bound():
     worst = worst_margins(cases())
-    assert len(worst) == 6
+    assert len(worst) == 7
     assert all(m <= C for m, _ in worst.values()), worst
 
 
@@ -319,3 +383,20 @@ def test_angle_forms_are_within_the_conditioning_bound():
     worst = worst_margins(angle_cases())
     assert len(worst) == 4
     assert all(m <= C for m, _ in worst.values()), worst
+
+
+def test_sensitivity_forms_are_within_the_conditioning_bound():
+    worst = worst_margins(sensitivity_cases())
+    assert len(worst) == len(SENSITIVITY)
+    assert all(m <= C for m, _ in worst.values()), worst
+
+
+def test_sensitivity_references_are_derivatives_of_the_weight():
+    # The references' algebra against mp.diff of the chicken weight, at points inside the band.
+    with mp.workdps(60):
+        for d_g, d_r, gamma in [(0.9, 0.2, math.pi / 6), (0.7, 0.1, 0.5), (0.5, 0.3, 0.6)]:
+            args = [mp.mpf(d_g), mp.mpf(d_r), mp.mpf(gamma)]
+            for i, reference in enumerate((partial_dg, partial_dr, partial_gamma)):
+                order = [0, 0, 0]
+                order[i] = 1
+                assert abs(reference(*args) - mp.diff(weight, args, tuple(order))) < mp.mpf(10) ** -40
