@@ -1,11 +1,14 @@
 """EWL quantum prisoner's dilemma with the one-parameter strategy family.
 
 Two routes to the outcome statistics are kept deliberately independent:
-closed-form expressions for the joint distribution and payoffs, and a dense
+closed-form expressions for the joint distribution and payoffs, and a
 two-qubit state-vector pipeline (entangle, apply local unitaries, disentangle,
-measure) that serves as the oracle. One dense kernel, ``_states``, runs that
-pipeline for final_state and for oracle-check's grid. Basis ordering is
-(CC, CD, DC, DD) throughout.
+measure) that serves as the oracle. One block kernel, ``_states``, runs that
+pipeline for final_state and for oracle-check's grid. The entangler couples
+CC only with DD and CD only with DC, so the kernel reads only the gate's two
+2x2 blocks; ``_entangled`` checks each angle's gate for exact zeros off those
+blocks and raises ValueError otherwise, so the structure is checked, never
+assumed. Basis ordering is (CC, CD, DC, DD) throughout.
 """
 
 from __future__ import annotations
@@ -143,22 +146,32 @@ def entangling_gate(gamma: float, tampered: bool = False) -> tuple[tuple[complex
     return tuple([tuple([cos * e - isin * k for e, k in row]) for row in terms])
 
 
+# The gate entries outside its {CC, DD} and {CD, DC} blocks; each must be exactly zero.
+_OFF_BLOCK = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
+
+
 def _entangled(gamma, tampered):
-    """The angle's gate J as its flattened adjoint Jdag, then J|CC>: 20 amplitudes."""
+    """The angle's gate J as the ten amplitudes the block kernel reads: Jdag's diagonal and
+    anti-diagonal by rows, then the CC and DD amplitudes of J|CC>. Raises ValueError where J
+    has a nonzero entry off its blocks."""
     gate = entangling_gate(gamma, tampered=tampered)
-    return (*[z.conjugate() for column in zip(*gate) for z in column], *_matvec(gate, _KET_CC))
+    for r, c in _OFF_BLOCK:
+        if gate[r][c]:
+            raise ValueError(f"entangling gate entry [{r}][{c}] is {gate[r][c]}, not 0: "
+                             f"the gate must couple CC only with DD and CD only with DC")
+    (j00, _, _, j03), (_, j11, j12, _), (_, j21, j22, _), (j30, _, _, j33) = gate
+    k0, _, _, k3 = _matvec(gate, _KET_CC)
+    return (j00.conjugate(), j30.conjugate(), j11.conjugate(), j21.conjugate(),
+            j12.conjugate(), j22.conjugate(), j03.conjugate(), j33.conjugate(), k0, k3)
 
 
 def _states(products, entangled):
-    """Dense kernel: Jdag L J|CC> per operator product L, then per angle's _entangled, in _matvec sums."""
-    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in products:
-        for e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3, k0, k1, k2, k3 in entangled:
-            v0 = a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3
-            v1 = b0 * k0 + b1 * k1 + b2 * k2 + b3 * k3
-            v2 = c0 * k0 + c1 * k1 + c2 * k2 + c3 * k3
-            v3 = d0 * k0 + d1 * k1 + d2 * k2 + d3 * k3
-            yield (e0 * v0 + e1 * v1 + e2 * v2 + e3 * v3, f0 * v0 + f1 * v1 + f2 * v2 + f3 * v3,
-                   g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3, h0 * v0 + h1 * v1 + h2 * v2 + h3 * v3)
+    """Block kernel: Jdag L J|CC> per operator product L, then per angle's _entangled, each sum
+    _matvec's left-to-right sum with its structurally zero terms left out."""
+    for (a0, _, _, a3), (b0, _, _, b3), (c0, _, _, c3), (d0, _, _, d3) in products:
+        for e0, e3, f1, f2, g1, g2, h0, h3, k0, k3 in entangled:
+            v0, v1, v2, v3 = a0 * k0 + a3 * k3, b0 * k0 + b3 * k3, c0 * k0 + c3 * k3, d0 * k0 + d3 * k3
+            yield e0 * v0 + e3 * v3, f1 * v1 + f2 * v2, g1 * v1 + g2 * v2, h0 * v0 + h3 * v3
 
 
 def final_state(p: float, q: float, gamma: float, tampered: bool = False) -> tuple[complex, ...]:

@@ -122,8 +122,9 @@ def select_rde(params: DilemmaParams, gamma: float | None = None) -> RdeReport:
         kind = classify_dilemma(params).kind  # once, for both the RDE and the losses
         return RdeReport(_CLASSICAL, _layout_rde(params, kind), _layout_losses(params, kind))
     phase = resolve_phase(params, gamma)
-    return RdeReport(phase, _select_rde(params, gamma, phase),
-                     _layout_losses(params, _KIND.get(phase.name), _shift(params, gamma)))
+    kind = _KIND.get(phase.name)
+    shift = _shift(params, gamma) if kind is _CH or kind is _SH else 0.0  # read only by the two-NE classes
+    return RdeReport(phase, _select_rde(params, gamma, phase), _layout_losses(params, kind, shift))
 
 
 def _select_rde(params: DilemmaParams, gamma: float, phase: Phase | None) -> RdeOutcome:

@@ -407,8 +407,8 @@ def reference_operator(t):
     return ((1.0j * rt, complex(ru)), (complex(-ru), -1.0j * rt))
 
 
-def reference_state(p, q, gamma, tampered):
-    gate = reference_gate(gamma, tampered)
+def reference_state(p, q, gamma, tampered, gate=None):
+    gate = reference_gate(gamma, tampered) if gate is None else gate
     adjoint = [[z.conjugate() for z in column] for column in zip(*gate)]
     local = reference_kron(reference_operator(p), reference_operator(q))
     ket = reference_matvec(gate, (1.0 + 0.0j, 0j, 0j, 0j))
@@ -435,12 +435,50 @@ def test_oracle_equals_the_nested_reference_bit_for_bit(tampered):
     assert_oracle_equals_reference(ewl._linspace(0.1, 0.9, 4), ewl._linspace(0.2, 1.4, 4), tampered)
 
 
+def at_signed_zero_corners(test):
+    """An @example at each corner where a term the block kernel leaves out, a signed zero, could
+    flip the sign of a zero amplitude: p and q in {0, 1, 5e-324}, gamma in {0, pi/2, 5e-324}."""
+    weights, angles = (0.0, 1.0, 5e-324), (0.0, math.pi / 2, 5e-324)
+    for p, q, gamma, tampered in itertools.product(weights, weights, angles, (False, True)):
+        test = example(p, q, gamma, tampered)(test)
+    return test
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, math.pi / 2), st.booleans())
 @example(0.0, 1.0, math.pi / 2, True)
 @example(1.0, 0.0, 5e-324, False)
+@at_signed_zero_corners
 def test_oracle_equals_the_nested_reference_bit_for_bit_anywhere(p, q, gamma, tampered):
     assert_oracle_equals_reference([p, q], [gamma], tampered)
+
+
+# The entries of J outside its {CC, DD} and {CD, DC} blocks, written here apart from ewl's list.
+OFF_BLOCK = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("row, column", OFF_BLOCK)
+@pytest.mark.parametrize("tampered", [False, True])
+def test_a_gate_off_its_blocks_raises_and_is_never_computed(monkeypatch, capsys, row, column, tampered):
+    # One planted off-block entry, small but not zero, changes the nested reference's state, so the
+    # block kernel would drop a term that matters: every oracle entry point must raise instead.
+    def planted(gamma, tampered=False):
+        gate = [list(entries) for entries in reference_gate(gamma, tampered)]
+        gate[row][column] = 1e-3 + 0j
+        return tuple(tuple(entries) for entries in gate)
+
+    p, q, gamma = 0.3, 0.6, 0.7
+    assert (amplitude_bits(reference_state(p, q, gamma, tampered, planted(gamma, tampered)))
+            != amplitude_bits(reference_state(p, q, gamma, tampered)))
+    monkeypatch.setattr(ewl, "entangling_gate", planted)
+    with pytest.raises(ValueError, match=rf"\[{row}\]\[{column}\]"):
+        final_state(p, q, gamma, tampered=tampered)
+    with pytest.raises(ValueError, match=rf"\[{row}\]\[{column}\]"):
+        list(ewl._grid_states([0.0, 1.0], [gamma], tampered))
+    argv = ["oracle-check", "--grid", "3"] + ["--tampered-gate"] * tampered
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and f"[{row}][{column}]" in err
 
 
 def test_grid_states_use_no_closed_form(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qpd_rde import quantum_rde
 from qpd_rde.errors import DegenerateBase, OutOfPhase, OutOfRegime
 from qpd_rde.ewl import PHASE_TOL, expected_payoff_quantum, pure_quantum_matrix, thresholds
 from qpd_rde.game_core import TIE_EPS, DilemmaParams
@@ -527,3 +528,17 @@ def test_select_rde_quantum_phases():
     assert phase == "coexistence" and outcome.label == "(Q,Q)"
     with pytest.raises(OutOfRegime):
         select_rde_quantum(DilemmaParams(-0.1, 0.5), 0.5)
+
+
+@pytest.mark.parametrize("params, gamma, name", [
+    (TRANS, 0.15, "classical-like"), (TRANS, 0.5, "transitional"), (COEX, 0.6, "coexistence"),
+    (TRANS, 1.2, "fully-quantum"), (TRANS, thresholds(TRANS).gamma1, "boundary"),
+])
+def test_select_rde_takes_the_shift_only_where_a_loss_or_the_rde_reads_it(monkeypatch, params, gamma, name):
+    # The losses read the shift only for the two-NE bands; the RDE only for the transitional one.
+    calls = []
+    shift = quantum_rde._shift
+    monkeypatch.setattr(quantum_rde, "_shift", lambda *args: calls.append(args) or shift(*args))
+    report = select_rde(params, gamma)
+    assert report.phase.name == name
+    assert len(calls) == {"transitional": 2, "coexistence": 1}.get(name, 0)
