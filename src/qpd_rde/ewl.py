@@ -50,7 +50,6 @@ PHASE_TOL = 1e-9
 
 _SIGMA_Y = ((0.0, -1.0j), (1.0j, 0.0))
 _SIGMA_X = ((0.0, 1.0), (1.0, 0.0))
-_KET_CC = (1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -77,12 +76,6 @@ def _kron(a, b):
 # Each gate's Pauli square as (r == c, k) terms, built once: its entry is cos * (r == c) - isin * k.
 _TERMS_Y, _TERMS_X = (tuple(tuple((r == c, k) for c, k in enumerate(row)) for r, row in enumerate(square))
                       for square in (_kron(_SIGMA_Y, _SIGMA_Y), _kron(_SIGMA_X, _SIGMA_X)))
-
-
-def _matvec(matrix, vector):
-    """Matrix-vector product of a 4x4 and a 4-vector, each entry summed left to right."""
-    v0, v1, v2, v3 = vector
-    return tuple([a * v0 + b * v1 + c * v2 + d * v3 for a, b, c, d in matrix])
 
 
 class JointDistribution(namedtuple("JointDistribution", "eps1 eps2 eps3 eps4")):
@@ -152,22 +145,22 @@ _OFF_BLOCK = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 def _entangled(gamma, tampered):
     """The angle's gate J as the ten amplitudes the block kernel reads: Jdag's diagonal and
-    anti-diagonal by rows, then the CC and DD amplitudes of J|CC>. Raises ValueError where J
-    has a nonzero entry off its blocks."""
+    anti-diagonal by rows, then the CC and DD amplitudes of J|CC>, J's first column. Raises
+    ValueError where J has a nonzero entry off its blocks."""
     gate = entangling_gate(gamma, tampered=tampered)
     for r, c in _OFF_BLOCK:
         if gate[r][c]:
             raise ValueError(f"entangling gate entry [{r}][{c}] is {gate[r][c]}, not 0: "
                              f"the gate must couple CC only with DD and CD only with DC")
     (j00, _, _, j03), (_, j11, j12, _), (_, j21, j22, _), (j30, _, _, j33) = gate
-    k0, _, _, k3 = _matvec(gate, _KET_CC)
     return (j00.conjugate(), j30.conjugate(), j11.conjugate(), j21.conjugate(),
-            j12.conjugate(), j22.conjugate(), j03.conjugate(), j33.conjugate(), k0, k3)
+            j12.conjugate(), j22.conjugate(), j03.conjugate(), j33.conjugate(), j00, j30)
 
 
 def _states(products, entangled):
-    """Block kernel: Jdag L J|CC> per operator product L, then per angle's _entangled, each sum
-    _matvec's left-to-right sum with its structurally zero terms left out."""
+    """Block kernel: Jdag L J|CC> per operator product L, then per angle's _entangled. Each sum is
+    the dense 4x4 product's left-to-right sum with its structurally zero terms left out; the nested
+    reference in tests/test_ewl.py holds it to the dense product bit for bit, signed zeros included."""
     for (a0, _, _, a3), (b0, _, _, b3), (c0, _, _, c3), (d0, _, _, d3) in products:
         for e0, e3, f1, f2, g1, g2, h0, h3, k0, k3 in entangled:
             v0, v1, v2, v3 = a0 * k0 + a3 * k3, b0 * k0 + b3 * k3, c0 * k0 + c3 * k3, d0 * k0 + d3 * k3

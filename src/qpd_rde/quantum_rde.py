@@ -14,7 +14,8 @@ import math
 from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
-from .ewl import Phase, _shift, _side, _strength_sum, expected_payoff_quantum, resolve_phase
+from .ewl import (Phase, _arcsin_sqrt, _pure_payoffs, _shift, _side, _strength_sum, expected_payoff_quantum,
+                  resolve_phase)
 from .game_core import _PURE, DilemmaParams, classify_dilemma
 from .risk_dominance import _CH, _PD, _RDE_DD, _SH, _TRIVIAL, RdeOutcome, _layout_losses, _layout_rde
 
@@ -92,7 +93,7 @@ def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRis
     deviating parameter, so the maximum loss is attained at an endpoint.
     """
     _in_band(params, gamma, "transitional")
-    loss = 1.0 + params.d_g - _shift(params, gamma)
+    loss = _pure_payoffs(params, gamma)[1]
     return SituRisk(loss, 0.0), SituRisk(0.0, loss)
 
 
@@ -167,10 +168,8 @@ def sensitivity_critical_angles(params: DilemmaParams) -> CriticalAngles:
     """Sign-change angles of the d_g and d_r partials."""
     if params.d_g <= 0.0 or params.d_r <= 0.0:
         raise OutOfRegime("critical angles require d_g > 0 and d_r > 0")
-    return CriticalAngles(
-        gamma_g=math.asin(math.sqrt(params.d_r / (1.0 + 2.0 * params.d_r))),
-        gamma_r=math.asin(math.sqrt(params.d_g / (1.0 + 2.0 * params.d_g))),
-    )
+    return CriticalAngles(gamma_g=_arcsin_sqrt(params.d_r, 1.0 + 2.0 * params.d_r),
+                          gamma_r=_arcsin_sqrt(params.d_g, 1.0 + 2.0 * params.d_g))
 
 
 def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityReport:

@@ -349,15 +349,6 @@ def amplitude_bits(state):
     return [(z.real.hex(), z.imag.hex()) for z in state]
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False), min_size=20, max_size=20))
-@example([complex(-0.0, 0.0)] * 4 + [0j] * 12 + [complex(0.0, -0.0)] * 4)
-def test_matvec_sums_each_entry_left_to_right_from_its_first_term(values):
-    matrix, vector = [values[i:i + 4] for i in range(0, 16, 4)], values[16:]
-    expected = [functools.reduce(operator.add, map(operator.mul, row, vector)) for row in matrix]
-    assert amplitude_bits(ewl._matvec(matrix, vector)) == amplitude_bits(expected)
-
-
 def assert_grid_states_equal_final_state(weights, angles, tampered):
     points = list(itertools.product(weights, weights, angles))
     states = list(ewl._grid_states(weights, angles, tampered))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qpd_rde
-from qpd_rde import ewl, game_core, quantum_rde, risk_dominance
+from qpd_rde import cli, errors, ewl, game_core, quantum_rde, risk_dominance
 
 PUBLIC = {
     game_core: [
@@ -120,3 +120,20 @@ def test_one_seam_snap_and_one_chicken_weight():
         names = {value for node in ast.walk(ast.parse(path.read_text())) for value in
                  (getattr(node, field, None) for field in ("id", "attr", "name")) if isinstance(value, str)}
         assert ("_chicken_weight" in names) == (path.stem == "risk_dominance"), path.name
+
+
+def test_every_library_name_perfbench_reads_exists():
+    # perfbench/ is the benchmark's own code and is edited only with the benchmark, so a name it
+    # reads (a public wrapper such as select_rde_quantum or rde_chicken included) must stay.
+    modules = {module.__name__.rsplit(".", 1)[1]: module for module in [*PUBLIC, cli]}
+    read = set()
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                read.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "qpd_rde.errors":
+                read.update((errors, alias.name) for alias in node.names)
+    assert {module for module, _ in read} == {*modules.values(), errors}
+    missing = sorted(f"{module.__name__}.{name}" for module, name in read if not hasattr(module, name))
+    assert not missing
