@@ -5,8 +5,9 @@ strengths, d_g == d_r, and in the quantum PD each threshold at 0, PHASE_TOL / 2 
 2 * PHASE_TOL from it on both sides, with gamma at 0, pi/4 and pi/2. The families are
 the classify, ne, rde and sensitivity commands in text and JSON, classical and quantum,
 each hashed with its exit code and stderr; the 21x21x17 all-quantity sweep in CSV and
-JSON; tables; oracle-check plain and with --tampered-gate; and, one family per public
-function, the repr of each result or the type and message of each exception.
+JSON, and in CSV with a descending angle axis in radians and in degrees; tables;
+oracle-check plain and with --tampered-gate; and, one family per public function, the
+repr of each result or the type and message of each exception.
 
     python tests/golden_corpus.py           # print the manifest the code gives now
     python tests/golden_corpus.py --write   # re-record tests/golden_manifest.json
@@ -98,6 +99,11 @@ def cli_families(grid, triples):
         yield f"cli.sweep.{fmt}", [_cli("sweep", "--dg-range", "-1", "1", "21", "--dr-range", "-1", "1", "21",
                                         "--gamma-range", "0", repr(math.pi / 2), "17",
                                         "--quantities", QUANTITIES, "--format", fmt)]
+    # Descending angle axes, in radians and in degrees: the order a sweep walks its angles in.
+    yield "cli.sweep.descending.csv", [
+        _cli("sweep", "--dg-range", "-1", "1", "21", "--dr-range", "-1", "1", "21",
+             "--gamma-range", *ends, "17", *unit, "--quantities", QUANTITIES)
+        for ends, unit in (((repr(math.pi / 2), "0"), ()), (("90", "0"), ("--degrees",)))]
     yield "cli.tables", [_cli("tables")]
     yield "cli.oracle-check", [_cli("oracle-check")]
     yield "cli.oracle-check.tampered", [_cli("oracle-check", "--tampered-gate")]
