@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 check failure.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import functools
 import itertools
@@ -187,8 +188,11 @@ def _axis(single, rng, name):
 
 
 def _csv_text(group, cells) -> str:
-    """CSV text of one group of cells: floats to 12 significant digits, None blank."""
-    return _csv_line([f"{x:.12g}" if type(x) is float else x for x in cells])
+    """CSV text of one group of cells: floats to 12 significant digits, None and "" blank, and
+    other cells as csv.writer quotes them. csv.writer never quotes %.12g text and quotes a row
+    of two or more cells cell by cell; only a row of one empty cell does it write as '""'."""
+    return ",".join([f"{x:.12g}" if type(x) is float else "" if x is None or x == "" else _csv_line((x,))
+                     for x in cells])
 
 
 def _json_text(group, cells) -> str:
@@ -196,12 +200,12 @@ def _json_text(group, cells) -> str:
     return _json_object(dict(zip(_KEYS[group], cells)))[1:-1]
 
 
-def _ne_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
+def _ne_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
     name, records = ewl._pure_ne(params, gamma, phase)
     return name, len(records), "|".join(_ne_labels(records, phase is None))
 
 
-def _rde_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
+def _rde_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
     """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined."""
     try:
         outcome = quantum_rde._select_rde(params, gamma, phase)
@@ -210,7 +214,7 @@ def _rde_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     return (outcome.kind, outcome.label or "", *outcome.profile, *outcome.payoffs)
 
 
-def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
+def _sensitivity_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
     """Sensitivity cells on the transitional band; blank off it, where p* is 0 or the gap underflows."""
     if phase is None or not quantum_rde._on_band(phase, "transitional"):
         return _BLANK["sensitivity"]
@@ -220,19 +224,37 @@ def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
         return _BLANK["sensitivity"]
 
 
-# Cells of each quantity below the pair scope; phase None is the classical game.
+# Cells of each quantity below the pair scope at gamma, s2 = sin^2(gamma) and the phase resolved
+# for gamma; phase None is the classical game.
 _CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells,
-          "payoffs": lambda params, gamma, phase: ewl._pure_payoffs(params, gamma)}
+          "payoffs": lambda params, gamma, s2, phase: ewl._pure_payoffs(params, s2)}
 
 
-def _pair_rows(dg: float, dr: float, angles, quantities, render, memo):
-    """Sweep rows of one (d_g, d_r) pair, one per angle: lists of rendered cell groups.
+def _runs(gammas, thr) -> list[tuple[int, int]]:
+    """(start, stop) spans of a monotone angle axis over which ewl._side of each angle in thr stays
+    the same. Along the axis in ascending order each side is nondecreasing, so it changes at most
+    twice, where bisection finds it reaching 0 and 1."""
+    up = gammas[0] <= gammas[-1]
+    ascending = gammas if up else gammas[::-1]
+    cuts = {0, len(gammas)}
+    for angle in thr:
+        def side(gamma, angle=angle):
+            return ewl._side(gamma, angle)
 
-    ``render(group, cells)`` turns a group of cells into its text and ``angles`` pairs
-    each angle with its text. A quantum PD pair's angles fall into sides by ewl._side of
-    gamma1, gamma2 and gamma_star; a classical pair is one side, with phase None. Each
-    group is computed once per span of its _COLUMNS scope, and side-level text is taken
-    from ``memo`` by (group, cells). Cells undefined at a row are blank.
+        low = bisect.bisect_left(ascending, 0, key=side)
+        cuts |= {low, bisect.bisect_left(ascending, 1, low, key=side)}
+    return list(itertools.pairwise(sorted(cut if up else len(gammas) - cut for cut in cuts)))
+
+
+def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) -> list[str]:
+    """Sweep rows of one (d_g, d_r) pair, one text per angle, its groups joined by ``between``.
+
+    ``render(group, cells)`` turns a group of cells into its text, and ``axis`` holds the angles,
+    in monotone order, their texts and their sin^2. A quantum PD pair's angles split into the
+    _runs of gamma1, gamma2 and gamma_star; a classical pair is one run, with phase None. Each run
+    resolves one phase, renders each group above row scope once (side-level text comes from
+    ``memo`` by (group, cells)) and joins that text around the row-level groups, which it renders
+    row by row. Cells undefined at a row are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
@@ -241,22 +263,27 @@ def _pair_rows(dg: float, dr: float, angles, quantities, render, memo):
     head = render("strengths", (dg, dr))
     pair = {q: render(q, cells) for q, cells in (("class", (cls.kind.value, int(cls.boundary))),
                                                  ("thresholds", thr)) if q in quantities}
-    sides = {}
-    for gamma, gamma_text in angles:
-        key = quantum and (ewl._side(gamma, thr.gamma1), ewl._side(gamma, thr.gamma2),
-                           ewl._side(gamma, thr.gamma_star))
-        if key not in sides:
-            phase = ewl._phase(params, gamma, thr) if quantum else None
-            on_band = phase is not None and quantum_rde._on_band(phase, "transitional")
-            side = dict(pair)
-            for group in quantities:
-                if _COLUMNS[group][0] in (("side",) if on_band else ("side", "band")):
-                    entry = group, _CELLS[group](params, gamma, phase)
-                    side[group] = memo[entry] if entry in memo else memo.setdefault(entry, render(*entry))
-            sides[key] = side, phase
-        side, phase = sides[key]
-        yield [head, gamma_text, *[side[q] if q in side else
-                                   render(q, _CELLS[q](params, gamma, phase)) for q in quantities]]
+    gammas, texts, squares = axis
+    rows = []
+    for start, stop in _runs(gammas, thr) if quantum else [(0, len(gammas))]:
+        phase = ewl._phase(params, gammas[start], thr) if quantum else None
+        on_band = phase is not None and quantum_rde._on_band(phase, "transitional")
+        per_row = ("row", "band") if on_band else ("row",)
+        # Texts between the row-level groups, each joined once, and each row-level group's texts.
+        columns, text = [itertools.repeat(head + between), texts[start:stop]], ""
+        for group in quantities:
+            scope = _COLUMNS[group][0]
+            if scope in per_row:
+                columns += [itertools.repeat(text + between), [
+                    render(group, _CELLS[group](params, gammas[i], squares[i], phase)) for i in range(start, stop)]]
+                text = ""
+            elif scope == "pair":
+                text += between + pair[group]
+            else:
+                entry = group, _CELLS[group](params, gammas[start], squares[start], phase)
+                text += between + (memo[entry] if entry in memo else memo.setdefault(entry, render(*entry)))
+        rows += map("".join, zip(*columns, itertools.repeat(text)))
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -287,14 +314,17 @@ def cmd_sweep(args) -> int:
         "csv": (_csv_text, [_csv_line(header), "\n"], ",", "\n", "\n"),
         "json": (_json_text, ["[\n  {\n    "], ",\n    ", "\n  },\n  {\n    ", "\n  }\n]\n"),
     }[args.format]
-    angles = [(gamma, render("gamma", (gamma,))) for gamma in gammas]
-    # Side-level text by (group, cells). A value key would merge 0.0 and -0.0, which print
-    # differently, but the library's + 0.0 guards keep -0.0 out of side-level cells, and the
-    # seam properties, which compare sweeps as printed, would catch a merged signed zero.
+    # Each angle's text and sin^2, once per sweep.
+    axis = gammas, [render("gamma", (gamma,)) for gamma in gammas], [math.sin(gamma) ** 2 for gamma in gammas]
+    # Side-level text by (group, cells), shared by every run of every pair. A value key would
+    # merge 0.0 and -0.0, which print differently, but the library's + 0.0 guards keep -0.0 out
+    # of side-level cells, and the seam properties, which compare sweeps as printed, would catch
+    # a merged signed zero.
     memo = {}
-    pairs = (_pair_rows(dg, dr, angles, quantities, render, memo) for dg in dgs for dr in drs)
-    for rows in pairs:
-        chunks += [between_rows.join([between_groups.join(row) for row in rows]), between_rows]
+    for dg in dgs:
+        for dr in drs:
+            chunks += [between_rows.join(_pair_rows(dg, dr, axis, quantities, render, between_groups, memo)),
+                       between_rows]
     chunks[-1] = end  # in place of the text between the last pair's rows and the next's
     # Written only once every row is made: a sweep that fails prints no rows.
     _write_output(chunks, args.out)

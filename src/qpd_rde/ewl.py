@@ -200,9 +200,9 @@ def _strength_sum(params: DilemmaParams) -> float:
     return 1.0 + params.d_r + params.d_g
 
 
-def _shift(params: DilemmaParams, gamma: float) -> float:
-    """Entanglement shift x = (1+d_r+d_g) sin^2(gamma); every payoff is affine in it."""
-    return _strength_sum(params) * math.sin(gamma) ** 2
+def _shift(params: DilemmaParams, s2: float) -> float:
+    """Entanglement shift x = (1+d_r+d_g) s2 at s2 = sin^2(gamma); every payoff is affine in it."""
+    return _strength_sum(params) * s2
 
 
 def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:
@@ -210,20 +210,20 @@ def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: fl
     profile = StrategyProfile(p, q)  # checks p, then q
     _check_gamma(gamma)
     pay_a, pay_b = expected_payoff_classical(params, profile)
-    shift = (p - q) * _shift(params, gamma)
+    shift = (p - q) * _shift(params, math.sin(gamma) ** 2)
     return pay_a + shift, pay_b - shift
 
 
-def _pure_payoffs(params: DilemmaParams, gamma: float) -> tuple[float, float]:
-    """Off-diagonal payoffs (pi_q, pi_d) of the pure-quantum matrix."""
-    x = _shift(params, gamma)
+def _pure_payoffs(params: DilemmaParams, s2: float) -> tuple[float, float]:
+    """Off-diagonal payoffs (pi_q, pi_d) of the pure-quantum matrix at s2 = sin^2(gamma)."""
+    x = _shift(params, s2)
     return -params.d_r + x, 1.0 + params.d_g - x
 
 
 def pure_quantum_matrix(params: DilemmaParams, gamma: float) -> QuantumPayoffMatrix:
     """Payoff matrix over the pure quantum strategies Q and D."""
     _check_gamma(gamma)
-    pi_q, pi_d = _pure_payoffs(params, gamma)
+    pi_q, pi_d = _pure_payoffs(params, math.sin(gamma) ** 2)
     return QuantumPayoffMatrix(_dilemma_matrix(pi_q, pi_d, ("Q", "D")), pi_q, pi_d)
 
 
@@ -304,7 +304,7 @@ def _pure_ne(params: DilemmaParams, gamma: float, phase: Phase | None) -> Quantu
         return QuantumNeReport("classical", _layout_ne(-dr, -dg, 0.0 - dr, 1.0 + dg))
     thr = phase.thresholds
     return QuantumNeReport(phase.name, _layout_ne(_side(gamma, thr.gamma1), _side(gamma, thr.gamma2),
-                                                  *_pure_payoffs(params, gamma)))
+                                                  *_pure_payoffs(params, math.sin(gamma) ** 2)))
 
 
 def grid_best_response_gain(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:

@@ -93,14 +93,14 @@ def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRis
     deviating parameter, so the maximum loss is attained at an endpoint.
     """
     _in_band(params, gamma, "transitional")
-    loss = _pure_payoffs(params, gamma)[1]
+    loss = _pure_payoffs(params, math.sin(gamma) ** 2)[1]
     return SituRisk(loss, 0.0), SituRisk(0.0, loss)
 
 
 def situ_risk_coexistence(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
     """Situ risks at the symmetric NEs, returned as (at D(x)D, at Q(x)Q)."""
     _in_band(params, gamma, "coexistence")
-    loss = 1.0 + params.d_r - _shift(params, gamma)
+    loss = 1.0 + params.d_r - _shift(params, math.sin(gamma) ** 2)
     return SituRisk(0.0, 0.0), SituRisk(loss, loss)
 
 
@@ -124,7 +124,7 @@ def select_rde(params: DilemmaParams, gamma: float | None = None) -> RdeReport:
         return RdeReport(_CLASSICAL, _layout_rde(params, kind), _layout_losses(params, kind))
     phase = resolve_phase(params, gamma)
     kind = _KIND.get(phase.name)
-    shift = _shift(params, gamma) if kind is _CH or kind is _SH else 0.0  # read only by the two-NE classes
+    shift = _shift(params, math.sin(gamma) ** 2) if kind in (_CH, _SH) else 0.0  # read only by the two-NE classes
     return RdeReport(phase, _select_rde(params, gamma, phase), _layout_losses(params, kind, shift))
 
 
@@ -135,7 +135,7 @@ def _select_rde(params: DilemmaParams, gamma: float, phase: Phase | None) -> Rde
         return _layout_rde(params, classify_dilemma(params).kind)
     if phase.seam is None:  # the shift is read only by CH, the side of gamma_star only by SH
         kind = _KIND[phase.name]
-        return _layout_rde(params, kind, _shift(params, gamma) if kind is _CH else 0.0,
+        return _layout_rde(params, kind, _shift(params, math.sin(gamma) ** 2) if kind is _CH else 0.0,
                            _side(gamma, phase.thresholds.gamma_star) if kind is _SH else None,
                            _RDE_QQ, _TIE_LABEL)
     if phase.band is None:

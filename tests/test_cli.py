@@ -240,7 +240,7 @@ def test_oracle_bytes_are_pinned(capsys, argv, exit_code, digest):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_writes_non_finite_cells_as_its_writers_do(capsys, monkeypatch, fmt):
     """Infinite and NaN cells print as json.dumps(indent=2) and csv.writer print them."""
-    monkeypatch.setattr(cli.ewl, "_pure_payoffs", lambda params, gamma: (math.inf, math.nan))
+    monkeypatch.setattr(cli.ewl, "_pure_payoffs", lambda params, s2: (math.inf, math.nan))
     code, out, err = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.2",
                          "--gamma-range", "0", "1.5", "3", "--quantities", "class,payoffs",
                          "--format", fmt)
@@ -531,6 +531,37 @@ def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, mo
             and abs(abs(dg) - dr) <= game_core.TIE_EPS]
     assert ties == [(-1.0, 1.0), (-0.5, 0.5)]
     assert calls == {"thresholds": 25, "PayoffMatrix2x2": 0}
+
+
+@pytest.mark.parametrize("dg, dr", [("0.9", "0.2"), ("0.2", "0.9"), ("0.5", "0.5")])
+@pytest.mark.parametrize("ends", [("0", "1.5707963267948966"), ("1.5707963267948966", "0")])
+def test_sweep_finds_side_changes_by_bisection(capsys, monkeypatch, dg, dr, ends):
+    # O(log n) ewl._side calls per pair, not three per row: the sides change at most twice
+    # per threshold along a monotone angle axis.
+    calls = []
+    side = ewl._side
+    for module in (ewl, quantum_rde):
+        monkeypatch.setattr(module, "_side", lambda gamma, angle: calls.append(gamma) or side(gamma, angle))
+    code, out, err = run(capsys, "sweep", "--dg", dg, "--dr", dr, "--gamma-range", *ends, "10001",
+                         "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 10001
+    assert 0 < len(calls) <= 200
+
+
+def test_sweep_takes_sin_squared_once_per_angle(capsys, monkeypatch):
+    # Three PD pairs over n angles: about n sines, not one per row. rde and sensitivity are left
+    # out, as the transitional RDE and its partials take sin(gamma) per row on that band.
+    calls = []
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
+    n = 300
+    code, out, err = run(capsys, "sweep", "--dg", "0.6", "--dr-range", "0.2", "0.9", "3",
+                         "--gamma-range", "0", "1.5707963267948966", str(n),
+                         "--quantities", "class,ne,payoffs,thresholds")
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 3 * n
+    assert n <= len(calls) <= 1.5 * n
 
 
 @pytest.mark.parametrize("fmt, renderer", [("csv", "_csv_text"), ("json", "_json_text")])

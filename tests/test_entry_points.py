@@ -25,7 +25,9 @@ ties that the rounding adds.
 
 Two more properties pin the sweep's layout: a multi-row sweep is its one-row
 sweeps, in JSON and as CSV text, and any ``--quantities`` subset, order or
-repeat gives the all-quantity sweep's columns, cell for cell. One pins its
+repeat gives the all-quantity sweep's columns, cell for cell. Another checks
+that the runs the sweep bisects a pair's angle axis into are the spans of equal
+per-row sides of its three thresholds. One pins its
 writers: the JSON text is ``json.dumps(indent=2)`` of its own rows, and the CSV
 text is ``csv.writer`` over those rows. Another checks that each quantity's
 cells stay the same over the scope the sweep's layout table gives it. A further
@@ -47,7 +49,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from qpd_rde.cli import _COLUMNS, build_parser, main
+from qpd_rde.cli import _COLUMNS, _runs, build_parser, main
 from qpd_rde.errors import QpdError
 from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_ne, pure_quantum_matrix,
                          thresholds)
@@ -364,10 +366,15 @@ def csv_body(*argv):
     return sweep_text(ALL, "csv", *argv).partition("\n")[2]
 
 
+def gamma_argv(gamma_range):
+    """--gamma-range of (start, stop, steps), with the flags that may follow: --degrees."""
+    return ("--gamma-range", *map(repr, gamma_range[:3]), *gamma_range[3:])
+
+
 def grid_argv(grid):
     dg_range, dr_range, _, gamma_range = grid
     return ("--dg-range", *map(repr, dg_range), "3", "--dr-range", *map(repr, dr_range), "3",
-            "--gamma-range", *map(repr, gamma_range))
+            *gamma_argv(gamma_range))
 
 
 def toward_middle(bounds, nudge):
@@ -401,11 +408,14 @@ NEAR_SEAMS = ((0.5, 0.9), (0.499999999, 0.899999999), (0.9, 0.899999999),
 @settings(SETTINGS, max_examples=200)
 @given(grids())
 @example(NEAR_SEAMS)
+# Descending across gamma2, gamma_star and gamma1 of (0.9, 0.2), and a range in degrees.
+@example(((0.2, 0.9), (0.2, 0.9), (0.9, 0.2), (math.pi / 2, 0.0, 9)))
+@example(((0.2, 0.9), (0.9, 0.2), (0.2, 0.9), (0.0, 90.0, 9, "--degrees")))
 def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
     """A 3x3 sweep is the concatenation of its per-pair sweeps, and the multi-angle sweep
     of the drawn pair is, row for row, its one-row sweeps, in JSON and as CSV text."""
     dg_range, dr_range, (d_g, d_r), gamma_range = grid
-    gamma_args = ("--gamma-range", *map(repr, gamma_range))
+    gamma_args = gamma_argv(gamma_range)
     pairs = [(f"--dg={g!r}", f"--dr={r!r}")
              for g in _linspace(*dg_range, 3) for r in _linspace(*dr_range, 3)]
     rows = sweep_rows(*grid_argv(grid))
@@ -417,6 +427,37 @@ def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
         assert same([row], sweep_rows(*pair, f"--gamma={row['gamma']!r}")), row
     assert csv_body(*pair, *gamma_args) == "".join(
         csv_body(*pair, f"--gamma={row['gamma']!r}") for row in rows)
+
+
+@st.composite
+def pd_axes(draw):
+    """A quantum PD pair, the NEAR_SEAMS grid pairs included, and a sweep's angle axis over it:
+    ascending, descending or constant, in radians or through math.radians, its ends anywhere in
+    [0, pi/2] or at a threshold, PHASE_TOL / 2 or 2 PHASE_TOL off it on either side."""
+    pd = st.floats(5e-324, 1.0)
+    near = [(d_g, d_r) for d_g in _linspace(*NEAR_SEAMS[0], 3) for d_r in _linspace(*NEAR_SEAMS[1], 3)]
+    d_g, d_r = draw(st.one_of(st.tuples(pd, pd), st.sampled_from(near)))
+    thr = thresholds(DilemmaParams(d_g, d_r))
+    end = st.one_of(st.floats(0.0, math.pi / 2), st.builds(
+        float.__add__, st.sampled_from(thr), st.sampled_from((0.0, PHASE_TOL / 2, -PHASE_TOL / 2,
+                                                              2 * PHASE_TOL, -2 * PHASE_TOL))))
+    start = draw(end)
+    stop = draw(st.one_of(end, st.just(start)))
+    steps = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        return thr, [math.radians(g) for g in _linspace(math.degrees(start), math.degrees(stop), steps)]
+    return thr, _linspace(start, stop, steps)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(pd_axes())
+def test_the_sweeps_runs_are_its_per_row_sides(axis):
+    """The bisected runs of a pair's angle axis are the spans of equal ewl._side triples of
+    gamma1, gamma2 and gamma_star, row by row."""
+    thr, gammas = axis
+    sides = [tuple(_side(gamma, angle) for angle in thr) for gamma in gammas]
+    stops = list(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(sides)))
+    assert _runs(gammas, thr) == list(zip([0, *stops], stops))
 
 
 @settings(SETTINGS, max_examples=200)
