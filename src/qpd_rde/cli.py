@@ -55,6 +55,8 @@ class _Echo:
 # csv.writerow returns what its file's write returns: here the line, quoted as csv quotes.
 _csv_line = csv.writer(_Echo(), lineterminator="").writerow
 _json_object = json.JSONEncoder(separators=(",\n    ", ": ")).encode  # no indent: the C encoder
+# Each group's members with a {!r} for each cell's value, its keys as the encoder quotes them.
+_TEMPLATES = {group: ",\n    ".join(f"{json.dumps(key)}: {{!r}}" for key in keys) for group, keys in _KEYS.items()}
 
 
 def _fmt(x: float) -> str:
@@ -196,8 +198,13 @@ def _csv_text(group, cells) -> str:
 
 
 def _json_text(group, cells) -> str:
-    """JSON members of a group of cells, keyed by _KEYS, one to a line as in json.dumps(indent=2)."""
-    return _json_object(dict(zip(_KEYS[group], cells)))[1:-1]
+    """JSON members of a group of cells, keyed by _KEYS, one to a line as in json.dumps(indent=2).
+    json writes a finite float as float.__repr__, so a group of finite floats fills its template;
+    a group with any other cell (str, int, None, inf or nan) goes through the encoder."""
+    for x in cells:
+        if type(x) is not float or not math.isfinite(x):
+            return _json_object(dict(zip(_KEYS[group], cells)))[1:-1]
+    return _TEMPLATES[group].format(*cells)
 
 
 def _ne_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
@@ -252,17 +259,16 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) ->
     ``render(group, cells)`` turns a group of cells into its text, and ``axis`` holds the angles,
     in monotone order, their texts and their sin^2. A quantum PD pair's angles split into the
     _runs of gamma1, gamma2 and gamma_star; a classical pair is one run, with phase None. Each run
-    resolves one phase, renders each group above row scope once (side-level text comes from
-    ``memo`` by (group, cells)) and joins that text around the row-level groups, which it renders
-    row by row. Cells undefined at a row are blank.
+    resolves one phase, takes the text of each group above row scope from ``memo`` by (group,
+    cells), rendering it on a miss, and joins that text around the row-level groups, which it
+    renders row by row. Cells undefined at a row are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
     thr = ewl.thresholds(params)
     quantum = cls.kind is game_core.DilemmaKind.PD
     head = render("strengths", (dg, dr))
-    pair = {q: render(q, cells) for q, cells in (("class", (cls.kind.value, int(cls.boundary))),
-                                                 ("thresholds", thr)) if q in quantities}
+    pair = {"class": (cls.kind.value, int(cls.boundary)), "thresholds": thr}  # cells of the pair-scope groups
     gammas, texts, squares = axis
     rows = []
     for start, stop in _runs(gammas, thr) if quantum else [(0, len(gammas))]:
@@ -277,10 +283,9 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) ->
                 columns += [itertools.repeat(text + between), [
                     render(group, _CELLS[group](params, gammas[i], squares[i], phase)) for i in range(start, stop)]]
                 text = ""
-            elif scope == "pair":
-                text += between + pair[group]
             else:
-                entry = group, _CELLS[group](params, gammas[start], squares[start], phase)
+                entry = group, (pair[group] if scope == "pair" else
+                                _CELLS[group](params, gammas[start], squares[start], phase))
                 text += between + (memo[entry] if entry in memo else memo.setdefault(entry, render(*entry)))
         rows += map("".join, zip(*columns, itertools.repeat(text)))
     return rows
@@ -316,10 +321,11 @@ def cmd_sweep(args) -> int:
     }[args.format]
     # Each angle's text and sin^2, once per sweep.
     axis = gammas, [render("gamma", (gamma,)) for gamma in gammas], [math.sin(gamma) ** 2 for gamma in gammas]
-    # Side-level text by (group, cells), shared by every run of every pair. A value key would
+    # Text above row scope by (group, cells), shared by every run of every pair. A value key would
     # merge 0.0 and -0.0, which print differently, but the library's + 0.0 guards keep -0.0 out
     # of side-level cells, and the seam properties, which compare sweeps as printed, would catch
-    # a merged signed zero.
+    # a merged signed zero. Pair-scope cells hold none: class is a str and an int, and a
+    # threshold is never -0.0 (ewl._arcsin_sqrt returns 0.0 for a zero radicand).
     memo = {}
     for dg in dgs:
         for dr in drs:

@@ -196,9 +196,10 @@ def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityRe
 
 
 def group_benefit_threshold(params: DilemmaParams) -> float:
-    """Smallest transitional angle where the RDE's group benefit beats the other NEs.
+    """Smallest transitional angle above which the RDE's payoff sum exceeds 1.
 
-    The condition is sin(2 gamma) > rhs = sqrt(2(d_r + 2 d_r d_g + d_g))/(1+d_r+d_g); the lower
+    The condition is sin(2 gamma) > rhs = sqrt(2(d_r + 2 d_r d_g + d_g))/(1+d_r+d_g), a payoff sum
+    of the RDE above 1; the other transitional NEs, (D,Q) and (Q,D), sum to 1 + d_g - d_r. The lower
     crossing is atan2 of rhs and its cosine hypot(1, d_g-d_r)/(1+d_r+d_g), free of cancellation. For
     d_g > d_r > 0 it lies inside the band, as sin(2 gamma1) < rhs < sin(2 min(gamma2, pi/4)).
     """

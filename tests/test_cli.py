@@ -237,19 +237,27 @@ def test_oracle_bytes_are_pinned(capsys, argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_writes_non_finite_cells_as_its_writers_do(capsys, monkeypatch, fmt):
-    """Infinite and NaN cells print as json.dumps(indent=2) and csv.writer print them."""
-    monkeypatch.setattr(cli.ewl, "_pure_payoffs", lambda params, s2: (math.inf, math.nan))
+PLANTED = ((math.inf, math.nan), (math.inf, 0.5), (0.5, math.nan), (-math.inf, -0.0))
+
+
+@pytest.mark.parametrize("fmt, planted", [
+    pytest.param(fmt, planted, id=fmt if planted is PLANTED[0] else f"{fmt}-{planted[0]!r}-{planted[1]!r}")
+    for planted in PLANTED for fmt in ("csv", "json")])
+def test_sweep_writes_non_finite_cells_as_its_writers_do(capsys, monkeypatch, fmt, planted):
+    """Infinite and NaN cells print as json.dumps(indent=2) and csv.writer print them. One such
+    cell sends its whole JSON group to the encoder, so the group's finite cell prints as
+    json.dumps writes it too."""
+    monkeypatch.setattr(cli.ewl, "_pure_payoffs", lambda params, s2: planted)
     code, out, err = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.2",
                          "--gamma-range", "0", "1.5", "3", "--quantities", "class,payoffs",
                          "--format", fmt)
     assert (code, err) == (0, "")
     if fmt == "json":
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert out.count('"pi_q": Infinity,\n    "pi_d": NaN\n') == 3
+        members = json.dumps([dict(zip(("pi_q", "pi_d"), planted))], indent=2).splitlines()[2:4]
+        assert out.count("\n".join(members) + "\n") == 3
     else:
-        assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["inf", "nan"]] * 3
+        assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [[f"{x:.12g}" for x in planted]] * 3
 
 
 def test_sweep_thresholds_values(capsys):

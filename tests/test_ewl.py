@@ -2,6 +2,7 @@ import ast
 import collections
 import functools
 import itertools
+import json
 import math
 import operator
 from pathlib import Path
@@ -218,6 +219,28 @@ def test_classify_quantum_ne_threshold_union():
     assert ne_set(report) == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
     report = classify_quantum_ne(params, thr.gamma2)
     assert ne_set(report) == {(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)}
+
+
+def test_side_is_closed_at_the_angle_tolerance(capsys):
+    """'Within PHASE_TOL' is closed: exactly PHASE_TOL above gamma1 the side is 0 and the phase
+    is boundary, in resolve_phase and in a sweep row; one ulp further out the side is +1. Near
+    gamma1 of (0.5, 1e-20), about 8.16e-11, a float difference can equal PHASE_TOL; near 0.3-0.7
+    differences step by about 1e-16."""
+    params = DilemmaParams(0.5, 1e-20)
+    gamma1 = thresholds(params).gamma1
+    gamma = gamma1 + ewl.PHASE_TOL
+    while gamma - gamma1 > ewl.PHASE_TOL:
+        gamma = math.nextafter(gamma, 0.0)
+    while gamma - gamma1 < ewl.PHASE_TOL:
+        gamma = math.nextafter(gamma, 1.0)
+    assert gamma - gamma1 == ewl.PHASE_TOL
+    assert ewl._side(gamma, gamma1) == 0
+    assert ewl.resolve_phase(params, gamma).name == "boundary"
+    assert cli.main(["sweep", "--dg", "0.5", "--dr", "1e-20", "--gamma", repr(gamma), "--format", "json",
+                     "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["ne_phase"] == "boundary"
+    assert ewl._side(math.nextafter(gamma, 1.0), gamma1) == 1
 
 
 def phase_tol_readers(node, module, scope="<module>"):
