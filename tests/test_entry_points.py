@@ -462,8 +462,8 @@ def test_the_sweeps_runs_are_its_per_row_sides(axis):
 
 @settings(SETTINGS, max_examples=200)
 @given(grids(), st.lists(st.sampled_from(list(_COLUMNS)), max_size=3))
-# Float cells at -0.0, at the least subnormal and 1 ulp below 1, in the strengths, gamma and
-# every float group.
+# Float cells at -0.0, at the least subnormal and 1 ulp below 1, in the strengths, gamma and the
+# chosen float groups.
 @example(((-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0), (-0.0, math.pi / 2, 3)), ["rde", "payoffs", "thresholds"])
 @example(((5e-324, 1.0), (5e-324, 0.5), (5e-324, 5e-324), (5e-324, 1.0, 3)), ["payoffs", "sensitivity", "thresholds"])
 @example(((math.nextafter(1.0, 0.0), -1.0), (0.5, math.nextafter(1.0, 0.0)), (0.5, 0.5),
