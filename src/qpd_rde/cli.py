@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 check failure.
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import functools
 import itertools
@@ -107,19 +106,19 @@ def _emit_report(payload: dict, args) -> None:
     _write_output([text, "\n"], args.out)
 
 
-def _ne_labels(records, classical: bool) -> list[str]:
-    """Action-label pairs of pure profiles: C and D in the classical game, Q and D in the quantum one."""
-    labels = "CD" if classical else "QD"  # weight 1 on the first action is labels[0]
-    return [f"({labels[rec.profile.p != 1.0]},{labels[rec.profile.q != 1.0]})" for rec in records]
+def _ne_labels(report) -> list[str]:
+    """Action-label pairs of a QuantumNeReport's pure profiles: C and D in the classical game, Q and D
+    in the quantum one."""
+    labels = "CD" if report.phase == "classical" else "QD"  # weight 1 on the first action is labels[0]
+    return [f"({labels[rec.profile.p != 1.0]},{labels[rec.profile.q != 1.0]})" for rec in report.equilibria]
 
 
 # ---------------------------------------------------------------------------
 # classify / ne
 
 
-def _ne_payload(records, classical: bool) -> dict:
-    return {"pure_ne": _ne_labels(records, classical),
-            "pure_ne_payoffs": [list(rec.payoffs) for rec in records]}
+def _ne_payload(report) -> dict:
+    return {"pure_ne": _ne_labels(report), "pure_ne_payoffs": [list(rec.payoffs) for rec in report.equilibria]}
 
 
 def _head(params: DilemmaParams, gamma: float | None, phase: str) -> dict:
@@ -132,7 +131,7 @@ def cmd_classify(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     cls = game_core.classify_dilemma(params)
     payload = {"d_g": params.d_g, "d_r": params.d_r, "class": cls.kind.value,
-               "boundary": cls.boundary, **_ne_payload(ewl.pure_ne(params).equilibria, True)}
+               "boundary": cls.boundary, **_ne_payload(ewl.pure_ne(params))}
     _emit_report(payload, args)
     return EXIT_OK
 
@@ -140,8 +139,8 @@ def cmd_classify(args) -> int:
 def cmd_ne(args) -> int:
     params = DilemmaParams(args.dg, args.dr)
     gamma = _gamma_from(args)
-    phase, records = ewl.pure_ne(params, gamma)
-    _emit_report({**_head(params, gamma, phase), **_ne_payload(records, gamma is None)}, args)
+    report = ewl.pure_ne(params, gamma)
+    _emit_report({**_head(params, gamma, report.phase), **_ne_payload(report)}, args)
     return EXIT_OK
 
 
@@ -156,7 +155,7 @@ def cmd_rde(args) -> int:
     payload = _head(params, gamma, phase.name) | ({} if gamma is None else phase.thresholds._asdict())
     payload.update(rde_kind=outcome.kind, rde_label=outcome.label, p=outcome.profile.p, q=outcome.profile.q,
                    payoff_a=outcome.payoffs[0], payoff_b=outcome.payoffs[1])
-    actions = "cd" if gamma is None else "qd"
+    actions = "cd" if phase.name == "classical" else "qd"
     payload.update((f"delta_{actions[p != 1.0]}{actions[q != 1.0]}", loss.product) for (p, q), loss in losses)
     _emit_report(payload, args)
     return EXIT_OK
@@ -208,8 +207,8 @@ def _json_text(group, cells) -> str:
 
 
 def _ne_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
-    name, records = ewl._pure_ne(params, gamma, phase)
-    return name, len(records), "|".join(_ne_labels(records, phase is None))
+    report = ewl._pure_ne(params, gamma, phase)
+    return report.phase, len(report.equilibria), "|".join(_ne_labels(report))
 
 
 def _rde_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
@@ -223,7 +222,7 @@ def _rde_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
 
 def _sensitivity_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
     """Sensitivity cells on the transitional band; blank off it, where p* is 0 or the gap underflows."""
-    if phase is None or not quantum_rde._on_band(phase, "transitional"):
+    if not quantum_rde._on_band(phase, "transitional"):
         return _BLANK["sensitivity"]
     try:
         return quantum_rde._indices(params, gamma, phase)  # its fields are the columns, in order
@@ -232,49 +231,30 @@ def _sensitivity_cells(params: DilemmaParams, gamma: float, s2: float, phase) ->
 
 
 # Cells of each quantity below the pair scope at gamma, s2 = sin^2(gamma) and the phase resolved
-# for gamma; phase None is the classical game.
+# for gamma, the classical Phase in the classical game.
 _CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells,
           "payoffs": lambda params, gamma, s2, phase: ewl._pure_payoffs(params, s2)}
-
-
-def _runs(gammas, thr) -> list[tuple[int, int]]:
-    """(start, stop) spans of a monotone angle axis over which ewl._side of each angle in thr stays
-    the same. Along the axis in ascending order each side is nondecreasing, so it changes at most
-    twice, where bisection finds it reaching 0 and 1."""
-    up = gammas[0] <= gammas[-1]
-    ascending = gammas if up else gammas[::-1]
-    cuts = {0, len(gammas)}
-    for angle in thr:
-        def side(gamma, angle=angle):
-            return ewl._side(gamma, angle)
-
-        low = bisect.bisect_left(ascending, 0, key=side)
-        cuts |= {low, bisect.bisect_left(ascending, 1, low, key=side)}
-    return list(itertools.pairwise(sorted(cut if up else len(gammas) - cut for cut in cuts)))
 
 
 def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) -> list[str]:
     """Sweep rows of one (d_g, d_r) pair, one text per angle, its groups joined by ``between``.
 
     ``render(group, cells)`` turns a group of cells into its text, and ``axis`` holds the angles,
-    in monotone order, their texts and their sin^2. A quantum PD pair's angles split into the
-    _runs of gamma1, gamma2 and gamma_star; a classical pair is one run, with phase None. Each run
-    resolves one phase, takes the text of each group above row scope from ``memo`` by (group,
-    cells), rendering it on a miss, and joins that text around the row-level groups, which it
-    renders row by row. Cells undefined at a row are blank.
+    in monotone order, their texts and their sin^2. The angles split into ewl._runs, each with its
+    phase: a quantum PD pair's spans between the sides of gamma1, gamma2 and gamma_star, or one
+    span of the classical game. Each run takes the text of each group above row scope from
+    ``memo`` by (group, cells), rendering it on a miss, and joins that text around the row-level
+    groups, which it renders row by row. Cells undefined at a row are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
     thr = ewl.thresholds(params)
-    quantum = cls.kind is game_core.DilemmaKind.PD
     head = render("strengths", (dg, dr))
     pair = {"class": (cls.kind.value, int(cls.boundary)), "thresholds": thr}  # cells of the pair-scope groups
     gammas, texts, squares = axis
     rows = []
-    for start, stop in _runs(gammas, thr) if quantum else [(0, len(gammas))]:
-        phase = ewl._phase(params, gammas[start], thr) if quantum else None
-        on_band = phase is not None and quantum_rde._on_band(phase, "transitional")
-        per_row = ("row", "band") if on_band else ("row",)
+    for start, stop, phase in ewl._runs(params, gammas, thr):
+        per_row = ("row", "band") if quantum_rde._on_band(phase, "transitional") else ("row",)
         # Texts between the row-level groups, each joined once, and each row-level group's texts.
         columns, text = [itertools.repeat(head + between), texts[start:stop]], ""
         for group in quantities:
@@ -288,6 +268,7 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) ->
                                 _CELLS[group](params, gammas[start], squares[start], phase))
                 text += between + (memo[entry] if entry in memo else memo.setdefault(entry, render(*entry)))
         rows += map("".join, zip(*columns, itertools.repeat(text)))
+    memo.pop(("thresholds", thr), None)  # read by this pair's runs only
     return rows
 
 
@@ -321,11 +302,12 @@ def cmd_sweep(args) -> int:
     }[args.format]
     # Each angle's text and sin^2, once per sweep.
     axis = gammas, [render("gamma", (gamma,)) for gamma in gammas], [math.sin(gamma) ** 2 for gamma in gammas]
-    # Text above row scope by (group, cells), shared by every run of every pair. A value key would
-    # merge 0.0 and -0.0, which print differently, but the library's + 0.0 guards keep -0.0 out
-    # of side-level cells, and the seam properties, which compare sweeps as printed, would catch
-    # a merged signed zero. Pair-scope cells hold none: class is a str and an int, and a
-    # threshold is never -0.0 (ewl._arcsin_sqrt returns 0.0 for a zero radicand).
+    # Text above row scope by (group, cells), shared by every run of every pair; a pair's thresholds
+    # text leaves it with the pair's rows. A value key would merge 0.0 and -0.0, which print
+    # differently, but the library's + 0.0 guards keep -0.0 out of side-level cells, and the seam
+    # properties, which compare sweeps as printed, would catch a merged signed zero. Pair-scope
+    # cells hold none: class is a str and an int, and a threshold is never -0.0
+    # (ewl._arcsin_sqrt returns 0.0 for a zero radicand).
     memo = {}
     for dg in dgs:
         for dr in drs:
@@ -354,7 +336,7 @@ def _check_table2():
     for (dg, dr), expected_class, expected_ne in cases:
         params = DilemmaParams(dg, dr)
         cls = game_core.classify_dilemma(params).kind.value
-        found = set(_ne_labels(ewl.pure_ne(params).equilibria, True))
+        found = set(_ne_labels(ewl.pure_ne(params)))
         yield ("PASS", f"Table2 class({dg},{dr})", cls == expected_class,
                f"computed {cls}, expected {expected_class}")
         yield ("PASS", f"Table2 NE({dg},{dr})", found == expected_ne,
@@ -371,12 +353,12 @@ def _check_table5():
     for (dg, dr), bands in cases:
         params = DilemmaParams(dg, dr)
         for gamma, expected in bands:
-            records = ewl.pure_ne(params, gamma).equilibria
-            found = set(_ne_labels(records, False))
+            report = ewl.pure_ne(params, gamma)
+            found = set(_ne_labels(report))
             certified = all(
                 max(ewl.grid_best_response_gain(params, rec.profile.p, rec.profile.q,
                                                 gamma)) <= game_core.TIE_EPS
-                for rec in records)
+                for rec in report.equilibria)
             yield ("PASS", f"Table5 NE set ({dg},{dr}) at gamma={gamma}",
                    found == expected and certified,
                    f"computed {sorted(found)}, expected {sorted(expected)}"

@@ -13,6 +13,8 @@ assumed. Basis ordering is (CC, CD, DC, DD) throughout.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -105,6 +107,9 @@ class Phase(namedtuple("Phase", "name band seam thresholds")):
     """
 
     __slots__ = ()
+
+
+_CLASSICAL = Phase("classical", None, None, None)  # the classical game: no angle, band or thresholds
 
 
 class QuantumNeReport(namedtuple("QuantumNeReport", "phase equilibria")):
@@ -286,6 +291,24 @@ def _phase(params: DilemmaParams, gamma: float, thr: PhaseThresholds) -> Phase:
     return Phase(band, band, None, thr)
 
 
+def _runs(params: DilemmaParams, gammas: list[float], thr: PhaseThresholds) -> list[tuple[int, int, Phase]]:
+    """(start, stop, phase) spans of a monotone angle axis: off the quantum PD regime one span of
+    _CLASSICAL; on it the spans over which _side of each angle in thr stays the same, each with the
+    _phase of its first angle. Along the axis each side times the axis's direction is nondecreasing,
+    so it changes at most twice, where bisection finds it reaching 0 and 1."""
+    if params.d_g <= 0.0 or params.d_r <= 0.0:
+        return [(0, len(gammas), _CLASSICAL)]
+    sign = 1 if gammas[0] <= gammas[-1] else -1
+    cuts = {0, len(gammas)}
+    for angle in thr:
+        def side(gamma, angle=angle):
+            return sign * _side(gamma, angle)
+
+        low = bisect.bisect_left(gammas, 0, key=side)
+        cuts |= {low, bisect.bisect_left(gammas, 1, low, key=side)}
+    return [(start, stop, _phase(params, gammas[start], thr)) for start, stop in itertools.pairwise(sorted(cuts))]
+
+
 def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
     """Phase label and pure-quantum-strategy NEs at the given entanglement: pure_ne of the quantum game."""
     return _pure_ne(params, gamma, resolve_phase(params, gamma))
@@ -294,12 +317,12 @@ def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
 def pure_ne(params: DilemmaParams, gamma: float | None = None) -> QuantumNeReport:
     """Phase and pure NEs, row-major, of the dilemma layout: the classical game (phase "classical") where
     gamma is None, read from the signs of the strengths, or the pure-quantum game at entanglement gamma."""
-    return _pure_ne(params, gamma, None if gamma is None else resolve_phase(params, gamma))
+    return _pure_ne(params, gamma, _CLASSICAL if gamma is None else resolve_phase(params, gamma))
 
 
-def _pure_ne(params: DilemmaParams, gamma: float, phase: Phase | None) -> QuantumNeReport:
-    """pure_ne at the phase already resolved for gamma; phase None is the classical game."""
-    if phase is None:
+def _pure_ne(params: DilemmaParams, gamma: float | None, phase: Phase) -> QuantumNeReport:
+    """pure_ne at the phase already resolved for gamma, or at _CLASSICAL for the classical game."""
+    if phase is _CLASSICAL:
         dg, dr = params
         return QuantumNeReport("classical", _layout_ne(-dr, -dg, 0.0 - dr, 1.0 + dg))
     thr = phase.thresholds

@@ -14,8 +14,8 @@ import math
 from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
-from .ewl import (Phase, _arcsin_sqrt, _pure_payoffs, _shift, _side, _strength_sum, expected_payoff_quantum,
-                  resolve_phase)
+from .ewl import (_CLASSICAL, Phase, _arcsin_sqrt, _pure_payoffs, _shift, _side, _strength_sum,
+                  expected_payoff_quantum, resolve_phase)
 from .game_core import _PURE, DilemmaParams, classify_dilemma
 from .risk_dominance import _CH, _PD, _RDE_DD, _SH, _TRIVIAL, RdeOutcome, _layout_losses, _layout_rde
 
@@ -40,7 +40,6 @@ _RDE_QQ = RdeOutcome("pure", _PURE[0][0], (1.0, 1.0), "(Q,Q)")
 _TIE_LABEL = "U(0.5)xU(0.5)"
 # Off the seams each phase is the class of the effective strengths (d_g - x, d_r - x).
 _KIND = {"classical-like": _PD, "transitional": _CH, "coexistence": _SH, "fully-quantum": _TRIVIAL}
-_CLASSICAL = Phase("classical", None, None, None)
 
 
 class RdeReport(namedtuple("RdeReport", "phase rde losses")):
@@ -128,10 +127,10 @@ def select_rde(params: DilemmaParams, gamma: float | None = None) -> RdeReport:
     return RdeReport(phase, _select_rde(params, gamma, phase), _layout_losses(params, kind, shift))
 
 
-def _select_rde(params: DilemmaParams, gamma: float, phase: Phase | None) -> RdeOutcome:
-    """The RDE at the phase resolved for gamma, the one phase-to-record rule; phase None is the
+def _select_rde(params: DilemmaParams, gamma: float | None, phase: Phase) -> RdeOutcome:
+    """The RDE at the phase resolved for gamma, the one phase-to-record rule; phase _CLASSICAL is the
     classical game. Off a seam it is _layout_rde of the phase's class; on one, the pure limit."""
-    if phase is None:
+    if phase is _CLASSICAL:
         return _layout_rde(params, classify_dilemma(params).kind)
     if phase.seam is None:  # the shift is read only by CH, the side of gamma_star only by SH
         kind = _KIND[phase.name]

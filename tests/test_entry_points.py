@@ -49,10 +49,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from qpd_rde.cli import _COLUMNS, _runs, build_parser, main
+from qpd_rde.cli import _COLUMNS, build_parser, main
 from qpd_rde.errors import QpdError
-from qpd_rde.ewl import (PHASE_TOL, _linspace, _side, classify_quantum_ne, pure_ne, pure_quantum_matrix,
-                         thresholds)
+from qpd_rde.ewl import (_CLASSICAL, PHASE_TOL, _linspace, _runs, _side, classify_quantum_ne, pure_ne,
+                         pure_quantum_matrix, resolve_phase, thresholds)
 from qpd_rde.game_core import (DilemmaKind, DilemmaParams, build_dilemma_matrix, classify_dilemma,
                                enumerate_pure_ne)
 from qpd_rde.quantum_rde import (select_rde, select_rde_quantum, sensitivity_critical_angles, sensitivity_indices,
@@ -431,13 +431,13 @@ def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
 
 @st.composite
 def pd_axes(draw):
-    """A quantum PD pair, the NEAR_SEAMS grid pairs included, and a sweep's angle axis over it:
-    ascending, descending or constant, in radians or through math.radians, its ends anywhere in
-    [0, pi/2] or at a threshold, PHASE_TOL / 2 or 2 PHASE_TOL off it on either side."""
+    """A quantum PD pair, the NEAR_SEAMS grid pairs included, its thresholds and a sweep's angle
+    axis over it: ascending, descending or constant, in radians or through math.radians, its ends
+    anywhere in [0, pi/2] or at a threshold, PHASE_TOL / 2 or 2 PHASE_TOL off it on either side."""
     pd = st.floats(5e-324, 1.0)
     near = [(d_g, d_r) for d_g in _linspace(*NEAR_SEAMS[0], 3) for d_r in _linspace(*NEAR_SEAMS[1], 3)]
-    d_g, d_r = draw(st.one_of(st.tuples(pd, pd), st.sampled_from(near)))
-    thr = thresholds(DilemmaParams(d_g, d_r))
+    params = DilemmaParams(*draw(st.one_of(st.tuples(pd, pd), st.sampled_from(near))))
+    thr = thresholds(params)
     end = st.one_of(st.floats(0.0, math.pi / 2), st.builds(
         float.__add__, st.sampled_from(thr), st.sampled_from((0.0, PHASE_TOL / 2, -PHASE_TOL / 2,
                                                               2 * PHASE_TOL, -2 * PHASE_TOL))))
@@ -445,19 +445,29 @@ def pd_axes(draw):
     stop = draw(st.one_of(end, st.just(start)))
     steps = draw(st.integers(1, 80))
     if draw(st.booleans()):
-        return thr, [math.radians(g) for g in _linspace(math.degrees(start), math.degrees(stop), steps)]
-    return thr, _linspace(start, stop, steps)
+        return params, thr, [math.radians(g) for g in _linspace(math.degrees(start), math.degrees(stop), steps)]
+    return params, thr, _linspace(start, stop, steps)
 
 
 @settings(SETTINGS, max_examples=300)
 @given(pd_axes())
 def test_the_sweeps_runs_are_its_per_row_sides(axis):
     """The bisected runs of a pair's angle axis are the spans of equal ewl._side triples of
-    gamma1, gamma2 and gamma_star, row by row."""
-    thr, gammas = axis
+    gamma1, gamma2 and gamma_star, row by row, each with the phase of every angle in it."""
+    params, thr, gammas = axis
     sides = [tuple(_side(gamma, angle) for angle in thr) for gamma in gammas]
     stops = list(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(sides)))
-    assert _runs(gammas, thr) == list(zip([0, *stops], stops))
+    runs = _runs(params, gammas, thr)
+    assert [(start, stop) for start, stop, _ in runs] == list(zip([0, *stops], stops))
+    for start, stop, phase in runs:
+        assert {resolve_phase(params, gamma) for gamma in gammas[start:stop]} == {phase}
+
+
+@pytest.mark.parametrize("d_g, d_r", [(0.0, 0.5), (0.5, -0.0), (-1.0, -1.0), (1.0, -0.5), (-0.5, 1.0)])
+def test_a_pair_off_the_pd_regime_is_one_run_of_the_classical_game(d_g, d_r):
+    params = DilemmaParams(d_g, d_r)
+    for gammas in ([0.0], _linspace(0.0, math.pi / 2, 7), _linspace(math.pi / 2, 0.0, 7)):
+        assert _runs(params, gammas, thresholds(params)) == [(0, len(gammas), _CLASSICAL)]
 
 
 @settings(SETTINGS, max_examples=200)

@@ -63,8 +63,8 @@ def test_version_agrees_with_pyproject():
 # needs, its axis and gamma checks, and the oracle grid's kernels. The game decision of classify,
 # ne, rde and tables is behind pure_ne and select_rde.
 CLI_PRIVATE = {
-    "ewl._check_gamma", "ewl._grid_states", "ewl._joint", "ewl._linspace", "ewl._phase",
-    "ewl._pure_ne", "ewl._pure_payoffs", "ewl._side", "quantum_rde._indices", "quantum_rde._on_band",
+    "ewl._check_gamma", "ewl._grid_states", "ewl._joint", "ewl._linspace", "ewl._pure_ne",
+    "ewl._pure_payoffs", "ewl._runs", "quantum_rde._indices", "quantum_rde._on_band",
     "quantum_rde._select_rde",
 }
 
@@ -80,7 +80,7 @@ def test_cli_reads_only_the_pinned_private_library_names():
             read.update(f"{node.module}.{alias.name}" for alias in node.names)
     read = {name for name in read if name.split(".")[0] in modules and name.split(".")[1].startswith("_")}
     assert read == CLI_PRIVATE
-    assert len(read) <= 11
+    assert len(read) <= 10
     assert not read & {"game_core._layout_ne", "risk_dominance._classical_rde",
                        "risk_dominance._layout_losses", "quantum_rde._KIND", "ewl._shift"}
 
