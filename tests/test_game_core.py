@@ -150,6 +150,22 @@ def test_verify_mixed_ne_examples():
     assert verify_mixed_ne(DilemmaParams(0.5, -0.5), StrategyProfile(0.5, 0.5))
 
 
+def test_verify_mixed_ne_is_closed_at_tie_eps():
+    # From (D,D) of (0.5, -1e-9) each player's deviation to C gains exactly TIE_EPS: within it.
+    params, profile = DilemmaParams(0.5, -1e-9), StrategyProfile(0.0, 0.0)
+    assert expected_payoff_classical(params, profile) == (0.0, 0.0)
+    assert expected_payoff_classical(params, StrategyProfile(1.0, 0.0))[0] == TIE_EPS
+    assert expected_payoff_classical(params, StrategyProfile(0.0, 1.0))[1] == TIE_EPS
+    assert verify_mixed_ne(params, profile)
+
+
+def test_expected_payoffs_of_negative_zero_entries_are_positive_zero():
+    # The sum starts from 0.0, so a matrix of -0.0 entries pays 0.0 at every profile.
+    matrix = PayoffMatrix2x2([[(-0.0, -0.0), (-0.0, -0.0)], [(-0.0, -0.0), (-0.0, -0.0)]])
+    for p, q in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.25, 1.0)]:
+        assert [math.copysign(1.0, x) for x in matrix.expected_payoffs(p, q)] == [1.0, 1.0]
+
+
 def test_verify_mixed_ne_grid_oracle():
     # independent check of the CH indifference point against all grid deviations
     params = DilemmaParams(0.5, -0.5)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qpd_rde.errors import DegenerateDenominator, NotAnEquilibrium, WrongClass
-from qpd_rde.game_core import DilemmaParams, PayoffMatrix2x2, build_dilemma_matrix
+from qpd_rde.game_core import TIE_EPS, DilemmaParams, PayoffMatrix2x2, build_dilemma_matrix
+from qpd_rde.quantum_rde import select_rde
 from qpd_rde.risk_dominance import (
     deviation_losses_asymmetric,
     deviation_losses_symmetric,
@@ -198,3 +199,36 @@ def test_label_swap_equivariance():
         swapped = select_rde_symmetric(swap_labels(matrix))
         assert swapped.profile.p == pytest.approx(1.0 - base.profile.p, abs=1e-12)
         assert swapped.profile.q == pytest.approx(1.0 - base.profile.q, abs=1e-12)
+
+
+# Each TIE_EPS edge of the risk-dominance rules, with its input exactly at the bound: a tie and a
+# vanishing loss sum are closed, so each comparison's strict or non-strict form shows.
+
+
+@pytest.mark.parametrize("dg, dr", [(-2e-9, 1e-9), (-1e-9, 2e-9)])
+def test_staghunt_tie_is_closed_at_tie_eps(dg, dr):
+    # |d_g| - d_r is exactly +TIE_EPS, then -TIE_EPS: both are ties, not (C,C) or (D,D).
+    params = DilemmaParams(dg, dr)
+    assert abs(abs(dg) - dr) == TIE_EPS
+    outcome = select_rde(params).rde
+    assert (outcome.kind, tuple(outcome.profile)) == ("mixed", (0.5, 0.5))
+
+
+@pytest.mark.parametrize("b_cc, b_dd", [(2e-9, 1e-9), (1e-9, 2e-9)])
+def test_loss_products_tie_is_closed_at_tie_eps(b_cc, b_dd):
+    # Losses (1, b_cc) at (C,C) and (1, b_dd) at (D,D): the products differ by exactly TIE_EPS.
+    matrix = PayoffMatrix2x2([[(1.0, b_cc), (0.0, 0.0)], [(0.0, 0.0), (1.0, b_dd)]])
+    cc, dd = deviation_losses_symmetric(matrix)
+    assert (cc, dd) == ((1.0, b_cc), (1.0, b_dd)) and abs(cc.product - dd.product) == TIE_EPS
+    outcome = select_rde_symmetric(matrix)
+    assert outcome.kind == "mixed"
+    assert tuple(outcome.profile) == (b_dd / (b_cc + b_dd), 0.5)
+
+
+@pytest.mark.parametrize("loss_a, loss_b", [(1.0, 5e-10), (5e-10, 1.0)])
+def test_mixed_profile_loss_sums_are_closed_at_tie_eps(loss_a, loss_b):
+    # The same losses at both NEs tie, and one player's loss sum is exactly TIE_EPS: undefined.
+    matrix = PayoffMatrix2x2([[(loss_a, loss_b), (0.0, 0.0)], [(0.0, 0.0), (loss_a, loss_b)]])
+    assert min(loss_a + loss_a, loss_b + loss_b) == TIE_EPS
+    with pytest.raises(DegenerateDenominator):
+        select_rde_symmetric(matrix)
