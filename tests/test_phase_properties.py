@@ -15,6 +15,8 @@ runs derandomized, so every run draws the same examples.
 """
 
 import inspect
+import itertools
+import json
 import math
 
 import pytest
@@ -38,7 +40,7 @@ from qpd_rde.quantum_rde import (
     unilateral_deviation_payoffs,
 )
 from qpd_rde.risk_dominance import select_rde_asymmetric, select_rde_symmetric
-from test_entry_points import run_json, same, shifted
+from test_entry_points import run, run_json, same, shifted
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -389,3 +391,54 @@ def test_asymmetric_selection_is_symmetric_selection_with_b_columns_swapped(d_g,
     assert asym.profile.p == pytest.approx(sym.profile.p, abs=1e-12)
     assert asym.profile.q == pytest.approx(1.0 - sym.profile.q, abs=1e-12)
     assert asym.payoffs == pytest.approx(sym.payoffs, abs=1e-12)
+
+
+# The PD square, subnormal strengths, 1 ulp below 1 and d_g == d_r included.
+pd_strength = st.one_of(st.floats(5e-324, 1.0), st.sampled_from(
+    (5e-324, 2.2250738585072014e-308, 1e-300, 1e-16, 0.5, math.nextafter(1.0, 0.0), 1.0)))
+SEAM_STEP = 2.5e-10  # 10 steps of it span the boundary band 2 * PHASE_TOL wide
+
+
+def rde_path(rdes):
+    """(p, q, payoffs) of each defined RDE in order of gamma: p, q and the payoff sum never
+    decrease, and each payoff lies in [0, 1]."""
+    for (p0, q0, pay0), (p1, q1, pay1) in itertools.pairwise(rdes):
+        assert p0 <= p1 and q0 <= q1 and sum(pay0) <= sum(pay1)
+    for _, _, payoffs in rdes:
+        assert all(0.0 <= x <= 1.0 for x in payoffs)
+
+
+@SETTINGS
+@given(st.tuples(pd_strength, pd_strength) | pd_strength.map(lambda d: (d, d)), st.integers(2, 60))
+def test_entanglement_moves_the_rde_from_mutual_defection_to_quantum_cooperation(pair, steps):
+    """The paper's claims over the PD square: along gamma the RDE's weights on Q and its payoff sum
+    never decrease, its payoffs stay in [0, 1], and it is (D,D) at 0 and (Q,Q) at pi/2, wherever it
+    is defined (at the common threshold of d_g == d_r it is not). Through select_rde at angles
+    stepped around each threshold, and through one multi-angle JSON sweep."""
+    params = DilemmaParams(*pair)
+    gammas = {0.0, math.pi / 2, *ewl._linspace(0.0, math.pi / 2, 41)}
+    for angle in thresholds(params):
+        gammas.update(angle + k * SEAM_STEP for k in range(-12, 13))
+    path = {}
+    for gamma in sorted(g for g in gammas if in_domain(g)):
+        try:
+            rde = quantum_rde.select_rde(params, gamma).rde
+        except DegenerateDenominator:
+            assert params.d_g == params.d_r and resolve_phase(params, gamma).name == "boundary"
+            continue
+        path[gamma] = (*rde.profile, rde.payoffs)
+    rde_path(list(path.values()))
+    for gamma, weights in ((0.0, (0.0, 0.0)), (math.pi / 2, (1.0, 1.0))):
+        assert gamma not in path or path[gamma][:2] == weights
+    assert math.pi / 2 in path
+
+    code, out, err = run("sweep", "--dg", repr(params.d_g), "--dr", repr(params.d_r), "--gamma-range", "0",
+                         repr(math.pi / 2), str(steps), "--quantities", "rde", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)
+    rdes = [(row["rde_p"], row["rde_q"], (row["rde_payoff_a"], row["rde_payoff_b"])) for row in rows
+            if row["rde_kind"] is not None]
+    rde_path(rdes)
+    assert [(row["gamma"], row["rde_p"], row["rde_q"]) for row in rows if row["gamma"] in path] == [
+        (row["gamma"], *path[row["gamma"]][:2]) for row in rows if row["gamma"] in path]
+    assert (rows[-1]["rde_p"], rows[-1]["rde_q"]) == (1.0, 1.0)
