@@ -268,7 +268,8 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) ->
                                 _CELLS[group](params, gammas[start], squares[start], phase))
                 text += between + (memo[entry] if entry in memo else memo.setdefault(entry, render(*entry)))
         rows += map("".join, zip(*columns, itertools.repeat(text)))
-    memo.pop(("thresholds", thr), None)  # read by this pair's runs only
+    if thr != _BLANK["thresholds"]:  # defined thresholds are this pair's own; blank ones are shared
+        memo.pop(("thresholds", thr), None)
     return rows
 
 
@@ -302,11 +303,11 @@ def cmd_sweep(args) -> int:
     }[args.format]
     # Each angle's text and sin^2, once per sweep.
     axis = gammas, [render("gamma", (gamma,)) for gamma in gammas], [math.sin(gamma) ** 2 for gamma in gammas]
-    # Text above row scope by (group, cells), shared by every run of every pair; a pair's thresholds
-    # text leaves it with the pair's rows. A value key would merge 0.0 and -0.0, which print
-    # differently, but the library's + 0.0 guards keep -0.0 out of side-level cells, and the seam
-    # properties, which compare sweeps as printed, would catch a merged signed zero. Pair-scope
-    # cells hold none: class is a str and an int, and a threshold is never -0.0
+    # Text above row scope by (group, cells), shared by every run of every pair; a pair's defined
+    # thresholds text leaves it with the pair's rows. A value key would merge 0.0 and -0.0, which
+    # print differently, but the library's + 0.0 guards keep -0.0 out of side-level cells, and the
+    # seam properties, which compare sweeps as printed, would catch a merged signed zero.
+    # Pair-scope cells hold none: class is a str and an int, and a threshold is never -0.0
     # (ewl._arcsin_sqrt returns 0.0 for a zero radicand).
     memo = {}
     for dg in dgs:

@@ -608,6 +608,20 @@ def test_sweep_renders_no_group_it_does_not_print(capsys, monkeypatch, fmt, rend
     assert groups == {"strengths", "gamma", "rde"}
 
 
+def test_sweep_memo_keeps_no_pairs_defined_thresholds(capsys, monkeypatch):
+    # A pair's defined thresholds text is read by its own runs only, so it leaves the sweep's memo
+    # with the pair; the blank group, shared by every pair without thresholds, stays.
+    memos = []
+    pair_rows = cli._pair_rows
+    monkeypatch.setattr(cli, "_pair_rows", lambda *a: memos.append(a[-1]) or pair_rows(*a))
+    code, _, err = run(capsys, "sweep", "--dg-range", "-0.5", "0.9", "3", "--dr-range", "-0.5", "0.9", "3",
+                       "--gamma-range", "0", "1.5", "7", "--quantities", "class,thresholds")
+    assert code == 0, err
+    (memo,) = {id(memo): memo for memo in memos}.values()
+    assert [cells for group, cells in memo if group == "thresholds"] == [(None, None, None)]
+    assert {cells for group, cells in memo if group == "class"} == {("PD", 0), ("CH", 0), ("SH", 0), ("TRIVIAL", 0)}
+
+
 @pytest.mark.parametrize("dg, dr", [("0.5", "-0.5"), ("-0.5", "0.5"), ("0.5", "0")])
 def test_classical_rde_classifies_the_pair_once(capsys, monkeypatch, dg, dr):
     calls = []
