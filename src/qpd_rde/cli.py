@@ -107,8 +107,7 @@ def _emit_report(payload: dict, args) -> None:
 
 
 def _ne_labels(report) -> list[str]:
-    """Action-label pairs of a QuantumNeReport's pure profiles: C and D in the classical game, Q and D
-    in the quantum one."""
+    """Action labels of the report's pure NEs: C and D in the classical game, Q and D in the quantum one."""
     labels = "CD" if report.phase == "classical" else "QD"  # weight 1 on the first action is labels[0]
     return [f"({labels[rec.profile.p != 1.0]},{labels[rec.profile.q != 1.0]})" for rec in report.equilibria]
 
@@ -268,8 +267,6 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) ->
                                 _CELLS[group](params, gammas[start], squares[start], phase))
                 text += between + (memo[entry] if entry in memo else memo.setdefault(entry, render(*entry)))
         rows += map("".join, zip(*columns, itertools.repeat(text)))
-    if thr != _BLANK["thresholds"]:  # defined thresholds are this pair's own; blank ones are shared
-        memo.pop(("thresholds", thr), None)
     return rows
 
 
@@ -303,17 +300,20 @@ def cmd_sweep(args) -> int:
     }[args.format]
     # Each angle's text and sin^2, once per sweep.
     axis = gammas, [render("gamma", (gamma,)) for gamma in gammas], [math.sin(gamma) ** 2 for gamma in gammas]
-    # Text above row scope by (group, cells), shared by every run of every pair; a pair's defined
-    # thresholds text leaves it with the pair's rows. A value key would merge 0.0 and -0.0, which
-    # print differently, but the library's + 0.0 guards keep -0.0 out of side-level cells, and the
-    # seam properties, which compare sweeps as printed, would catch a merged signed zero.
-    # Pair-scope cells hold none: class is a str and an int, and a threshold is never -0.0
+    # Text above row scope by (group, cells), shared by every run of every pair. A pair's defined
+    # thresholds are its own, so their text leaves after each d_g's pairs (freed pair by pair, it
+    # raised a one-d_g sweep's peak RSS); the blank group stays. A value key would merge 0.0 and
+    # -0.0, which print differently, but the library's + 0.0 guards keep -0.0 out of side-level
+    # cells, and the seam properties, which compare sweeps as printed, would catch a merged signed
+    # zero. Pair-scope cells hold none: class is a str and an int, and a threshold is never -0.0
     # (ewl._arcsin_sqrt returns 0.0 for a zero radicand).
     memo = {}
     for dg in dgs:
         for dr in drs:
             chunks += [between_rows.join(_pair_rows(dg, dr, axis, quantities, render, between_groups, memo)),
                        between_rows]
+        for key in [key for key in memo if key[0] == "thresholds" and key[1] != _BLANK["thresholds"]]:
+            del memo[key]
     chunks[-1] = end  # in place of the text between the last pair's rows and the next's
     # Written only once every row is made: a sweep that fails prints no rows.
     _write_output(chunks, args.out)

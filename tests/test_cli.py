@@ -610,7 +610,7 @@ def test_sweep_renders_no_group_it_does_not_print(capsys, monkeypatch, fmt, rend
 
 def test_sweep_memo_keeps_no_pairs_defined_thresholds(capsys, monkeypatch):
     # A pair's defined thresholds text is read by its own runs only, so it leaves the sweep's memo
-    # with the pair; the blank group, shared by every pair without thresholds, stays.
+    # after its d_g's pairs; the blank group, shared by every pair without thresholds, stays.
     memos = []
     pair_rows = cli._pair_rows
     monkeypatch.setattr(cli, "_pair_rows", lambda *a: memos.append(a[-1]) or pair_rows(*a))
