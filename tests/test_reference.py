@@ -164,16 +164,6 @@ def eps4(p, q, gamma):
     return (1 - p) * (1 - q)
 
 
-def pi_q(d_g, d_r, gamma):
-    """The pure-quantum sucker payoff x - d_r, at Q(x)D for A: the sweep's pi_q."""
-    return shift(d_g, d_r, gamma) - d_r
-
-
-def pi_d(d_g, d_r, gamma):
-    """The pure-quantum temptation payoff 1 + d_g - x, at D(x)Q for A: the sweep's pi_d."""
-    return 1 + d_g - shift(d_g, d_r, gamma)
-
-
 def payoff_a(d_g, d_r, p, q, gamma):
     """A's expected payoff: the cells 1, -d_r, 1 + d_g and 0 weighted by the joint distribution."""
     return p * q - d_r * eps2(p, q, gamma) + (1 + d_g) * eps3(p, q, gamma)
@@ -429,15 +419,19 @@ def test_angle_forms_are_within_the_conditioning_bound():
     assert all(m <= C for m, _ in worst.values()), worst
 
 
+# The sweep's payoffs cells have references above: pi_q = x - d_r, sucker_gain, and pi_d = 1 + d_g - x,
+# situ_transitional.
+
+
 def test_pure_quantum_sucker_payoff_is_within_the_conditioning_bound():
-    worst = worst_margins(("pi_q", pure_quantum_matrix(DilemmaParams(d_g, d_r), gamma).pi_q, pi_q,
+    worst = worst_margins(("pi_q", pure_quantum_matrix(DilemmaParams(d_g, d_r), gamma).pi_q, sucker_gain,
                            (d_g, d_r, gamma)) for d_g, d_r, gamma in payoff_points(random.Random(2027), 200))
     assert all(m <= C for m, _ in worst.values()), worst
 
 
 @pytest.mark.xfail(strict=True, reason="1 + d_g - x cancels near pi/2, where pi_d is about -d_r")
 def test_pure_quantum_temptation_payoff_is_within_the_conditioning_bound_near_pi_over_2():
-    worst = worst_margins(("pi_d", pure_quantum_matrix(DilemmaParams(d_g, d_r), gamma).pi_d, pi_d,
+    worst = worst_margins(("pi_d", pure_quantum_matrix(DilemmaParams(d_g, d_r), gamma).pi_d, situ_transitional,
                            (d_g, d_r, gamma)) for d_g, d_r, gamma in pi_d_worst_points(random.Random(2028), 100))
     assert all(m <= C for m, _ in worst.values()), worst
 
