@@ -421,11 +421,9 @@ def cmd_oracle_check(args) -> int:
     tampered = args.tampered_gate
     unit = ewl._linspace(0.0, 1.0, density)
     angles = ewl._linspace(0.0, ewl.GAMMA_MAX, density)
-    # cos^2 and sin^2 once per grid angle; the seeded points take the checked public functions.
-    squares = [(math.cos(gamma) ** 2, math.sin(gamma) ** 2) for gamma in angles]
-    closed = (ewl._joint(p, q, c2, s2) for p, q, (c2, s2) in itertools.product(unit, unit, squares))
+    # The seeded points take the checked public functions.
     seeded = ((rng.random(), rng.random(), rng.uniform(0.0, ewl.GAMMA_MAX)) for _ in range(100))
-    checks = itertools.chain(zip(closed, ewl._grid_states(unit, angles, tampered)), (
+    checks = itertools.chain(ewl._grid_pairs(unit, angles, tampered), (
         (ewl.joint_distribution(*point), ewl.final_state(*point, tampered=tampered)) for point in seeded))
 
     max_dev = max_norm_dev = 0.0

@@ -187,6 +187,14 @@ def _grid_states(weights, angles, tampered=False):
     return _states((_kron(u_p, u_q) for u_p in operators for u_q in operators), entangled)
 
 
+def _grid_pairs(weights, angles, tampered=False):
+    """(closed form, state vector) at each point of product(weights, weights, angles): _joint at
+    cos^2 and sin^2 taken once per angle, zipped with _grid_states; the one order of both grids."""
+    squares = [(math.cos(gamma) ** 2, math.sin(gamma) ** 2) for gamma in angles]
+    closed = (_joint(p, q, c2, s2) for p, q, (c2, s2) in itertools.product(weights, weights, squares))
+    return zip(closed, _grid_states(weights, angles, tampered))
+
+
 def joint_distribution(p: float, q: float, gamma: float) -> JointDistribution:
     """Closed-form outcome probabilities of the quantum game."""
     _check_prob(p, "p")
@@ -324,7 +332,7 @@ def _pure_ne(params: DilemmaParams, gamma: float | None, phase: Phase) -> Quantu
     """pure_ne at the phase already resolved for gamma, or at _CLASSICAL for the classical game."""
     if phase is _CLASSICAL:
         dg, dr = params
-        return QuantumNeReport("classical", _layout_ne(-dr, -dg, 0.0 - dr, 1.0 + dg))
+        return QuantumNeReport("classical", _layout_ne(-dr, -dg, *_pure_payoffs(params, 0.0)))
     thr = phase.thresholds
     return QuantumNeReport(phase.name, _layout_ne(_side(gamma, thr.gamma1), _side(gamma, thr.gamma2),
                                                   *_pure_payoffs(params, math.sin(gamma) ** 2)))

@@ -1,4 +1,4 @@
-"""Hand-run mutation check of the library's tolerance edges and its signed-zero guard.
+"""Mutation check of the library's tolerance edges, the CLI's check bounds and a signed-zero guard.
 
 Each mutant flips the strictness of one tolerance comparison in src/qpd_rde/ (or drops the
 leading 0.0 of PayoffMatrix2x2.expected_payoffs), in a temporary copy of src/, tests/ and
@@ -7,7 +7,7 @@ bound. A mutant is killed when those tests fail. The unmutated copy must pass th
 
     python tests/edge_mutants.py    # one line per mutant; exits 1 if any survives
 
-Not part of Tier-1: it runs pytest once per mutant.
+Not part of Tier-1: it runs pytest once per mutant. CI runs it after Tier-1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RD, GC = "src/qpd_rde/risk_dominance.py", "src/qpd_rde/game_core.py"
+RD, GC, CLI = "src/qpd_rde/risk_dominance.py", "src/qpd_rde/game_core.py", "src/qpd_rde/cli.py"
 TIE = "tests/test_risk_dominance.py::test_staghunt_tie_is_closed_at_tie_eps"
 PRODUCTS = "tests/test_risk_dominance.py::test_loss_products_tie_is_closed_at_tie_eps"
 SUMS = "tests/test_risk_dominance.py::test_mixed_profile_loss_sums_are_closed_at_tie_eps"
@@ -41,6 +41,12 @@ MUTANTS = [
     ("verify_mixed_ne: B's > to >=", GC, "dev_b > base_b + TIE_EPS", "dev_b >= base_b + TIE_EPS", [VERIFY]),
     ("expected_payoffs: no leading 0.0", GC, "tuple(0.0 + m[0][0]", "tuple(m[0][0]",
      ["tests/test_game_core.py::test_expected_payoffs_of_negative_zero_entries_are_positive_zero"]),
+    ("oracle-check: max_dev <= 1e-12 to <", CLI, "ok = max_dev <= 1e-12", "ok = max_dev < 1e-12",
+     ["tests/test_cli.py::test_oracle_check_deviation_bound_is_closed"]),
+    ("tables: Table 5's <= TIE_EPS to <", CLI, "gamma)) <= game_core.TIE_EPS", "gamma)) < game_core.TIE_EPS",
+     ["tests/test_cli.py::test_table5_certification_is_closed_at_tie_eps"]),
+    ("tables: Table 6's <= 1e-6 * abs(value) to <", CLI, "<= 1e-6 * abs(value)", "< 1e-6 * abs(value)",
+     ["tests/test_cli.py::test_table6_finite_difference_bound_is_closed"]),
 ]
 
 

@@ -741,6 +741,45 @@ def test_tables_fail_a_documented_deviation_on_its_finite_difference_alone(capsy
                                 for line in TABLES.splitlines()]
 
 
+# Each check bound of tables and oracle-check is closed: an input exactly on it passes. Of the
+# five, these three are reachable; oracle-check's normalization bound and Table 6's entry tolerance
+# are not, since the difference each tests is exact there and its bound is not a double it can reach.
+def test_table5_certification_is_closed_at_tie_eps(capsys, monkeypatch):
+    monkeypatch.setattr(ewl, "grid_best_response_gain", lambda *args: (game_core.TIE_EPS, 0.0))
+    assert run(capsys, "tables") == (0, TABLES, "")
+    above = math.nextafter(game_core.TIE_EPS, 1.0)
+    monkeypatch.setattr(ewl, "grid_best_response_gain", lambda *args: (above, 0.0))
+    code, out, _ = run(capsys, "tables")
+    table5 = [line for line in out.splitlines() if "Table5" in line]
+    assert code == 2 and len(table5) == 8
+    assert all(line.startswith("[FAIL]") and line.endswith("; grid certification failed") for line in table5)
+
+
+def test_table6_finite_difference_bound_is_closed(capsys, monkeypatch):
+    # S_Dg(pi/9) planted 368,481 ulps above its index, still within 1.020 +- 0.005, where the
+    # finite difference planted 1e-6 of it below lies exactly on the bound.
+    value = 1.0203604234870767
+    bound = 1e-6 * abs(value)
+    assert abs(value - (value - bound)) == bound and abs(value - 1.020) <= 0.005
+    indices, fd_index = quantum_rde.sensitivity_indices, cli._fd_index
+    monkeypatch.setattr(quantum_rde, "sensitivity_indices", lambda params, gamma: indices(params, gamma)._replace(
+        **({"index_dg": value} if gamma == math.pi / 9 else {})))
+    monkeypatch.setattr(cli, "_fd_index", lambda params, gamma, strength: (
+        value - bound if gamma == math.pi / 9 else fd_index(params, gamma, strength)))
+    assert run(capsys, "tables") == (0, TABLES.replace("S_Dg(pi/9): computed 1.02036042341",
+                                                       "S_Dg(pi/9): computed 1.02036042349"), "")
+
+
+@pytest.mark.parametrize("deviation, exit_code", [(1e-12, 0), (math.nextafter(1e-12, 1.0), 2)])
+def test_oracle_check_deviation_bound_is_closed(capsys, monkeypatch, deviation, exit_code):
+    pair = ((1.0, deviation, 0.0, 0.0), (1.0 + 0j, 0j, 0j, 0j))
+    monkeypatch.setattr(ewl, "_grid_pairs", lambda weights, angles, tampered=False: iter([pair]))
+    code, out, err = run(capsys, "oracle-check", "--grid", "2")
+    assert (code, err) == (exit_code, "")
+    assert "max |state-vector - closed-form| deviation: 1.000e-12\n" in out
+    assert out.endswith(f"result: {'PASS' if exit_code == 0 else 'FAIL'}\n")
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run(capsys, "oracle-check", "--grid", "5", "--seed", "3")
     assert code == 0

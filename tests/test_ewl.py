@@ -395,6 +395,19 @@ def test_grid_states_equal_final_state_bit_for_bit_anywhere(p, q, gamma, tampere
     assert_grid_states_equal_final_state([p, q], [gamma], tampered)
 
 
+@pytest.mark.parametrize("tampered", [False, True])
+def test_grid_pairs_meet_each_point_with_its_closed_form_and_state(tampered):
+    # Uneven axes, so a closed form or a state taken at another point of the grid, or in another
+    # order of p, q and gamma, differs from the public functions at the point it is paired with.
+    weights, angles = [0.0, 0.3, 1.0], [0.0, 0.7, math.pi / 2]
+    points = list(itertools.product(weights, weights, angles))
+    pairs = list(ewl._grid_pairs(weights, angles, tampered))
+    assert len(pairs) == len(points)
+    for (p, q, gamma), (closed, state) in zip(points, pairs):
+        assert [e.hex() for e in closed] == [e.hex() for e in joint_distribution(p, q, gamma)], (p, q, gamma)
+        assert amplitude_bits(state) == amplitude_bits(final_state(p, q, gamma, tampered=tampered)), (p, q, gamma)
+
+
 # The parent's pipeline as nested compositions, written here apart from ewl's kernel: the gate
 # is cos(g/2) I - i sin(g/2) sigma x sigma, the adjoint a conjugate transpose, and each sum a
 # reduce over map(mul), left to right from its first term.

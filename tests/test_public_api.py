@@ -60,12 +60,11 @@ def test_version_agrees_with_pyproject():
 
 
 # The private library names cli.py reads: the sweep's per-side helpers, which its scope reuse
-# needs, its axis and gamma checks, and the oracle grid's kernels. The game decision of classify,
+# needs, its axis and gamma checks, and the oracle grid's paired points. The game decision of classify,
 # ne, rde and tables is behind pure_ne and select_rde.
 CLI_PRIVATE = {
-    "ewl._check_gamma", "ewl._grid_states", "ewl._joint", "ewl._linspace", "ewl._pure_ne",
-    "ewl._pure_payoffs", "ewl._runs", "quantum_rde._indices", "quantum_rde._on_band",
-    "quantum_rde._select_rde",
+    "ewl._check_gamma", "ewl._grid_pairs", "ewl._linspace", "ewl._pure_ne", "ewl._pure_payoffs",
+    "ewl._runs", "quantum_rde._indices", "quantum_rde._on_band", "quantum_rde._select_rde",
 }
 
 
@@ -80,9 +79,10 @@ def test_cli_reads_only_the_pinned_private_library_names():
             read.update(f"{node.module}.{alias.name}" for alias in node.names)
     read = {name for name in read if name.split(".")[0] in modules and name.split(".")[1].startswith("_")}
     assert read == CLI_PRIVATE
-    assert len(read) <= 10
+    assert len(read) <= 9
     assert not read & {"game_core._layout_ne", "risk_dominance._classical_rde",
-                       "risk_dominance._layout_losses", "quantum_rde._KIND", "ewl._shift"}
+                       "risk_dominance._layout_losses", "quantum_rde._KIND", "ewl._shift",
+                       "ewl._joint", "ewl._grid_states"}
 
 
 def test_one_phase_to_rde_rule():
