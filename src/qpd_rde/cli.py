@@ -27,6 +27,9 @@ EXIT_CHECK_FAILED = 2
 # The most sweep rows or oracle-check points one request may ask for, checked before any
 # axis is built; the README's "Request size" paragraph gives the reasons for the value.
 MAX_ITEMS = 1_000_000
+# The most texts above row scope one sweep keeps, least recently used out first. The largest
+# benchmark call, one d_g of the 81x81x8 cube, reads 134 texts; the whole cube shares 22.
+_TEXTS = 256
 
 # Sweep columns of each quantity, in the order rows lay them out, and its scope: the widest
 # span of a quantum PD pair's rows over which its cells stay the same. That is the (d_g, d_r)
@@ -235,15 +238,15 @@ _CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells,
           "payoffs": lambda params, gamma, s2, phase: ewl._pure_payoffs(params, s2)}
 
 
-def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) -> list[str]:
+def _pair_rows(dg: float, dr: float, axis, quantities, render, between, cached) -> list[str]:
     """Sweep rows of one (d_g, d_r) pair, one text per angle, its groups joined by ``between``.
 
-    ``render(group, cells)`` turns a group of cells into its text, and ``axis`` holds the angles,
-    in monotone order, their texts and their sin^2. The angles split into ewl._runs, each with its
-    phase: a quantum PD pair's spans between the sides of gamma1, gamma2 and gamma_star, or one
-    span of the classical game. Each run takes the text of each group above row scope from
-    ``memo`` by (group, cells), rendering it on a miss, and joins that text around the row-level
-    groups, which it renders row by row. Cells undefined at a row are blank.
+    ``render(group, cells)`` turns a group of cells into its text, ``cached`` is ``render``
+    behind the sweep's cache, and ``axis`` holds the angles, in monotone order, their texts and
+    their sin^2. The angles split into ewl._runs, each with its phase: a quantum PD pair's spans
+    between the sides of gamma1, gamma2 and gamma_star, or one span of the classical game. Each
+    run takes the text of each group above row scope from ``cached`` and joins it around the
+    row-level groups, which ``render`` makes row by row. Cells undefined at a row are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
@@ -265,7 +268,7 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, between, memo) ->
             else:
                 entry = group, (pair[group] if scope == "pair" else
                                 _CELLS[group](params, gammas[start], squares[start], phase))
-                text += between + (memo[entry] if entry in memo else memo.setdefault(entry, render(*entry)))
+                text += between + cached(*entry)
         rows += map("".join, zip(*columns, itertools.repeat(text)))
     return rows
 
@@ -300,20 +303,16 @@ def cmd_sweep(args) -> int:
     }[args.format]
     # Each angle's text and sin^2, once per sweep.
     axis = gammas, [render("gamma", (gamma,)) for gamma in gammas], [math.sin(gamma) ** 2 for gamma in gammas]
-    # Text above row scope by (group, cells), shared by every run of every pair. A pair's defined
-    # thresholds are its own, so their text leaves after each d_g's pairs (freed pair by pair, it
-    # raised a one-d_g sweep's peak RSS); the blank group stays. A value key would merge 0.0 and
-    # -0.0, which print differently, but the library's + 0.0 guards keep -0.0 out of side-level
-    # cells, and the seam properties, which compare sweeps as printed, would catch a merged signed
-    # zero. Pair-scope cells hold none: class is a str and an int, and a threshold is never -0.0
-    # (ewl._arcsin_sqrt returns 0.0 for a zero radicand).
-    memo = {}
+    # Text above row scope by (group, cells), shared by every run of every pair. A value key would
+    # merge 0.0 and -0.0, which print differently, but the library's + 0.0 guards keep -0.0 out of
+    # side-level cells, and the seam properties, which compare sweeps as printed, would catch a
+    # merged signed zero. Pair-scope cells hold none: class is a str and an int, and a threshold
+    # is never -0.0 (ewl._arcsin_sqrt returns 0.0 for a zero radicand).
+    cached = functools.lru_cache(maxsize=_TEXTS)(render)
     for dg in dgs:
         for dr in drs:
-            chunks += [between_rows.join(_pair_rows(dg, dr, axis, quantities, render, between_groups, memo)),
+            chunks += [between_rows.join(_pair_rows(dg, dr, axis, quantities, render, between_groups, cached)),
                        between_rows]
-        for key in [key for key in memo if key[0] == "thresholds" and key[1] != _BLANK["thresholds"]]:
-            del memo[key]
     chunks[-1] = end  # in place of the text between the last pair's rows and the next's
     # Written only once every row is made: a sweep that fails prints no rows.
     _write_output(chunks, args.out)

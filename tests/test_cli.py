@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -608,18 +609,32 @@ def test_sweep_renders_no_group_it_does_not_print(capsys, monkeypatch, fmt, rend
     assert groups == {"strengths", "gamma", "rde"}
 
 
-def test_sweep_memo_keeps_no_pairs_defined_thresholds(capsys, monkeypatch):
-    # A pair's defined thresholds text is read by its own runs only, so it leaves the sweep's memo
-    # after its d_g's pairs; the blank group, shared by every pair without thresholds, stays.
-    memos = []
-    pair_rows = cli._pair_rows
-    monkeypatch.setattr(cli, "_pair_rows", lambda *a: memos.append(a[-1]) or pair_rows(*a))
-    code, _, err = run(capsys, "sweep", "--dg-range", "-0.5", "0.9", "3", "--dr-range", "-0.5", "0.9", "3",
-                       "--gamma-range", "0", "1.5", "7", "--quantities", "class,thresholds")
+def test_sweep_cache_is_bounded_and_renders_each_shared_text_once(capsys, monkeypatch):
+    # The one-call 81x81x8 all-quantity JSON cube ends with at most cli._TEXTS texts in its cache,
+    # and _TEXTS is large enough to render each text that pairs share above row scope once: every
+    # class, NE group and pure RDE, and the blank sensitivity and thresholds groups.
+    caches, misses = [], []
+    lru_cache = cli.functools.lru_cache
+
+    def spy(maxsize):
+        def wrap(render):
+            caches.append(lru_cache(maxsize=maxsize)(lambda *entry: misses.append(entry) or render(*entry)))
+            return caches[-1]
+        return wrap
+
+    monkeypatch.setattr(cli, "functools", types.SimpleNamespace(lru_cache=spy))
+    code, _, err = run(capsys, "sweep", "--dg-range", "-1", "1", "81", "--dr-range", "-1", "1", "81",
+                       "--gamma-range", "0", repr(math.pi / 2), "8", "--format", "json",
+                       "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
     assert code == 0, err
-    (memo,) = {id(memo): memo for memo in memos}.values()
-    assert [cells for group, cells in memo if group == "thresholds"] == [(None, None, None)]
-    assert {cells for group, cells in memo if group == "class"} == {("PD", 0), ("CH", 0), ("SH", 0), ("TRIVIAL", 0)}
+    (cached,) = caches
+    assert cached.cache_info().currsize <= cli._TEXTS
+    shared = [(group, cells) for group, cells in misses
+              if group in ("class", "ne") or group == "rde" and cells[0] == "pure"
+              or group in ("sensitivity", "thresholds") and cells == cli._BLANK[group]]
+    assert len(shared) == len(set(shared)) == 22
+    assert {cells[0] for group, cells in shared if group == "class"} == {"PD", "CH", "SH", "TRIVIAL"}
+    assert {group for group, _ in shared} == {"class", "ne", "rde", "sensitivity", "thresholds"}
 
 
 @pytest.mark.parametrize("dg, dr", [("0.5", "-0.5"), ("-0.5", "0.5"), ("0.5", "0")])

@@ -24,8 +24,9 @@ lists them there, while ``enumerate_pure_ne`` on the float bimatrix keeps the
 ties that the rounding adds.
 
 Two more properties pin the sweep's layout: a multi-row sweep is its one-row
-sweeps, in JSON and as CSV text, and any ``--quantities`` subset, order or
-repeat gives the all-quantity sweep's columns, cell for cell. Another checks
+sweeps, in JSON and as CSV text, at any size of its cache of texts, and any
+``--quantities`` subset, order or repeat gives the all-quantity sweep's
+columns, cell for cell. Another checks
 that the runs the sweep bisects a pair's angle axis into are the spans of equal
 per-row sides of its three thresholds. One pins its
 writers: the JSON text is ``json.dumps(indent=2)`` of its own rows, and the CSV
@@ -43,12 +44,14 @@ import io
 import itertools
 import json
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from qpd_rde import cli
 from qpd_rde.cli import _COLUMNS, build_parser, main
 from qpd_rde.errors import QpdError
 from qpd_rde.ewl import (_CLASSICAL, PHASE_TOL, _linspace, _runs, _side, classify_quantum_ne, pure_ne,
@@ -411,9 +414,12 @@ NEAR_SEAMS = ((0.5, 0.9), (0.499999999, 0.899999999), (0.9, 0.899999999),
 # Descending across gamma2, gamma_star and gamma1 of (0.9, 0.2), and a range in degrees.
 @example(((0.2, 0.9), (0.2, 0.9), (0.9, 0.2), (math.pi / 2, 0.0, 9)))
 @example(((0.2, 0.9), (0.9, 0.2), (0.2, 0.9), (0.0, 90.0, 9, "--degrees")))
+# d_g 0.0, 0.0 and -0.0: the cache's keys equate 0.0 and -0.0, which print differently.
+@example(((-0.0, -0.0), (-0.0, 0.5), (-0.0, 0.5), (0.0, math.pi / 2, 5)))
 def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
     """A 3x3 sweep is the concatenation of its per-pair sweeps, and the multi-angle sweep
-    of the drawn pair is, row for row, its one-row sweeps, in JSON and as CSV text."""
+    of the drawn pair is, row for row, its one-row sweeps, in JSON and as CSV text. A sweep's
+    bytes do not depend on the size of its cache of texts, in JSON and CSV."""
     dg_range, dr_range, (d_g, d_r), gamma_range = grid
     gamma_args = gamma_argv(gamma_range)
     pairs = [(f"--dg={g!r}", f"--dr={r!r}")
@@ -421,6 +427,10 @@ def test_multi_row_sweeps_equal_their_one_row_sweeps(grid):
     rows = sweep_rows(*grid_argv(grid))
     assert same(rows, [row for pair in pairs for row in sweep_rows(*pair, *gamma_args)])
     assert csv_body(*grid_argv(grid)) == "".join(csv_body(*pair, *gamma_args) for pair in pairs)
+    texts = [sweep_text(ALL, fmt, *grid_argv(grid)) for fmt in ("csv", "json")]
+    for size in (0, 1):
+        with mock.patch.object(cli, "_TEXTS", size):
+            assert [sweep_text(ALL, fmt, *grid_argv(grid)) for fmt in ("csv", "json")] == texts, size
     pair = (f"--dg={d_g!r}", f"--dr={d_r!r}")
     rows = sweep_rows(*pair, *gamma_args)
     for row in rows:
