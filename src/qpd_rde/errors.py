@@ -2,7 +2,15 @@
 
 
 class QpdError(Exception):
-    """Base class for domain errors."""
+    """Base class for domain errors.
+
+    Raised with a template and its values, ``QpdError("gamma={} ...", gamma)``, the text is
+    ``template.format(*values)``, formatted only when read; one argument is the text as given.
+    """
+
+    def __str__(self) -> str:
+        args = self.args
+        return args[0].format(*args[1:]) if len(args) > 1 else super().__str__()
 
 
 class NotAnEquilibrium(QpdError):

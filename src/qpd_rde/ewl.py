@@ -14,6 +14,7 @@ assumed. Basis ordering is (CC, CD, DC, DD) throughout.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import sys
@@ -49,6 +50,9 @@ _NORMAL_MIN = sys.float_info.min  # below it a threshold's radicand has lost dig
 # The one angle tolerance of the phase structure, read only by _side: within it
 # of gamma1 or gamma2 every entry point reports the boundary phase.
 PHASE_TOL = 1e-9
+# The most phases resolve_phase keeps per process, least recently used out first. A scalar
+# query reads its point's phase once per quantum entry point it calls; the sweep never reads it.
+_PHASES = 256
 
 _SIGMA_Y = ((0.0, -1.0j), (1.0j, 0.0))
 _SIGMA_X = ((0.0, 1.0), (1.0, 0.0))
@@ -273,8 +277,19 @@ def resolve_phase(params: DilemmaParams, gamma: float) -> Phase:
     Checks gamma's domain and the regime (d_g > 0 and d_r > 0). Within
     PHASE_TOL of gamma1 or gamma2 the phase is "boundary"; otherwise it is
     "classical-like" below both thresholds, "fully-quantum" above both, and
-    the pair's band between them.
+    the pair's band between them. The last _PHASES phases are kept, so a point
+    asked through several entry points resolves once.
     """
+    try:
+        return _resolved(params, gamma)
+    except TypeError:  # an unhashable gamma (a 0-d array) resolves through the same body, uncached
+        return _resolved.__wrapped__(params, gamma)
+
+
+@functools.lru_cache(maxsize=_PHASES, typed=True)
+def _resolved(params: DilemmaParams, gamma: float) -> Phase:
+    """resolve_phase's body, kept per (params, gamma) and their types; raises are not kept. Exact:
+    a Phase holds no gamma, -0.0 and 0.0 lie on the same sides, and the regime has no -0.0."""
     _check_gamma(gamma)
     if params.d_g <= 0.0 or params.d_r <= 0.0:
         raise OutOfRegime("quantum PD regime requires d_g > 0 and d_r > 0")

@@ -78,10 +78,10 @@ def _in_band(params: DilemmaParams, gamma: float, band: str) -> Phase:
     """The phase at gamma, which must lie on the pair's closed ``band``."""
     phase = resolve_phase(params, gamma)
     if phase.band is None:
-        raise OutOfPhase(f"(d_g, d_r) = ({params.d_g}, {params.d_r}) has no two-NE band")
-    if not _on_band(phase, band):
-        raise OutOfPhase(f"gamma={gamma} outside the {band} band of "
-                         f"(d_g, d_r) = ({params.d_g}, {params.d_r})")
+        raise OutOfPhase("(d_g, d_r) = ({}, {}) has no two-NE band", params.d_g, params.d_r)
+    if not _on_band(phase, band):  # a template and its values: the text is formatted only if read
+        raise OutOfPhase("gamma={} outside the {} band of (d_g, d_r) = ({}, {})",
+                         gamma, band, params.d_g, params.d_r)
     return phase
 
 

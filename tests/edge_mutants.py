@@ -1,9 +1,10 @@
 """Mutation check of the library's tolerance edges, the CLI's check bounds and a signed-zero guard.
 
 Each mutant flips the strictness of one tolerance comparison in src/qpd_rde/ (or drops the
-leading 0.0 of PayoffMatrix2x2.expected_payoffs), in a temporary copy of src/, tests/ and
-pyproject.toml, and runs there the tests that pin that edge with an input exactly at its
-bound. A mutant is killed when those tests fail. The unmutated copy must pass them first.
+leading 0.0 of PayoffMatrix2x2.expected_payoffs, or the types from the phase cache's key), in a
+temporary copy of src/, tests/ and pyproject.toml, and runs there the tests that pin that edge
+with an input exactly at its bound. A mutant is killed when those tests fail. The unmutated
+copy must pass them first.
 
     python tests/edge_mutants.py    # one line per mutant; exits 1 if any survives
 
@@ -30,6 +31,9 @@ VERIFY = "tests/test_game_core.py::test_verify_mixed_ne_is_closed_at_tie_eps"
 MUTANTS = [
     ("ewl._side: <= PHASE_TOL to <", "src/qpd_rde/ewl.py", "abs(gamma - angle) <= PHASE_TOL",
      "abs(gamma - angle) < PHASE_TOL", ["tests/test_ewl.py::test_side_is_closed_at_the_angle_tolerance"]),
+    ("ewl._resolved: typed=True to False", "src/qpd_rde/ewl.py", "maxsize=_PHASES, typed=True",
+     "maxsize=_PHASES, typed=False",
+     ["tests/test_ewl.py::test_a_plain_tuple_raises_after_its_equal_params_were_cached"]),
     ("_layout_rde tie side: diff > TIE_EPS to >=", RD, "tie_side = (diff > TIE_EPS)",
      "tie_side = (diff >= TIE_EPS)", [TIE]),
     ("_layout_rde tie side: diff < -TIE_EPS to <=", RD, "- (diff < -TIE_EPS)", "- (diff <= -TIE_EPS)", [TIE]),

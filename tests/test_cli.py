@@ -446,11 +446,13 @@ def test_classical_sweep_row_computes_no_deviation_losses(capsys, monkeypatch, d
     ("0.9", "0.2", repr(thresholds(DilemmaParams(0.9, 0.2)).gamma2), ()),  # upper seam
 ])
 def test_quantum_rde_resolves_the_phase_once(capsys, monkeypatch, dg, dr, gamma, deltas):
+    # The phase cache is cleared before each command, so each one resolves its phase afresh.
     calls = []
     pair_thresholds = ewl.thresholds
     monkeypatch.setattr(ewl, "thresholds", lambda params: calls.append(params) or pair_thresholds(params))
     for fmt in ("text", "json"):
         calls.clear()
+        ewl._resolved.cache_clear()
         code, out, err = run(capsys, "rde", "--dg", dg, "--dr", dr, f"--gamma={gamma}", "--format", fmt)
         assert (code, err) == (0, "")
         assert len(calls) == 1

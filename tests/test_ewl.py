@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpd_rde import cli, ewl, game_core
+from qpd_rde import cli, ewl, game_core, quantum_rde
 from qpd_rde.errors import OutOfRegime
 from qpd_rde.ewl import (
     classify_quantum_ne,
@@ -565,3 +565,97 @@ def test_final_state_names_the_weight_it_rejects(p, q, message, tampered):
     with pytest.raises(ValueError) as error:
         final_state(p, q, 1.0, tampered=tampered)
     assert str(error.value) == message
+
+
+def outcome(function, *args):
+    """repr of a call's result, or its error's type and text."""
+    try:
+        return repr(function(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def cache_points():
+    """Seeded (params, gamma): uniform over the cube, each threshold and PHASE_TOL either side of it,
+    d_g == d_r, out-of-domain angles and the angle types a caller may pass."""
+    rng = np.random.default_rng(40)
+    points = []
+    for dg, dr in [(0.9, 0.2), (0.2, 0.9), (0.5, 0.5), (1e-300, 1e-300), (0.5, 1e-20), (-0.5, 0.5), (0.0, 0.3)]:
+        params = DilemmaParams(dg, dr)
+        angles = [angle for angle in thresholds(params) if angle is not None]
+        for angle in angles:
+            for step in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                points.append((params, min(max(angle + step * ewl.PHASE_TOL, 0.0), math.pi / 2)))
+            points.append((params, math.nextafter(angle + ewl.PHASE_TOL, 2.0)))
+        for gamma in (0.0, -0.0, 0, True, np.float64(0.6), np.array(0.6), math.pi / 2, -0.1, 1.6, math.nan):
+            points.append((params, gamma))
+    for dg, dr, gamma in rng.uniform((-1.0, -1.0, 0.0), (1.0, 1.0, math.pi / 2), (40, 3)):
+        points.append((DilemmaParams(float(dg), float(dr)), float(gamma)))
+    return points
+
+
+def test_a_point_through_the_quantum_entry_points_resolves_its_phase_once(monkeypatch):
+    """classify_quantum_ne, select_rde_quantum, select_rde and sensitivity_indices at one point share
+    one resolve_phase: one thresholds call, on and off the transitional band, on a seam and at
+    d_g == d_r, where the RDE and the indices raise."""
+    calls = []
+    pair_thresholds = ewl.thresholds
+    monkeypatch.setattr(ewl, "thresholds", lambda params: calls.append(params) or pair_thresholds(params))
+    for dg, dr, gamma in [(0.9, 0.2, 0.5), (0.2, 0.9, 0.5), (0.9, 0.2, 0.1), (0.5, 0.5, math.pi / 6),
+                          (0.9, 0.2, pair_thresholds(DilemmaParams(0.9, 0.2)).gamma2)]:
+        params = DilemmaParams(dg, dr)
+        ewl._resolved.cache_clear()
+        calls.clear()
+        for entry in (classify_quantum_ne, quantum_rde.select_rde_quantum, quantum_rde.select_rde,
+                      quantum_rde.sensitivity_indices):
+            outcome(entry, params, gamma)
+        assert calls == [params]
+
+
+def test_the_warm_phase_cache_gives_what_its_uncached_body_gives():
+    points = cache_points()
+    assert len(points) < ewl._PHASES  # the second pass reads every point that resolved from the cache
+    ewl._resolved.cache_clear()
+    first = [outcome(ewl.resolve_phase, *point) for point in points]
+    hits = ewl._resolved.cache_info().hits
+    warm = [outcome(ewl.resolve_phase, *point) for point in points]
+    assert ewl._resolved.cache_info().hits > hits
+    bare = [outcome(ewl._resolved.__wrapped__, *point) for point in points]
+    assert first == warm == bare
+    # -0.0 and 0.0 share one entry and their phases; a 0-d array resolves uncached.
+    ewl._resolved.cache_clear()
+    params = DilemmaParams(0.9, 0.2)
+    assert ewl.resolve_phase(params, 0.0) is ewl.resolve_phase(params, -0.0)
+    assert ewl.resolve_phase(params, np.array(0.6)) == ewl.resolve_phase(params, 0.6)
+    assert ewl._resolved.cache_info().currsize == 2
+
+
+def test_the_phase_cache_is_bounded():
+    ewl._resolved.cache_clear()
+    params = DilemmaParams(0.9, 0.2)
+    for gamma in ewl._linspace(0.0, math.pi / 2, 2 * ewl._PHASES):
+        ewl.resolve_phase(params, gamma)
+    info = ewl._resolved.cache_info()
+    assert info.misses == 2 * ewl._PHASES
+    assert info.currsize <= ewl._PHASES == 256
+
+
+def test_a_plain_tuple_raises_after_its_equal_params_were_cached():
+    # The key is typed: (0.9, 0.2) equals DilemmaParams(0.9, 0.2) and hashes alike, but has no d_g.
+    params = DilemmaParams(0.9, 0.2)
+    assert ewl.resolve_phase(params, 0.5).name == "transitional"
+    with pytest.raises(AttributeError):
+        ewl.resolve_phase((0.9, 0.2), 0.5)
+
+
+@pytest.mark.parametrize("params, gamma, error", [
+    (DilemmaParams(0.9, 0.2), 1.6, ValueError), (DilemmaParams(0.9, 0.2), -1e-300, ValueError),
+    (DilemmaParams(0.9, 0.2), math.nan, ValueError), (DilemmaParams(-0.5, 0.5), 0.5, OutOfRegime),
+    (DilemmaParams(0.5, -0.0), 0.5, OutOfRegime),
+])
+def test_an_out_of_domain_point_raises_on_every_call(params, gamma, error):
+    ewl._resolved.cache_clear()
+    for _ in range(3):
+        with pytest.raises(error):
+            ewl.resolve_phase(params, gamma)
+    assert ewl._resolved.cache_info().currsize == 0

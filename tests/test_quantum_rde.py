@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpd_rde import quantum_rde
-from qpd_rde.errors import DegenerateBase, OutOfPhase, OutOfRegime
+from qpd_rde.errors import DegenerateBase, OutOfPhase, OutOfRegime, QpdError
 from qpd_rde.ewl import PHASE_TOL, expected_payoff_quantum, pure_quantum_matrix, thresholds
 from qpd_rde.game_core import TIE_EPS, DilemmaParams
 from qpd_rde.quantum_rde import (
@@ -542,3 +542,34 @@ def test_select_rde_takes_the_shift_only_where_a_loss_or_the_rde_reads_it(monkey
     report = select_rde(params, gamma)
     assert report.phase.name == name
     assert len(calls) == {"transitional": 2, "coexistence": 1}.get(name, 0)
+
+
+# Subnormal, tiny, 1 ulp below 1 and a float whose repr takes 17 digits.
+ODD_FLOATS = [5e-324, 1e-300, math.nextafter(1.0, 0.0), 0.30000000000000004]
+
+
+@pytest.mark.parametrize("value", ODD_FLOATS)
+def test_off_band_text_is_the_eager_f_string(value):
+    # The two _in_band raises carry a template and its values; the text they read is the one
+    # the f-strings built before, for each float spelling.
+    cases = [(sensitivity_indices, DilemmaParams(value, value), 0.5, None),
+             (transitional_mixing_probability, DilemmaParams(0.9, 0.2), value, "transitional"),
+             (sensitivity_indices, DilemmaParams(value, 1.0), 0.5, "transitional"),
+             (situ_risk_coexistence, DilemmaParams(1.0, value), value, "coexistence")]
+    for function, params, gamma, band in cases:
+        with pytest.raises(OutOfPhase) as excinfo:
+            function(params, gamma)
+        if band is None:
+            expected = f"(d_g, d_r) = ({params.d_g}, {params.d_r}) has no two-NE band"
+            values = (params.d_g, params.d_r)
+        else:
+            expected = f"gamma={gamma} outside the {band} band of (d_g, d_r) = ({params.d_g}, {params.d_r})"
+            values = (gamma, band, params.d_g, params.d_r)
+        assert str(excinfo.value) == expected
+        assert excinfo.value.args[1:] == values
+
+
+def test_a_one_argument_error_reads_its_text_verbatim():
+    assert str(QpdError("{x} {}")) == "{x} {}"
+    assert str(OutOfPhase("gamma={} off", 0.1)) == "gamma=0.1 off"
+    assert str(QpdError()) == ""
