@@ -21,7 +21,7 @@ import sys
 from collections import namedtuple
 
 from .errors import OutOfRegime
-from .game_core import (DilemmaParams, StrategyProfile, _check_prob, _dilemma_matrix, _layout_ne,
+from .game_core import (DilemmaParams, StrategyProfile, _check_real, _dilemma_matrix, _layout_ne,
                         expected_payoff_classical)
 
 __all__ = [
@@ -58,9 +58,9 @@ _SIGMA_Y = ((0.0, -1.0j), (1.0j, 0.0))
 _SIGMA_X = ((0.0, 1.0), (1.0, 0.0))
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (0.0 <= gamma <= GAMMA_MAX):
-        raise ValueError(f"gamma must lie in [0, pi/2], got {gamma}")
+def _check_gamma(gamma: float) -> float:
+    """gamma as a float in [0, pi/2]; every entry point computes on what this returns."""
+    return _check_real(gamma, "gamma", 0.0, GAMMA_MAX, "[0, pi/2]")
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -124,13 +124,13 @@ class QuantumNeReport(namedtuple("QuantumNeReport", "phase equilibria")):
 
 def initial_state(gamma: float) -> tuple[complex, ...]:
     """Entangled initial state cos(g/2)|CC> + i sin(g/2)|DD>."""
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     return (complex(math.cos(gamma / 2)), 0.0j, 0.0j, 1.0j * math.sin(gamma / 2))
 
 
 def strategy_operator(t: float) -> tuple[tuple[complex, ...], ...]:
     """One-parameter local unitary; t=1 is quantum-cooperate, t=0 is defect."""
-    _check_prob(t, "t")
+    t = _check_real(t, "t")
     rt, ru = math.sqrt(t), math.sqrt(1.0 - t)
     return ((1.0j * rt, complex(ru)), (complex(-ru), -1.0j * rt))
 
@@ -142,7 +142,7 @@ def entangling_gate(gamma: float, tampered: bool = False) -> tuple[tuple[complex
     convention used as a negative control: it does not reproduce the
     closed-form joint distribution.
     """
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     cos, isin = math.cos(gamma / 2), 1.0j * math.sin(gamma / 2)
     terms = _TERMS_X if tampered else _TERMS_Y
     return tuple([tuple([cos * e - isin * k for e, k in row]) for row in terms])
@@ -179,8 +179,7 @@ def _states(products, entangled):
 def final_state(p: float, q: float, gamma: float, tampered: bool = False) -> tuple[complex, ...]:
     """State-vector oracle: Jdag (U(p) x U(q)) J |CC>."""
     entangled = _entangled(gamma, tampered)  # checks gamma
-    _check_prob(p, "p")  # by name, as joint_distribution does, not as strategy_operator's t
-    _check_prob(q, "q")
+    p, q = _check_real(p, "p"), _check_real(q, "q")  # named p and q, as in joint_distribution, not t
     return next(_states([_kron(strategy_operator(p), strategy_operator(q))], [entangled]))
 
 
@@ -201,9 +200,8 @@ def _grid_pairs(weights, angles, tampered=False):
 
 def joint_distribution(p: float, q: float, gamma: float) -> JointDistribution:
     """Closed-form outcome probabilities of the quantum game."""
-    _check_prob(p, "p")
-    _check_prob(q, "q")
-    _check_gamma(gamma)
+    p, q = _check_real(p, "p"), _check_real(q, "q")
+    gamma = _check_gamma(gamma)
     return JointDistribution._make(_joint(p, q, math.cos(gamma) ** 2, math.sin(gamma) ** 2))
 
 
@@ -224,8 +222,8 @@ def _shift(params: DilemmaParams, s2: float) -> float:
 
 def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:
     """Classical expected payoffs plus an entanglement term antisymmetric between the players."""
-    profile = StrategyProfile(p, q)  # checks p, then q
-    _check_gamma(gamma)
+    profile = p, q = StrategyProfile(p, q)  # checks p, then q
+    gamma = _check_gamma(gamma)
     pay_a, pay_b = expected_payoff_classical(params, profile)
     shift = (p - q) * _shift(params, math.sin(gamma) ** 2)
     return pay_a + shift, pay_b - shift
@@ -239,7 +237,7 @@ def _pure_payoffs(params: DilemmaParams, s2: float) -> tuple[float, float]:
 
 def pure_quantum_matrix(params: DilemmaParams, gamma: float) -> QuantumPayoffMatrix:
     """Payoff matrix over the pure quantum strategies Q and D."""
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     pi_q, pi_d = _pure_payoffs(params, math.sin(gamma) ** 2)
     return QuantumPayoffMatrix(_dilemma_matrix(pi_q, pi_d, ("Q", "D")), pi_q, pi_d)
 
@@ -272,7 +270,7 @@ def thresholds(params: DilemmaParams) -> PhaseThresholds:
 
 
 def resolve_phase(params: DilemmaParams, gamma: float) -> Phase:
-    """The phase of the quantum PD at this angle; every phase decision goes here.
+    """The phase of the quantum PD at this angle; every phase decision goes here or to its body.
 
     Checks gamma's domain and the regime (d_g > 0 and d_r > 0). Within
     PHASE_TOL of gamma1 or gamma2 the phase is "boundary"; otherwise it is
@@ -280,17 +278,14 @@ def resolve_phase(params: DilemmaParams, gamma: float) -> Phase:
     the pair's band between them. The last _PHASES phases are kept, so a point
     asked through several entry points resolves once.
     """
-    try:
-        return _resolved(params, gamma)
-    except TypeError:  # an unhashable gamma (a 0-d array) resolves through the same body, uncached
-        return _resolved.__wrapped__(params, gamma)
+    return _resolved(params, _check_gamma(gamma))
 
 
 @functools.lru_cache(maxsize=_PHASES, typed=True)
 def _resolved(params: DilemmaParams, gamma: float) -> Phase:
-    """resolve_phase's body, kept per (params, gamma) and their types; raises are not kept. Exact:
-    a Phase holds no gamma, -0.0 and 0.0 lie on the same sides, and the regime has no -0.0."""
-    _check_gamma(gamma)
+    """resolve_phase's body at the float _check_gamma returned, which the calling entry point computes
+    on too; kept per (params, gamma) and their types, raises not kept. Exact: a Phase holds no gamma,
+    -0.0 and 0.0 lie on the same sides, and the regime has no -0.0."""
     if params.d_g <= 0.0 or params.d_r <= 0.0:
         raise OutOfRegime("quantum PD regime requires d_g > 0 and d_r > 0")
     return _phase(params, gamma, thresholds(params))
@@ -334,13 +329,14 @@ def _runs(params: DilemmaParams, gammas: list[float], thr: PhaseThresholds) -> l
 
 def classify_quantum_ne(params: DilemmaParams, gamma: float) -> QuantumNeReport:
     """Phase label and pure-quantum-strategy NEs at the given entanglement: pure_ne of the quantum game."""
-    return _pure_ne(params, gamma, resolve_phase(params, gamma))
+    gamma = _check_gamma(gamma)
+    return _pure_ne(params, gamma, _resolved(params, gamma))
 
 
 def pure_ne(params: DilemmaParams, gamma: float | None = None) -> QuantumNeReport:
     """Phase and pure NEs, row-major, of the dilemma layout: the classical game (phase "classical") where
     gamma is None, read from the signs of the strengths, or the pure-quantum game at entanglement gamma."""
-    return _pure_ne(params, gamma, _CLASSICAL if gamma is None else resolve_phase(params, gamma))
+    return _pure_ne(params, None, _CLASSICAL) if gamma is None else classify_quantum_ne(params, gamma)
 
 
 def _pure_ne(params: DilemmaParams, gamma: float | None, phase: Phase) -> QuantumNeReport:

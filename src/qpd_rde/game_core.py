@@ -9,6 +9,7 @@ cooperator) and ``d_r`` (loss from cooperating against a defector), both in
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from enum import Enum
 
@@ -32,14 +33,27 @@ __all__ = [
 TIE_EPS = 1e-9
 
 
-def _check_prob(t: float, name: str) -> None:
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {t}")
+def _check_real(x, name: str, low: float = 0.0, high: float = 1.0, span: str = "[0, 1]") -> float:
+    """x as a float, where x is a real number in [low, high]: a numbers.Real, or a 0-d array of one.
+    Anything else (out of range, NaN, a Decimal, a str) raises ValueError "<name> must lie in <span>,
+    got <x>", x as its float where it has one.
+    The one domain check of the package: strengths, strategy weights (the default span) and angles."""
+    if type(x) is float:  # tested first: the isinstance test below costs some 25 times as much
+        if low <= x <= high:
+            return x
+    else:
+        element = x[()] if getattr(x, "shape", None) == () else x  # a 0-d array's one number
+        if isinstance(element, numbers.Real):
+            try:
+                return _check_real(float(element), name, low, high, span)
+            except OverflowError:  # an int or Fraction beyond the floats: out of every domain
+                pass
+    raise ValueError(f"{name} must lie in {span}, got {x!r}")
 
 
 def _check_cell(row: int, col: int) -> None:
-    if row not in (0, 1) or col not in (0, 1):
-        raise ValueError(f"cell row and column must lie in {{0, 1}}, got ({row}, {col})")
+    if not (isinstance(row, int) and isinstance(col, int) and row in (0, 1) and col in (0, 1)):
+        raise ValueError(f"cell row and column must each be the int 0 or 1, got ({row!r}, {col!r})")
 
 
 @classmethod
@@ -49,29 +63,24 @@ def _checked_make(cls, iterable):
 
 
 class DilemmaParams(namedtuple("DilemmaParams", "d_g d_r")):
-    """Dilemma strength parameters (d_g, d_r), each in [-1, 1]."""
+    """Dilemma strength parameters (d_g, d_r), each a float in [-1, 1]."""
 
     __slots__ = ()
     _make = _checked_make
 
     def __new__(cls, d_g: float, d_r: float):
-        if not (-1.0 <= d_g <= 1.0):
-            raise ValueError(f"d_g must lie in [-1, 1], got {d_g}")
-        if not (-1.0 <= d_r <= 1.0):
-            raise ValueError(f"d_r must lie in [-1, 1], got {d_r}")
-        return super().__new__(cls, d_g, d_r)
+        return super().__new__(cls, _check_real(d_g, "d_g", -1.0, 1.0, "[-1, 1]"),
+                               _check_real(d_r, "d_r", -1.0, 1.0, "[-1, 1]"))
 
 
 class StrategyProfile(namedtuple("StrategyProfile", "p q")):
-    """Mixed profile: p (q) is player A's (B's) weight on the first action."""
+    """Mixed profile: p (q), a float in [0, 1], is player A's (B's) weight on the first action."""
 
     __slots__ = ()
     _make = _checked_make
 
     def __new__(cls, p: float, q: float):
-        _check_prob(p, "p")
-        _check_prob(q, "q")
-        return super().__new__(cls, p, q)
+        return super().__new__(cls, _check_real(p, "p"), _check_real(q, "q"))
 
 
 class PayoffMatrix2x2:
@@ -102,8 +111,7 @@ class PayoffMatrix2x2:
 
     def expected_payoffs(self, p: float, q: float) -> tuple[float, float]:
         """Expected payoff pair when A (B) plays the first action with weight p (q)."""
-        _check_prob(p, "p")
-        _check_prob(q, "q")
+        p, q = _check_real(p, "p"), _check_real(q, "q")
         w = (p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q))
         # Row-major, left to right from 0.0 (so a sum of -0.0 terms is 0.0).
         return tuple(0.0 + m[0][0] * w[0] + m[0][1] * w[1] + m[1][0] * w[2] + m[1][1] * w[3]

@@ -14,8 +14,8 @@ import math
 from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
-from .ewl import (_CLASSICAL, Phase, _arcsin_sqrt, _pure_payoffs, _shift, _side, _strength_sum,
-                  expected_payoff_quantum, resolve_phase)
+from .ewl import (_CLASSICAL, Phase, _arcsin_sqrt, _check_gamma, _pure_payoffs, _resolved, _shift, _side,
+                  _strength_sum, expected_payoff_quantum)
 from .game_core import _PURE, DilemmaParams, classify_dilemma
 from .risk_dominance import _CH, _PD, _RDE_DD, _SH, _TRIVIAL, RdeOutcome, _layout_losses, _layout_rde
 
@@ -74,15 +74,16 @@ def _on_band(phase: Phase, band: str) -> bool:
     return phase.band == band and phase.name in (band, "boundary")
 
 
-def _in_band(params: DilemmaParams, gamma: float, band: str) -> Phase:
-    """The phase at gamma, which must lie on the pair's closed ``band``."""
-    phase = resolve_phase(params, gamma)
+def _in_band(params: DilemmaParams, gamma: float, band: str) -> tuple[float, Phase]:
+    """gamma as a checked float and its phase, which must lie on the pair's closed ``band``."""
+    gamma = _check_gamma(gamma)
+    phase = _resolved(params, gamma)
     if phase.band is None:
         raise OutOfPhase("(d_g, d_r) = ({}, {}) has no two-NE band", params.d_g, params.d_r)
     if not _on_band(phase, band):  # a template and its values: the text is formatted only if read
         raise OutOfPhase("gamma={} outside the {} band of (d_g, d_r) = ({}, {})",
                          gamma, band, params.d_g, params.d_r)
-    return phase
+    return gamma, phase
 
 
 def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
@@ -91,26 +92,27 @@ def situ_risk_transitional(params: DilemmaParams, gamma: float) -> tuple[SituRis
     At D(x)Q only the defector bears risk; the payoffs are affine in the
     deviating parameter, so the maximum loss is attained at an endpoint.
     """
-    _in_band(params, gamma, "transitional")
+    gamma, _ = _in_band(params, gamma, "transitional")
     loss = _pure_payoffs(params, math.sin(gamma) ** 2)[1]
     return SituRisk(loss, 0.0), SituRisk(0.0, loss)
 
 
 def situ_risk_coexistence(params: DilemmaParams, gamma: float) -> tuple[SituRisk, SituRisk]:
     """Situ risks at the symmetric NEs, returned as (at D(x)D, at Q(x)Q)."""
-    _in_band(params, gamma, "coexistence")
+    gamma, _ = _in_band(params, gamma, "coexistence")
     loss = 1.0 + params.d_r - _shift(params, math.sin(gamma) ** 2)
     return SituRisk(0.0, 0.0), SituRisk(loss, loss)
 
 
 def transitional_mixing_probability(params: DilemmaParams, gamma: float) -> float:
     """Mixing probability p* of the transitional RDE, its weight on Q: 0 at the lower seam, 1 at the upper."""
-    return _select_rde(params, gamma, _in_band(params, gamma, "transitional")).profile.p
+    return _select_rde(params, *_in_band(params, gamma, "transitional")).profile.p
 
 
 def select_rde_quantum(params: DilemmaParams, gamma: float) -> tuple[str, RdeOutcome]:
     """select_rde's phase label and RDE in the quantum game; requires d_g, d_r > 0."""
-    phase = resolve_phase(params, gamma)
+    gamma = _check_gamma(gamma)
+    phase = _resolved(params, gamma)
     return phase.name, _select_rde(params, gamma, phase)
 
 
@@ -121,7 +123,8 @@ def select_rde(params: DilemmaParams, gamma: float | None = None) -> RdeReport:
     if gamma is None:
         kind = classify_dilemma(params).kind  # once, for both the RDE and the losses
         return RdeReport(_CLASSICAL, _layout_rde(params, kind), _layout_losses(params, kind))
-    phase = resolve_phase(params, gamma)
+    gamma = _check_gamma(gamma)
+    phase = _resolved(params, gamma)
     kind = _KIND.get(phase.name)
     shift = _shift(params, math.sin(gamma) ** 2) if kind in (_CH, _SH) else 0.0  # read only by the two-NE classes
     return RdeReport(phase, _select_rde(params, gamma, phase), _layout_losses(params, kind, shift))
@@ -145,7 +148,7 @@ def _select_rde(params: DilemmaParams, gamma: float | None, phase: Phase) -> Rde
 
 def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityReport:
     """Closed-form partials of p* with respect to d_g, d_r and gamma."""
-    return _partials(params, gamma, _in_band(params, gamma, "transitional"))
+    return _partials(params, *_in_band(params, gamma, "transitional"))
 
 
 def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
@@ -177,7 +180,7 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
     ``semi_elasticity_gamma`` is (dp*/dgamma)/p*, reported alongside the
     literal gamma elasticity because the two answer different questions.
     """
-    return _indices(params, gamma, _in_band(params, gamma, "transitional"))
+    return _indices(params, *_in_band(params, gamma, "transitional"))
 
 
 def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:

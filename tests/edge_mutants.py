@@ -1,7 +1,8 @@
 """Mutation check of the library's tolerance edges, the CLI's check bounds and a signed-zero guard.
 
 Each mutant flips the strictness of one tolerance comparison in src/qpd_rde/ (or drops the
-leading 0.0 of PayoffMatrix2x2.expected_payoffs, or the types from the phase cache's key), in a
+leading 0.0 of PayoffMatrix2x2.expected_payoffs, the types from the phase cache's key, or the
+float conversion from the domain check, so that it returns its input unconverted), in a
 temporary copy of src/, tests/ and pyproject.toml, and runs there the tests that pin that edge
 with an input exactly at its bound. A mutant is killed when those tests fail. The unmutated
 copy must pass them first.
@@ -34,6 +35,10 @@ MUTANTS = [
     ("ewl._resolved: typed=True to False", "src/qpd_rde/ewl.py", "maxsize=_PHASES, typed=True",
      "maxsize=_PHASES, typed=False",
      ["tests/test_ewl.py::test_a_plain_tuple_raises_after_its_equal_params_were_cached"]),
+    ("game_core._check_real: returns its input unconverted", GC,
+     "return _check_real(float(element), name, low, high, span)",
+     "_check_real(float(element), name, low, high, span); return x",
+     ["tests/test_phase_properties.py::test_a_number_equal_to_a_float_gives_what_the_float_gives"]),
     ("_layout_rde tie side: diff > TIE_EPS to >=", RD, "tie_side = (diff > TIE_EPS)",
      "tie_side = (diff >= TIE_EPS)", [TIE]),
     ("_layout_rde tie side: diff < -TIE_EPS to <=", RD, "- (diff < -TIE_EPS)", "- (diff <= -TIE_EPS)", [TIE]),

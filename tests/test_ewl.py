@@ -620,13 +620,16 @@ def test_the_warm_phase_cache_gives_what_its_uncached_body_gives():
     hits = ewl._resolved.cache_info().hits
     warm = [outcome(ewl.resolve_phase, *point) for point in points]
     assert ewl._resolved.cache_info().hits > hits
-    bare = [outcome(ewl._resolved.__wrapped__, *point) for point in points]
+    bare = [outcome(lambda params, gamma: ewl._resolved.__wrapped__(params, ewl._check_gamma(gamma)), *point)
+            for point in points]
     assert first == warm == bare
-    # -0.0 and 0.0 share one entry and their phases; a 0-d array resolves uncached.
+    # -0.0 and 0.0 share one entry and their phases; a 0-d array resolves through the cache as 0.6,
+    # and so does numpy.float64(0.6).
     ewl._resolved.cache_clear()
     params = DilemmaParams(0.9, 0.2)
     assert ewl.resolve_phase(params, 0.0) is ewl.resolve_phase(params, -0.0)
-    assert ewl.resolve_phase(params, np.array(0.6)) == ewl.resolve_phase(params, 0.6)
+    phase = ewl.resolve_phase(params, np.array(0.6))
+    assert ewl.resolve_phase(params, 0.6) is phase is ewl.resolve_phase(params, np.float64(0.6))
     assert ewl._resolved.cache_info().currsize == 2
 
 

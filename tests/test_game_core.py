@@ -262,7 +262,7 @@ def test_payoff_matrix_rows_are_row_major_tuples():
         0.125 * 2 + 0.125 * 4 + 0.375 * 6 + 0.375 * 8)
 
 
-@pytest.mark.parametrize("row,col", [(-1, 0), (2, 0), (0, -1), (0, 2), (-1, 2)])
+@pytest.mark.parametrize("row,col", [(-1, 0), (2, 0), (0, -1), (0, 2), (-1, 2), (0.0, 1), (1.0, 1)])
 def test_payoff_matrix_rejects_cells_outside_the_matrix(row, col):
     matrix = build_dilemma_matrix(DilemmaParams(0.9, 0.2))
     with pytest.raises(ValueError, match="row and column"):

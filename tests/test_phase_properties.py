@@ -10,7 +10,9 @@ of the sets beside its thresholds, at angles within a few ulps of
 gamma1, gamma2 +- PHASE_TOL. On coexistence bands down to d_r - d_g = 1e-12,
 where gamma_star lies within PHASE_TOL of a seam, select_rde,
 select_rde_quantum, rde and a one-row sweep give one RDE, as they do on a
-transitional seam: the seam's pure record. Hypothesis
+transitional seam: the seam's pure record. An int, a bool, a Fraction, a
+numpy.float64 or a 0-d array equal to a float gives what that float gives,
+and a Decimal or a str the domain error. Hypothesis
 runs derandomized, so every run draws the same examples.
 """
 
@@ -18,7 +20,10 @@ import inspect
 import itertools
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -304,19 +309,76 @@ def test_gamma_functions_are_discovered():
 def test_gamma_outside_domain_raises(point, gamma):
     params, _ = point
     for fn in GAMMA_FUNCTIONS:
-        kwargs = {}
-        for name, parameter in inspect.signature(fn).parameters.items():
-            if name == "gamma":
-                kwargs[name] = gamma
-            elif name == "params":
-                kwargs[name] = params
-            elif parameter.default is inspect.Parameter.empty:
-                kwargs[name] = ARGUMENTS[name]
         try:
-            fn(**kwargs)
+            call_at(fn, params, gamma)
         except ValueError:
             continue
         raise AssertionError(f"{fn.__name__} accepted gamma={gamma}")
+
+
+def call_at(fn, params, gamma):
+    """fn of GAMMA_FUNCTIONS at params and gamma, its other required arguments from ARGUMENTS."""
+    kwargs = {}
+    for name, parameter in inspect.signature(fn).parameters.items():
+        if name == "gamma":
+            kwargs[name] = gamma
+        elif name == "params":
+            kwargs[name] = params
+        elif parameter.default is inspect.Parameter.empty:
+            kwargs[name] = ARGUMENTS[name]
+    return fn(**kwargs)
+
+
+def outcome(call, value):
+    """repr of call(value), or its error's type and text."""
+    try:
+        return repr(call(value))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def equal_numbers(x):
+    """x as an int, a bool, a Fraction, a numpy.float64 and a 0-d array, each where float() gives x
+    back, the sign of a zero included."""
+    numbers = []
+    for kind in (int, bool, Fraction, np.float64, np.array):
+        try:
+            number = kind(x)
+        except (ValueError, OverflowError):  # no int or Fraction is nan or inf
+            continue
+        if repr(float(number)) == repr(x):
+            numbers.append(number)
+    return numbers
+
+
+# Floats equal to an int or a bool, in and out of each domain, NaN, inf and any float in [-2, 2].
+number = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 0.1, math.nan, math.inf)),
+                   st.floats(-2.0, 2.0))
+
+
+@settings(SETTINGS, max_examples=100)  # grid_best_response_gain takes ~10 ms a call
+@given(points(), number)
+def test_a_number_equal_to_a_float_gives_what_the_float_gives(point, x):
+    """Every gamma function at gamma and the record constructors at each field give, for a number
+    equal to the float x, the repr or error x gives, with the phase cache warm and cleared; a Decimal
+    and a str raise the domain error."""
+    params, _ = point
+    calls = [lambda value, fn=fn: call_at(fn, params, value) for fn in GAMMA_FUNCTIONS]
+    calls += [lambda value: DilemmaParams(value, params.d_r), lambda value: DilemmaParams(params.d_g, value),
+              lambda value: StrategyProfile(value, 0.5), lambda value: StrategyProfile(0.5, value)]
+    for call in calls:
+        expected = outcome(call, x)  # resolves, and so caches, (params, x) where in the domain
+        for value in equal_numbers(x):
+            for clear in (False, True):
+                if clear:
+                    ewl._resolved.cache_clear()
+                assert outcome(call, value) == expected, (value, clear)
+        for value in (Decimal(repr(x)), repr(x)):
+            for clear in (False, True):
+                if clear:
+                    ewl._resolved.cache_clear()
+                with pytest.raises(ValueError, match=" must lie in "):
+                    call(value)
 
 
 unit = st.floats(0.0, 1.0)

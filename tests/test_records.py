@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,8 @@ SENS = ("p_star=0.40383225548350477, partial_dg=-0.2485477263108208, "
 RECORDS = [
     pytest.param(lambda: DilemmaParams(0.9, 0.2), "d_g", "DilemmaParams(d_g=0.9, d_r=0.2)",
                  id="DilemmaParams"),
+    pytest.param(lambda: DilemmaParams(1, False), "d_r", "DilemmaParams(d_g=1.0, d_r=0.0)",
+                 id="DilemmaParams-int-bool"),
     pytest.param(lambda: StrategyProfile(0.25, 1.0), "p", "StrategyProfile(p=0.25, q=1.0)",
                  id="StrategyProfile"),
     pytest.param(lambda: classify_dilemma(DilemmaParams(0.5, 0.0)), "kind",
@@ -122,6 +125,11 @@ OUT_OF_DOMAIN = [
     (StrategyProfile, "p", (-0.1, 0.5)),
     (StrategyProfile, "q", (0.5, 1.1)),
     (StrategyProfile, "q", (0.5, math.nan)),
+    (DilemmaParams, "d_g", (Decimal("0.5"), 0.2)),
+    (DilemmaParams, "d_r", (0.9, "0.2")),
+    (StrategyProfile, "p", (Decimal("0.5"), 0.5)),
+    (StrategyProfile, "q", (0.5, "0.5")),
+    (DilemmaParams, "d_r", (0.9, -10 ** 400)),  # a Real beyond the floats
 ]
 
 
