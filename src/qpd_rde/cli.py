@@ -208,12 +208,12 @@ def _json_text(group, cells) -> str:
     return _TEMPLATES[group].format(*cells)
 
 
-def _ne_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
+def _ne_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     report = ewl._pure_ne(params, gamma, phase)
     return report.phase, len(report.equilibria), "|".join(_ne_labels(report))
 
 
-def _rde_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
+def _rde_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined."""
     try:
         outcome = quantum_rde._select_rde(params, gamma, phase)
@@ -222,7 +222,7 @@ def _rde_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
     return (outcome.kind, outcome.label or "", *outcome.profile, *outcome.payoffs)
 
 
-def _sensitivity_cells(params: DilemmaParams, gamma: float, s2: float, phase) -> tuple:
+def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
     """Sensitivity cells on the transitional band; blank off it, where p* is 0 or the gap underflows."""
     if not quantum_rde._on_band(phase, "transitional"):
         return _BLANK["sensitivity"]
@@ -232,21 +232,24 @@ def _sensitivity_cells(params: DilemmaParams, gamma: float, s2: float, phase) ->
         return _BLANK["sensitivity"]
 
 
-# Cells of each quantity below the pair scope at gamma, s2 = sin^2(gamma) and the phase resolved
-# for gamma, the classical Phase in the classical game.
-_CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells,
-          "payoffs": lambda params, gamma, s2, phase: ewl._pure_payoffs(params, s2)}
+# Cells of each quantity of side or band scope at gamma and the phase resolved for gamma, the
+# classical Phase in the classical game. The row-scope payoffs are ewl._pure_payoffs at sin^2(gamma).
+_CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells}
+# CSV text of the payoffs group, its two cells always floats: _csv_text's, without its per-cell test.
+_PAYOFFS_CSV = "{:.12g},{:.12g}".format
 
 
-def _pair_rows(dg: float, dr: float, axis, quantities, render, between, cached) -> list[str]:
+def _pair_rows(dg: float, dr: float, axis, quantities, render, row_text, between, cached) -> list[str]:
     """Sweep rows of one (d_g, d_r) pair, one text per angle, its groups joined by ``between``.
 
     ``render(group, cells)`` turns a group of cells into its text, ``cached`` is ``render``
-    behind the sweep's cache, and ``axis`` holds the angles, in monotone order, their texts and
-    their sin^2. The angles split into ewl._runs, each with its phase: a quantum PD pair's spans
-    between the sides of gamma1, gamma2 and gamma_star, or one span of the classical game. Each
-    run takes the text of each group above row scope from ``cached`` and joins it around the
-    row-level groups, which ``render`` makes row by row. Cells undefined at a row are blank.
+    behind the sweep's cache, ``row_text(pi_q, pi_d)`` is the payoffs group's text, and ``axis``
+    holds the angles, in monotone order, their texts and their sin^2. The angles split into
+    ewl._runs, each with its phase: a quantum PD pair's spans between the sides of gamma1, gamma2
+    and gamma_star, or one span of the classical game. Each run takes the text of each group above
+    row scope from ``cached`` and joins it around the groups made per row: the payoffs, one map of
+    ``row_text`` over ewl._pure_payoffs, and on the transitional band rde and sensitivity, which
+    ``render`` makes row by row. Cells undefined at a row are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
@@ -256,18 +259,21 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, between, cached) 
     gammas, texts, squares = axis
     rows = []
     for start, stop, phase in ewl._runs(params, gammas, thr):
-        per_row = ("row", "band") if quantum_rde._on_band(phase, "transitional") else ("row",)
-        # Texts between the row-level groups, each joined once, and each row-level group's texts.
+        transitional = quantum_rde._on_band(phase, "transitional")  # where rde and sensitivity change per row
+        # Texts between the groups made per row, each joined once, and each such group's texts.
         columns, text = [itertools.repeat(head + between), texts[start:stop]], ""
         for group in quantities:
             scope = _COLUMNS[group][0]
-            if scope in per_row:
+            if scope == "row":  # payoffs
+                cells = map(ewl._pure_payoffs, itertools.repeat(params), squares[start:stop])
+                columns += [itertools.repeat(text + between), itertools.starmap(row_text, cells)]
+                text = ""
+            elif scope == "band" and transitional:
                 columns += [itertools.repeat(text + between), [
-                    render(group, _CELLS[group](params, gammas[i], squares[i], phase)) for i in range(start, stop)]]
+                    render(group, _CELLS[group](params, gammas[i], phase)) for i in range(start, stop)]]
                 text = ""
             else:
-                entry = group, (pair[group] if scope == "pair" else
-                                _CELLS[group](params, gammas[start], squares[start], phase))
+                entry = group, pair[group] if scope == "pair" else _CELLS[group](params, gammas[start], phase)
                 text += between + cached(*entry)
         rows += map("".join, zip(*columns, itertools.repeat(text)))
     return rows
@@ -297,9 +303,11 @@ def cmd_sweep(args) -> int:
         ewl._check_gamma(gamma)
 
     header = [c for group in ("strengths", "gamma", *quantities) for c in _KEYS[group]]
-    render, chunks, between_groups, between_rows, end = {
-        "csv": (_csv_text, [_csv_line(header), "\n"], ",", "\n", "\n"),
-        "json": (_json_text, ["[\n  {\n    "], ",\n    ", "\n  },\n  {\n    ", "\n  }\n]\n"),
+    # The payoffs group's text by format: in JSON the renderer's, which checks that its cells are finite.
+    render, row_text, chunks, between_groups, between_rows, end = {
+        "csv": (_csv_text, _PAYOFFS_CSV, [_csv_line(header), "\n"], ",", "\n", "\n"),
+        "json": (_json_text, lambda *cells: _json_text("payoffs", cells), ["[\n  {\n    "], ",\n    ",
+                 "\n  },\n  {\n    ", "\n  }\n]\n"),
     }[args.format]
     # Each angle's text and sin^2, once per sweep.
     axis = gammas, [render("gamma", (gamma,)) for gamma in gammas], [math.sin(gamma) ** 2 for gamma in gammas]
@@ -311,8 +319,8 @@ def cmd_sweep(args) -> int:
     cached = functools.lru_cache(maxsize=_TEXTS)(render)
     for dg in dgs:
         for dr in drs:
-            chunks += [between_rows.join(_pair_rows(dg, dr, axis, quantities, render, between_groups, cached)),
-                       between_rows]
+            rows = _pair_rows(dg, dr, axis, quantities, render, row_text, between_groups, cached)
+            chunks += [between_rows.join(rows), between_rows]
     chunks[-1] = end  # in place of the text between the last pair's rows and the next's
     # Written only once every row is made: a sweep that fails prints no rows.
     _write_output(chunks, args.out)

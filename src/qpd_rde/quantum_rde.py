@@ -148,22 +148,20 @@ def _select_rde(params: DilemmaParams, gamma: float | None, phase: Phase) -> Rde
 
 def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityReport:
     """Closed-form partials of p* with respect to d_g, d_r and gamma."""
-    return _partials(params, *_in_band(params, gamma, "transitional"))
+    return SensitivityReport(*_partials(params, *_in_band(params, gamma, "transitional")))
 
 
-def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
-    """sensitivity_partials at a phase on the transitional band."""
+def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> tuple[float, float, float, float]:
+    """p* and its partials in d_g, d_r and gamma at a phase on the transitional band."""
     dg, dr = params.d_g, params.d_r
     s2 = math.sin(gamma) ** 2
     gap2 = (dg - dr) ** 2
     if gap2 == 0.0:
         raise DegenerateDenominator("(d_g - d_r)^2 underflows; the partials are undefined")
-    return SensitivityReport(
-        p_star=_select_rde(params, gamma, phase).profile.p,
-        partial_dg=(dr - (1.0 + 2.0 * dr) * s2) / gap2,
-        partial_dr=(-dg + (1.0 + 2.0 * dg) * s2) / gap2,
-        partial_gamma=2.0 * _strength_sum(params) * math.sin(gamma) * math.cos(gamma) / (dg - dr),
-    )
+    return (_select_rde(params, gamma, phase).profile.p,
+            (dr - (1.0 + 2.0 * dr) * s2) / gap2,
+            (-dg + (1.0 + 2.0 * dg) * s2) / gap2,
+            2.0 * _strength_sum(params) * math.sin(gamma) * math.cos(gamma) / (dg - dr))
 
 
 def sensitivity_critical_angles(params: DilemmaParams) -> CriticalAngles:
@@ -185,16 +183,12 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
 
 def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
     """sensitivity_indices at a phase on the transitional band."""
-    partials = _partials(params, gamma, phase)
-    p_star = partials.p_star
+    p_star, partial_dg, partial_dr, partial_gamma = _partials(params, gamma, phase)
     if p_star == 0.0:
         raise DegenerateBase("sensitivity indices undefined where p* vanishes")
-    return partials._replace(
-        index_dg=partials.partial_dg * params.d_g / p_star,
-        index_dr=partials.partial_dr * params.d_r / p_star,
-        index_gamma=partials.partial_gamma * gamma / p_star,
-        semi_elasticity_gamma=partials.partial_gamma / p_star,
-    )
+    return SensitivityReport(p_star, partial_dg, partial_dr, partial_gamma,
+                             partial_dg * params.d_g / p_star, partial_dr * params.d_r / p_star,
+                             partial_gamma * gamma / p_star, partial_gamma / p_star)
 
 
 def group_benefit_threshold(params: DilemmaParams) -> float:

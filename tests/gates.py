@@ -1,10 +1,11 @@
-"""Whole-program gates: the README's CLI block, the sweep against itself and the phase cache.
+"""Whole-program gates: the README's CLI block, the sweep against itself, its payoffs against the
+public function, and the phase cache.
 
 Each gate runs the installed package end to end on a fixed grid or a seeded stream of points,
 prints one line and passes or fails; they are too slow for Tier-1.
 
     python tests/gates.py                      # every gate; exits 1 if any fails
-    python tests/gates.py sweep phase-cache    # the named gates only
+    python tests/gates.py sweep payoffs        # the named gates only
 
 Not part of Tier-1. CI runs it after Tier-1, with the package installed. Beyond the package it
 needs the standard library, and numpy (a test extra) for the phase cache gate's numpy.float64 points.
@@ -105,6 +106,35 @@ def sweep_cache() -> bool:
     return all(same.values())
 
 
+def payoffs() -> bool:
+    """The 40x40 all-quantity strengths grid over 50 ascending and 50 descending angles, in one call
+    each, in CSV and JSON: each row's strengths, angle, pi_q and pi_d must print as its point and
+    pure_quantum_matrix there, called point by point, print: as f"{x:.12g}" in CSV, as repr in JSON."""
+    import csv
+    import itertools
+
+    from qpd_rde import DilemmaParams, ewl, pure_quantum_matrix
+
+    keys = ("d_g", "d_r", "gamma", "pi_q", "pi_d")
+    strengths = ewl._linspace(0.025, 1.0, 40)
+    rows = equal = 0
+    for ends in ((0.0, math.pi / 2), (math.pi / 2, 0.0)):
+        points = list(itertools.product(strengths, strengths, ewl._linspace(*ends, 50)))
+        matrices = [pure_quantum_matrix(DilemmaParams(dg, dr), gamma) for dg, dr, gamma in points]
+        for fmt, text in (("csv", lambda x: f"{x:.12g}"), ("json", repr)):
+            out = _cli(["sweep", "--dg-range", "0.025", "1", "40", "--dr-range", "0.025", "1", "40",
+                        "--gamma-range", *map(repr, ends), "50", "--format", fmt, "--quantities", QUANTITIES])
+            printed = ([row[key] for key in keys] for row in csv.DictReader(io.StringIO(out))) if fmt == "csv" \
+                else ([repr(row[key]) for key in keys] for row in json.loads(out))
+            expected = ([text(x) for x in (*point, matrix.pi_q, matrix.pi_d)]
+                        for point, matrix in zip(points, matrices))
+            for got, want in itertools.zip_longest(printed, expected):
+                rows += 1
+                equal += got == want
+    print(f"{equal} of {rows} rows print their point and pure_quantum_matrix's pi_q and pi_d there")
+    return equal == rows == 320000
+
+
 def _exact(kind, x: float):
     """x as a kind that float() gives back as x, the sign of a zero included; else x itself."""
     try:
@@ -159,7 +189,7 @@ def phase_cache() -> bool:
 
 
 GATES = {"readme-cli": readme_cli, "sweep": sweep, "sweep-json": sweep_json, "sweep-cache": sweep_cache,
-         "phase-cache": phase_cache}
+         "payoffs": payoffs, "phase-cache": phase_cache}
 
 
 def main(argv: list[str]) -> int:

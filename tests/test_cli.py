@@ -11,6 +11,8 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qpd_rde
 from qpd_rde import cli, ewl, game_core, quantum_rde, risk_dominance
@@ -637,6 +639,65 @@ def test_sweep_cache_is_bounded_and_renders_each_shared_text_once(capsys, monkey
     assert len(shared) == len(set(shared)) == 22
     assert {cells[0] for group, cells in shared if group == "class"} == {"PD", "CH", "SH", "TRIVIAL"}
     assert {group for group, _ in shared} == {"class", "ne", "rde", "sensitivity", "thresholds"}
+
+
+ODD_CELLS = (-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, math.nan)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.floats() | st.sampled_from(ODD_CELLS), st.floats() | st.sampled_from(ODD_CELLS))
+@example(-0.0, 5e-324)
+@example(math.inf, math.nan)
+@example(1.0, -1.0)
+def test_csv_payoffs_template_is_the_csv_renderer_on_two_floats(pi_q, pi_d):
+    assert cli._PAYOFFS_CSV(pi_q, pi_d) == cli._csv_text("payoffs", (pi_q, pi_d))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0) | st.sampled_from((0.0, 1.0, 5e-324)))
+@example(5e-324, -5e-324, 5e-324)
+@example(-0.0, 0.0, 0.0)
+@example(1.0, -1.0, 1.0)
+def test_pure_payoffs_are_two_floats_on_the_cube(dg, dr, s2):
+    # The CSV template prints any float as _csv_text does, but writes no other type.
+    cells = ewl._pure_payoffs(DilemmaParams(dg, dr), s2)
+    assert type(cells) is tuple and [type(x) for x in cells] == [float, float]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_takes_each_rows_payoffs_once_without_the_csv_renderer(capsys, monkeypatch, fmt):
+    # Every phase of a few PD pairs, d_g == d_r included: ewl._pure_payoffs runs once
+    # per row for the payoffs group, and once more per ewl._pure_ne call, which reads it for the NE
+    # set. In CSV the payoffs group never goes through _csv_text.
+    payoffs, pure_ne, groups = [], [], []
+    pure_payoffs, core, csv_text = ewl._pure_payoffs, ewl._pure_ne, cli._csv_text
+    monkeypatch.setattr(ewl, "_pure_payoffs", lambda params, s2: payoffs.append(s2) or pure_payoffs(params, s2))
+    monkeypatch.setattr(ewl, "_pure_ne", lambda *a: pure_ne.append(a) or core(*a))
+    monkeypatch.setattr(cli, "_csv_text", lambda group, cells: groups.append(group) or csv_text(group, cells))
+    code, out, err = run(capsys, "sweep", "--dg-range", "0.2", "0.9", "3", "--dr-range", "0.2", "0.9", "3",
+                         "--gamma-range", "0", repr(math.pi / 2), "41", "--format", fmt,
+                         "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
+    assert code == 0, err
+    rows = 3 * 3 * 41
+    assert len(json.loads(out) if fmt == "json" else out.splitlines()[1:]) == rows
+    assert len(payoffs) == rows + len(pure_ne)
+    assert {phase.name for _, _, phase in pure_ne} >= {
+        "classical-like", "transitional", "coexistence", "fully-quantum"}
+    assert "payoffs" not in groups and bool(groups) == (fmt == "csv")  # the spy sees every other CSV group
+
+
+def test_sensitivity_indices_and_the_sweep_build_no_record_twice(capsys, monkeypatch):
+    # One SensitivityReport per transitional row, built from its partials: never _replace'd.
+    def planted(self, **fields):
+        raise AssertionError("SensitivityReport._replace called")
+
+    monkeypatch.setattr(quantum_rde.SensitivityReport, "_replace", planted)
+    report = quantum_rde.sensitivity_indices(DilemmaParams(0.9, 0.2), 0.5)
+    assert None not in report
+    code, out, err = run(capsys, "sweep", "--dg", "0.9", "--dr", "0.2", "--gamma-range", "0.32", "0.7", "20",
+                         "--quantities", "sensitivity", "--format", "json")  # inside the band [0.314, 0.714]
+    assert code == 0, err
+    assert all(None not in row.values() for row in json.loads(out))
 
 
 @pytest.mark.parametrize("dg, dr", [("0.5", "-0.5"), ("-0.5", "0.5"), ("0.5", "0")])

@@ -364,6 +364,47 @@ def test_sensitivity_indices_identity():
             report.partial_gamma * gamma / report.p_star, abs=1e-12)
 
 
+def outcome(function, *args):
+    """A result as the exact bits of its fields, or its error's type and text."""
+    try:
+        return [float(x).hex() for x in function(*args)]
+    except QpdError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def two_step_indices(params, gamma):
+    """The indices as built before the report was built once: the partials' record, _replace'd."""
+    partials = sensitivity_partials(params, gamma)
+    p_star = partials.p_star
+    if p_star == 0.0:
+        raise DegenerateBase("sensitivity indices undefined where p* vanishes")
+    return partials._replace(
+        index_dg=partials.partial_dg * params.d_g / p_star,
+        index_dr=partials.partial_dr * params.d_r / p_star,
+        index_gamma=partials.partial_gamma * gamma / p_star,
+        semi_elasticity_gamma=partials.partial_gamma / p_star,
+    )
+
+
+def test_sensitivity_indices_equal_the_two_step_record_bit_for_bit():
+    # Seeded points across the band, its seams exactly and PHASE_TOL / 2 and 2 PHASE_TOL off them,
+    # pairs 1 ulp apart and subnormal strengths whose (d_g - d_r)^2 underflows.
+    rng = np.random.default_rng(42)
+    pairs = [draw_transitional(rng)[0] for _ in range(60)]
+    pairs += [DilemmaParams(math.nextafter(dr, 2.0), dr) for dr in (0.2, 0.5, math.nextafter(1.0, 0.0))]
+    pairs += [DilemmaParams(1e-323, 5e-324), DilemmaParams(1e-300, 5e-324), DilemmaParams(0.9, 5e-324)]
+    points = []
+    for params in pairs:
+        thr = thresholds(params)
+        points += [(params, rng.uniform(thr.gamma1, thr.gamma2)) for _ in range(5)]
+        points += [(params, seam + step * PHASE_TOL) for seam in (thr.gamma1, thr.gamma2)
+                   for step in (-2.0, -0.5, 0.0, 0.5, 2.0) if 0.0 <= seam + step * PHASE_TOL <= math.pi / 2]
+    results = [outcome(sensitivity_indices, *point) for point in points]
+    assert results == [outcome(two_step_indices, *point) for point in points]
+    errors = {result[0] for result in results if isinstance(result, tuple)}
+    assert errors == {"DegenerateBase", "DegenerateDenominator", "OutOfPhase"}
+
+
 def test_sensitivity_indices_degenerate_base():
     thr = thresholds(TRANS)
     with pytest.raises(DegenerateBase):
