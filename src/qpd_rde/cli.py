@@ -242,14 +242,13 @@ _PAYOFFS_CSV = "{:.12g},{:.12g}".format
 def _pair_rows(dg: float, dr: float, axis, quantities, render, row_text, between, cached) -> list[str]:
     """Sweep rows of one (d_g, d_r) pair, one text per angle, its groups joined by ``between``.
 
-    ``render(group, cells)`` turns a group of cells into its text, ``cached`` is ``render``
-    behind the sweep's cache, ``row_text(pi_q, pi_d)`` is the payoffs group's text, and ``axis``
-    holds the angles, in monotone order, their texts and their sin^2. The angles split into
-    ewl._runs, each with its phase: a quantum PD pair's spans between the sides of gamma1, gamma2
-    and gamma_star, or one span of the classical game. Each run takes the text of each group above
-    row scope from ``cached`` and joins it around the groups made per row: the payoffs, one map of
-    ``row_text`` over ewl._pure_payoffs, and on the transitional band rde and sensitivity, which
-    ``render`` makes row by row. Cells undefined at a row are blank.
+    ``render(group, cells)`` is a group's text and ``cached`` the same behind the sweep's cache;
+    ``row_text(pi_q, pi_d)`` is the payoffs group's template; ``axis`` holds the angles, in monotone
+    order, their texts and their sin^2. The angles split into ewl._runs, each with its phase: a
+    quantum PD pair's spans between the sides of gamma1, gamma2 and gamma_star, or one span of the
+    classical game. Each run joins the ``cached`` texts of the groups above row scope around a lazy
+    column per group made per row: the payoffs, ``row_text`` over ewl._pure_payoffs, and on the
+    transitional band rde and sensitivity, ``render`` over their _CELLS. Undefined cells are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
@@ -265,16 +264,17 @@ def _pair_rows(dg: float, dr: float, axis, quantities, render, row_text, between
         for group in quantities:
             scope = _COLUMNS[group][0]
             if scope == "row":  # payoffs
-                cells = map(ewl._pure_payoffs, itertools.repeat(params), squares[start:stop])
-                columns += [itertools.repeat(text + between), itertools.starmap(row_text, cells)]
-                text = ""
+                column = itertools.starmap(row_text, map(
+                    ewl._pure_payoffs, itertools.repeat(params), squares[start:stop]))
             elif scope == "band" and transitional:
-                columns += [itertools.repeat(text + between), [
-                    render(group, _CELLS[group](params, gammas[i], phase)) for i in range(start, stop)]]
-                text = ""
+                column = map(render, itertools.repeat(group), map(
+                    _CELLS[group], itertools.repeat(params), gammas[start:stop], itertools.repeat(phase)))
             else:
                 entry = group, pair[group] if scope == "pair" else _CELLS[group](params, gammas[start], phase)
                 text += between + cached(*entry)
+                continue
+            columns += [itertools.repeat(text + between), column]
+            text = ""
         rows += map("".join, zip(*columns, itertools.repeat(text)))
     return rows
 
@@ -303,10 +303,10 @@ def cmd_sweep(args) -> int:
         ewl._check_gamma(gamma)
 
     header = [c for group in ("strengths", "gamma", *quantities) for c in _KEYS[group]]
-    # The payoffs group's text by format: in JSON the renderer's, which checks that its cells are finite.
+    # The payoffs group's template: in JSON _json_text's for finite cells, as pi_q, pi_d lie in [-1, 2].
     render, row_text, chunks, between_groups, between_rows, end = {
         "csv": (_csv_text, _PAYOFFS_CSV, [_csv_line(header), "\n"], ",", "\n", "\n"),
-        "json": (_json_text, lambda *cells: _json_text("payoffs", cells), ["[\n  {\n    "], ",\n    ",
+        "json": (_json_text, _TEMPLATES["payoffs"].format, ["[\n  {\n    "], ",\n    ",
                  "\n  },\n  {\n    ", "\n  }\n]\n"),
     }[args.format]
     # Each angle's text and sin^2, once per sweep.

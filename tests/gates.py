@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 QUANTITIES = "class,ne,rde,payoffs,sensitivity,thresholds"
+PD_GRID = ["--dg-range", "0.025", "1", "40", "--dr-range", "0.025", "1", "40"]  # the 40x40 PD strengths
 
 
 def readme_cli() -> bool:
@@ -69,8 +70,7 @@ def sweep() -> bool:
     from qpd_rde import ewl
 
     def rows_of(*gamma):
-        return _cli(["sweep", "--dg-range", "0.025", "1", "40", "--dr-range", "0.025", "1", "40",
-                     *gamma, "--quantities", QUANTITIES]).splitlines()[1:]
+        return _cli(["sweep", *PD_GRID, *gamma, "--quantities", QUANTITIES]).splitlines()[1:]
 
     rows = rows_of("--gamma-range", repr(math.pi / 2), "0", "50")
     single = {tuple(row.split(",", 3)[:3]): row
@@ -81,14 +81,17 @@ def sweep() -> bool:
 
 
 def sweep_json() -> bool:
-    """The 81x81x8 all-quantity JSON sweep of the whole cube, in one call, must be json.dumps(indent=2)
-    of its own rows: float groups from their templates and the encoder's groups alike, over classical
-    None and float mixes, the seams and d_g == d_r."""
-    text = _cube("json")
-    rows = json.loads(text)
-    same = text == json.dumps(rows, indent=2) + "\n"
-    print(f"{len(rows)} rows; the text is json.dumps(indent=2) of its rows: {same}")
-    return same and len(rows) == 52488
+    """The 81x81x8 all-quantity JSON sweep of the whole cube and the 40x40x50 one of the PD quadrant,
+    each in one call, must each be json.dumps(indent=2) of its own rows: float groups from their
+    templates and the encoder's groups alike, over classical None and float mixes, the seams,
+    d_g == d_r, and the rows of the transitional band, whose rde and sensitivity are made per row."""
+    texts = [_cube("json"), _cli(["sweep", *PD_GRID, "--gamma-range", "0", repr(math.pi / 2), "50",
+                                  "--format", "json", "--quantities", QUANTITIES])]
+    rows = [json.loads(text) for text in texts]
+    same = [text == json.dumps(each, indent=2) + "\n" for text, each in zip(texts, rows)]
+    print(f"{' and '.join(str(len(each)) for each in rows)} rows; "
+          f"each text is json.dumps(indent=2) of its rows: {same}")
+    return all(same) and [len(each) for each in rows] == [52488, 80000]
 
 
 def sweep_cache() -> bool:
@@ -122,8 +125,8 @@ def payoffs() -> bool:
         points = list(itertools.product(strengths, strengths, ewl._linspace(*ends, 50)))
         matrices = [pure_quantum_matrix(DilemmaParams(dg, dr), gamma) for dg, dr, gamma in points]
         for fmt, text in (("csv", lambda x: f"{x:.12g}"), ("json", repr)):
-            out = _cli(["sweep", "--dg-range", "0.025", "1", "40", "--dr-range", "0.025", "1", "40",
-                        "--gamma-range", *map(repr, ends), "50", "--format", fmt, "--quantities", QUANTITIES])
+            out = _cli(["sweep", *PD_GRID, "--gamma-range", *map(repr, ends), "50", "--format", fmt,
+                        "--quantities", QUANTITIES])
             printed = ([row[key] for key in keys] for row in csv.DictReader(io.StringIO(out))) if fmt == "csv" \
                 else ([repr(row[key]) for key in keys] for row in json.loads(out))
             expected = ([text(x) for x in (*point, matrix.pi_q, matrix.pi_d)]

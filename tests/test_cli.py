@@ -249,15 +249,21 @@ PLANTED = ((math.inf, math.nan), (math.inf, 0.5), (0.5, math.nan), (-math.inf, -
 def test_sweep_writes_non_finite_cells_as_its_writers_do(capsys, monkeypatch, fmt, planted):
     """Infinite and NaN cells print as json.dumps(indent=2) and csv.writer print them. One such
     cell sends its whole JSON group to the encoder, so the group's finite cell prints as
-    json.dumps writes it too."""
-    monkeypatch.setattr(cli.ewl, "_pure_payoffs", lambda params, s2: planted)
+    json.dumps writes it too. JSON payoffs are always finite and fill their template, so in JSON
+    the cells are planted in a group the renderer writes: sensitivity on the transitional band."""
+    if fmt == "json":  # three angles inside the band [0.350, 0.573] of (0.5, 0.2)
+        cells, angles, quantities = planted * 4, ("0.4", "0.55"), "class,sensitivity"
+        monkeypatch.setattr(quantum_rde, "_indices", lambda params, gamma, phase: cells)
+    else:
+        angles, quantities = ("0", "1.5"), "class,payoffs"
+        monkeypatch.setattr(cli.ewl, "_pure_payoffs", lambda params, s2: planted)
     code, out, err = run(capsys, "sweep", "--dg", "0.5", "--dr", "0.2",
-                         "--gamma-range", "0", "1.5", "3", "--quantities", "class,payoffs",
+                         "--gamma-range", *angles, "3", "--quantities", quantities,
                          "--format", fmt)
     assert (code, err) == (0, "")
     if fmt == "json":
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        members = json.dumps([dict(zip(("pi_q", "pi_d"), planted))], indent=2).splitlines()[2:4]
+        members = json.dumps([dict(zip(cli._KEYS["sensitivity"], cells))], indent=2).splitlines()[2:10]
         assert out.count("\n".join(members) + "\n") == 3
     else:
         assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [[f"{x:.12g}" for x in planted]] * 3
@@ -658,22 +664,48 @@ def test_csv_payoffs_template_is_the_csv_renderer_on_two_floats(pi_q, pi_d):
 @example(5e-324, -5e-324, 5e-324)
 @example(-0.0, 0.0, 0.0)
 @example(1.0, -1.0, 1.0)
+@example(1.0, 1.0, 0.0)
+@example(1.0, 1.0, 1.0)
+@example(1.0, -1.0, 0.0)
+@example(-1.0, 1.0, 0.0)
+@example(-1.0, 1.0, 1.0)
+@example(-1.0, -1.0, 0.0)
+@example(-1.0, -1.0, 1.0)
 def test_pure_payoffs_are_two_floats_on_the_cube(dg, dr, s2):
-    # The CSV template prints any float as _csv_text does, but writes no other type.
+    # The CSV template prints any float as _csv_text does, but writes no other type; the JSON
+    # template writes a float as repr, which is json's text only for a finite one.
     cells = ewl._pure_payoffs(DilemmaParams(dg, dr), s2)
     assert type(cells) is tuple and [type(x) for x in cells] == [float, float]
+    assert all(map(math.isfinite, cells))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(ODD_CELLS[:6]),
+       st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(ODD_CELLS[:6]))
+@example(-0.0, 5e-324)
+@example(-5e-324, 0.0)
+@example(1.0, -1.0)
+def test_json_payoffs_template_is_the_json_renderer_on_two_finite_floats(pi_q, pi_d):
+    assert cli._TEMPLATES["payoffs"].format(pi_q, pi_d) == cli._json_text("payoffs", (pi_q, pi_d))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_takes_each_rows_payoffs_once_without_the_csv_renderer(capsys, monkeypatch, fmt):
     # Every phase of a few PD pairs, d_g == d_r included: ewl._pure_payoffs runs once
     # per row for the payoffs group, and once more per ewl._pure_ne call, which reads it for the NE
-    # set. In CSV the payoffs group never goes through _csv_text.
+    # set. The payoffs group never goes through the renderer, _csv_text or _json_text. The rde and
+    # sensitivity cells are made once per row on the transitional band and once per run elsewhere.
     payoffs, pure_ne, groups = [], [], []
-    pure_payoffs, core, csv_text = ewl._pure_payoffs, ewl._pure_ne, cli._csv_text
+    cells = {"rde": [], "sensitivity": []}
+    pure_payoffs, core = ewl._pure_payoffs, ewl._pure_ne
+    renderer = {"csv": "_csv_text", "json": "_json_text"}[fmt]
+    render = getattr(cli, renderer)
     monkeypatch.setattr(ewl, "_pure_payoffs", lambda params, s2: payoffs.append(s2) or pure_payoffs(params, s2))
     monkeypatch.setattr(ewl, "_pure_ne", lambda *a: pure_ne.append(a) or core(*a))
-    monkeypatch.setattr(cli, "_csv_text", lambda group, cells: groups.append(group) or csv_text(group, cells))
+    monkeypatch.setattr(cli, renderer, lambda group, cells: groups.append(group) or render(group, cells))
+    for group, calls in cells.items():
+        make = cli._CELLS[group]
+        monkeypatch.setitem(cli._CELLS, group, lambda *a, calls=calls, make=make: calls.append(a) or make(*a))
     code, out, err = run(capsys, "sweep", "--dg-range", "0.2", "0.9", "3", "--dr-range", "0.2", "0.9", "3",
                          "--gamma-range", "0", repr(math.pi / 2), "41", "--format", fmt,
                          "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
@@ -683,7 +715,15 @@ def test_sweep_takes_each_rows_payoffs_once_without_the_csv_renderer(capsys, mon
     assert len(payoffs) == rows + len(pure_ne)
     assert {phase.name for _, _, phase in pure_ne} >= {
         "classical-like", "transitional", "coexistence", "fully-quantum"}
-    assert "payoffs" not in groups and bool(groups) == (fmt == "csv")  # the spy sees every other CSV group
+    assert "payoffs" not in groups and "sensitivity" in groups  # the spy sees the other groups
+    strengths, gammas = ewl._linspace(0.2, 0.9, 3), ewl._linspace(0.0, math.pi / 2, 41)
+    runs = [(stop - start, quantum_rde._on_band(phase, "transitional")) for dg in strengths for dr in strengths
+            for start, stop, phase in ewl._runs(DilemmaParams(dg, dr), gammas, thresholds(DilemmaParams(dg, dr)))]
+    band_rows = sum(length for length, transitional in runs if transitional)
+    assert band_rows > len([run for run in runs if run[1]])  # some transitional run has several rows
+    per_row_or_run = band_rows + sum(not transitional for _, transitional in runs)
+    assert len(cells["rde"]) == len(cells["sensitivity"]) == per_row_or_run
+    assert [a[1] for a in cells["rde"]] == [a[1] for a in cells["sensitivity"]]
 
 
 def test_sensitivity_indices_and_the_sweep_build_no_record_twice(capsys, monkeypatch):
