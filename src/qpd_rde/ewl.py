@@ -211,13 +211,9 @@ def _joint(p: float, q: float, c2: float, s2: float) -> tuple[float, float, floa
             (1.0 - p) * q * c2 + p * (1.0 - q) * s2, (1.0 - p) * (1.0 - q))
 
 
-def _strength_sum(params: DilemmaParams) -> float:
-    return 1.0 + params.d_r + params.d_g
-
-
 def _shift(params: DilemmaParams, s2: float) -> float:
     """Entanglement shift x = (1+d_r+d_g) s2 at s2 = sin^2(gamma); every payoff is affine in it."""
-    return _strength_sum(params) * s2
+    return (1.0 + params.d_r + params.d_g) * s2
 
 
 def expected_payoff_quantum(params: DilemmaParams, p: float, q: float, gamma: float) -> tuple[float, float]:
@@ -259,7 +255,7 @@ def thresholds(params: DilemmaParams) -> PhaseThresholds:
     leaves [0, 1] is reported as None.
     """
     dg, dr = params.d_g, params.d_r
-    s = _strength_sum(params)
+    s = _shift(params, 1.0)  # the strength sum 1 + d_r + d_g
     if s <= 0.0:
         return PhaseThresholds(None, None, None)
     return PhaseThresholds(

@@ -69,8 +69,8 @@ class DilemmaParams(namedtuple("DilemmaParams", "d_g d_r")):
     _make = _checked_make
 
     def __new__(cls, d_g: float, d_r: float):
-        return super().__new__(cls, _check_real(d_g, "d_g", -1.0, 1.0, "[-1, 1]"),
-                               _check_real(d_r, "d_r", -1.0, 1.0, "[-1, 1]"))
+        return tuple.__new__(cls, (_check_real(d_g, "d_g", -1.0, 1.0, "[-1, 1]"),
+                                   _check_real(d_r, "d_r", -1.0, 1.0, "[-1, 1]")))
 
 
 class StrategyProfile(namedtuple("StrategyProfile", "p q")):
@@ -80,7 +80,7 @@ class StrategyProfile(namedtuple("StrategyProfile", "p q")):
     _make = _checked_make
 
     def __new__(cls, p: float, q: float):
-        return super().__new__(cls, _check_real(p, "p"), _check_real(q, "q"))
+        return tuple.__new__(cls, (_check_real(p, "p"), _check_real(q, "q")))
 
 
 class PayoffMatrix2x2:
@@ -143,6 +143,11 @@ class DilemmaClass(namedtuple("DilemmaClass", "kind boundary", defaults=(False,)
     __slots__ = ()
 
 
+# The eight classes, each indexed by its boundary flag; classify_dilemma returns these records.
+_PD_CLASS, _CH_CLASS, _SH_CLASS, _TRIVIAL_CLASS = (
+    (DilemmaClass(kind, False), DilemmaClass(kind, True)) for kind in DilemmaKind)
+
+
 class NashEquilibriumRecord(namedtuple("NashEquilibriumRecord", "profile payoffs")):
     """A StrategyProfile and its (A, B) payoff pair."""
 
@@ -162,7 +167,7 @@ def build_dilemma_matrix(params: DilemmaParams) -> PayoffMatrix2x2:
 
 
 def classify_dilemma(params: DilemmaParams) -> DilemmaClass:
-    """Classify by the signs of (d_g, d_r): PD, CH, SH or TRIVIAL.
+    """Classify by the signs of (d_g, d_r): PD, CH, SH or TRIVIAL, as one of eight shared records.
 
     PD if both strengths are positive; TRIVIAL if both are negative or both
     zero; otherwise CH if d_g > d_r and SH if not. A zero strength sets the
@@ -171,12 +176,11 @@ def classify_dilemma(params: DilemmaParams) -> DilemmaClass:
     """
     dg, dr = params.d_g, params.d_r
     if dg > 0 and dr > 0:
-        kind = DilemmaKind.PD
-    elif (dg < 0 and dr < 0) or dg == dr == 0:
-        kind = DilemmaKind.TRIVIAL
-    else:
-        kind = DilemmaKind.CH if dg > dr else DilemmaKind.SH
-    return DilemmaClass(kind, dg == 0.0 or dr == 0.0)
+        return _PD_CLASS[False]
+    boundary = dg == 0.0 or dr == 0.0
+    if (dg < 0 and dr < 0) or dg == dr == 0:
+        return _TRIVIAL_CLASS[boundary]
+    return (_CH_CLASS if dg > dr else _SH_CLASS)[boundary]
 
 
 def expected_payoff_classical(params: DilemmaParams, profile: StrategyProfile) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .errors import DegenerateBase, DegenerateDenominator, OutOfPhase, OutOfRegime
 from .ewl import (_CLASSICAL, Phase, _arcsin_sqrt, _check_gamma, _pure_payoffs, _resolved, _shift, _side,
-                  _strength_sum, expected_payoff_quantum)
+                  expected_payoff_quantum)
 from .game_core import _PURE, DilemmaParams, classify_dilemma
 from .risk_dominance import _CH, _PD, _RDE_DD, _SH, _TRIVIAL, RdeOutcome, _layout_losses, _layout_rde
 
@@ -161,7 +161,7 @@ def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> tuple[float,
     return (_select_rde(params, gamma, phase).profile.p,
             (dr - (1.0 + 2.0 * dr) * s2) / gap2,
             (-dg + (1.0 + 2.0 * dg) * s2) / gap2,
-            2.0 * _strength_sum(params) * math.sin(gamma) * math.cos(gamma) / (dg - dr))
+            2.0 * _shift(params, 1.0) * math.sin(gamma) * math.cos(gamma) / (dg - dr))
 
 
 def sensitivity_critical_angles(params: DilemmaParams) -> CriticalAngles:

@@ -2,10 +2,11 @@
 
 Each mutant flips the strictness of one tolerance comparison in src/qpd_rde/ (or drops the
 leading 0.0 of PayoffMatrix2x2.expected_payoffs, the types from the phase cache's key, or the
-float conversion from the domain check, so that it returns its input unconverted), in a
-temporary copy of src/, tests/ and pyproject.toml, and runs there the tests that pin that edge
-with an input exactly at its bound. A mutant is killed when those tests fail. The unmutated
-copy must pass them first.
+float conversion from the domain check, so that it returns its input unconverted, or makes
+classify_dilemma read the wrong one of a class's two shared records), in a temporary copy of
+src/, tests/ and pyproject.toml, and runs there the tests that pin that edge with an input
+exactly at its bound. A mutant is killed when those tests fail. The unmutated copy must pass
+them first.
 
     python tests/edge_mutants.py    # one line per mutant; exits 1 if any survives
 
@@ -46,6 +47,11 @@ MUTANTS = [
     ("_select: diff < -TIE_EPS to <=", RD, "if diff < -TIE_EPS:", "if diff <= -TIE_EPS:", [PRODUCTS]),
     ("_select: abs(denom_p) <= TIE_EPS to <", RD, "abs(denom_p) <= TIE_EPS", "abs(denom_p) < TIE_EPS", [SUMS]),
     ("_select: abs(denom_q) <= TIE_EPS to <", RD, "abs(denom_q) <= TIE_EPS", "abs(denom_q) < TIE_EPS", [SUMS]),
+    ("classify_dilemma: the non-PD read ignores the boundary flag", GC,
+     "boundary = dg == 0.0 or dr == 0.0", "boundary = False",
+     ["tests/test_game_core.py::test_classify_dilemma_on_every_seam"]),
+    ("classify_dilemma: the PD branch returns the flagged record", GC, "return _PD_CLASS[False]",
+     "return _PD_CLASS[True]", ["tests/test_game_core.py::test_classify_dilemma"]),
     ("verify_mixed_ne: A's > to >=", GC, "dev_a > base_a + TIE_EPS", "dev_a >= base_a + TIE_EPS", [VERIFY]),
     ("verify_mixed_ne: B's > to >=", GC, "dev_b > base_b + TIE_EPS", "dev_b >= base_b + TIE_EPS", [VERIFY]),
     ("expected_payoffs: no leading 0.0", GC, "tuple(0.0 + m[0][0]", "tuple(m[0][0]",

@@ -83,6 +83,35 @@ def test_classify_dilemma_on_every_seam(dg, dr):
     assert cls.boundary is (0 in signs)
 
 
+def test_classify_dilemma_builds_no_record(monkeypatch, capsys):
+    built = []
+    new = game_core.DilemmaClass.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(game_core.DilemmaClass, "__new__", staticmethod(spy))
+    seams = [classify_dilemma(DilemmaParams(dg, dr)) for dg in SEAM_STRENGTHS for dr in SEAM_STRENGTHS]
+    quantum_rde.select_rde(DilemmaParams(0.5, -0.5))
+    risk_dominance.rde_chicken(DilemmaParams(0.5, 0.0))
+    risk_dominance.rde_staghunt(DilemmaParams(-0.5, 0.25))
+    assert cli.main(["classify", "--dg", "0.0", "--dr", "0.5"]) == 0
+    assert cli.main(["sweep", "--dg", "0.5", "--dr-range", "-1", "1", "9", "--gamma-range", "0", "1.5", "4",
+                     "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds"]) == 0
+    out = capsys.readouterr().out
+    assert "class: SH" in out and ",CH,1," in out and ",PD,0," in out
+    assert built == []
+    # One object per class and flag: the seam grid's 49 pairs give its 7 reachable records.
+    assert len(set(seams)) == len({id(cls) for cls in seams}) == 7
+    assert classify_dilemma(DilemmaParams(0.5, 0.2)) is classify_dilemma(DilemmaParams(0.9, 0.1))
+    assert classify_dilemma(DilemmaParams(0.0, 0.5)) is classify_dilemma(DilemmaParams(-0.0, 1.0))
+    with pytest.raises(AttributeError):
+        classify_dilemma((0.5, 0.2))
+    game_core.DilemmaClass(DilemmaKind.PD)  # the spy sees a record built directly
+    assert built == [(DilemmaKind.PD,)]
+
+
 def test_classification_totality():
     rng = np.random.default_rng(7)
     for dg, dr in rng.uniform(-1, 1, size=(500, 2)):

@@ -1,8 +1,10 @@
 """The record contract: exact reprs, immutability, domain checks on every construction path,
 and a cold CLI import that pulls in no dataclasses, inspect or typing."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from decimal import Decimal
@@ -148,6 +150,36 @@ def test_make_and_replace_reject_out_of_domain_values(cls, field, values):
         cls._make(values)
     with pytest.raises(ValueError, match=f"^{field} must lie in "):
         valid._replace(**dict(zip(cls._fields, values)))
+
+
+SHARED_CLASSES = [classify_dilemma(DilemmaParams(dg, dr))
+                  for dg, dr in ((0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, 0.0), (0.0, 0.5),
+                                 (0.0, 0.0))]
+
+
+@pytest.mark.parametrize("record", [TRANS, DilemmaParams(-1, 0), StrategyProfile(0.25, 1.0), *SHARED_CLASSES],
+                         ids=["DilemmaParams", "DilemmaParams-int", "StrategyProfile",
+                              *(f"{cls.kind.value}{'-boundary' * cls.boundary}" for cls in SHARED_CLASSES)])
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_records_survive_pickle_and_copy(record, clone):
+    cloned = clone(record)
+    assert type(cloned) is type(record)
+    assert cloned == record and repr(cloned) == repr(record)
+
+
+class Params(DilemmaParams):
+    __slots__ = ()
+
+
+def test_a_subclass_of_the_params_builds_its_own_instances():
+    params = Params(0.5, 0.2)
+    assert type(params) is Params and params == DilemmaParams(0.5, 0.2)
+    for built in (Params._make((0.5, 0.2)), params._replace(d_r=0.2), pickle.loads(pickle.dumps(params)),
+                  copy.copy(params), copy.deepcopy(params)):
+        assert type(built) is Params and built == params
+    with pytest.raises(ValueError, match="^d_g must lie in "):
+        Params(1.5, 0.2)
 
 
 def test_records_are_tuples():
