@@ -57,8 +57,8 @@ class _Echo:
 # csv.writerow returns what its file's write returns: here the line, quoted as csv quotes.
 _csv_line = csv.writer(_Echo(), lineterminator="").writerow
 _json_object = json.JSONEncoder(separators=(",\n    ", ": ")).encode  # no indent: the C encoder
-# Each group's members with a {!r} for each cell's value, its keys as the encoder quotes them.
-_TEMPLATES = {group: ",\n    ".join(f"{json.dumps(key)}: {{!r}}" for key in keys) for group, keys in _KEYS.items()}
+# Each group's members with a %r for each cell's value, its keys as the encoder quotes them.
+_TEMPLATES = {group: ",\n    ".join(f"{json.dumps(key)}: %r" for key in keys) for group, keys in _KEYS.items()}
 
 
 def _fmt(x: float) -> str:
@@ -205,73 +205,84 @@ def _json_text(group, cells) -> str:
     for x in cells:
         if type(x) is not float or not math.isfinite(x):
             return _json_object(dict(zip(_KEYS[group], cells)))[1:-1]
-    return _TEMPLATES[group].format(*cells)
+    return _TEMPLATES[group] % tuple(cells)
 
 
-def _ne_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
+def _ne_cells(params: DilemmaParams, gamma: float, phase, rde) -> tuple:
     report = ewl._pure_ne(params, gamma, phase)
     return report.phase, len(report.equilibria), "|".join(_ne_labels(report))
 
 
-def _rde_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
-    """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined."""
-    try:
-        outcome = quantum_rde._select_rde(params, gamma, phase)
-    except DegenerateDenominator:
-        return _BLANK["rde"]
-    return (outcome.kind, outcome.label or "", *outcome.profile, *outcome.payoffs)
+def _rde_cells(params: DilemmaParams, gamma: float, phase, rde) -> tuple:
+    """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined (None)."""
+    return _BLANK["rde"] if rde is None else (rde.kind, rde.label or "", *rde.profile, *rde.payoffs)
 
 
-def _sensitivity_cells(params: DilemmaParams, gamma: float, phase) -> tuple:
+def _sensitivity_cells(params: DilemmaParams, gamma: float, phase, rde) -> tuple:
     """Sensitivity cells on the transitional band; blank off it, where p* is 0 or the gap underflows."""
     if not quantum_rde._on_band(phase, "transitional"):
         return _BLANK["sensitivity"]
     try:
-        return quantum_rde._indices(params, gamma, phase)  # its fields are the columns, in order
+        return quantum_rde._indices(params, gamma, rde.profile.p)  # its fields are the columns, in order
     except (DegenerateBase, DegenerateDenominator):
         return _BLANK["sensitivity"]
 
 
-# Cells of each quantity of side or band scope at gamma and the phase resolved for gamma, the
-# classical Phase in the classical game. The row-scope payoffs are ewl._pure_payoffs at sin^2(gamma).
+def _run_rde(params: DilemmaParams, gamma: float, phase):
+    """The RDE at gamma and the phase resolved for it, or None where it is undefined."""
+    try:
+        return quantum_rde._select_rde(params, gamma, phase)
+    except DegenerateDenominator:
+        return None
+
+
+# Cells of each quantity of side or band scope at gamma, its phase (the classical Phase in the classical
+# game) and the run's RDE there, which the band groups read; the payoffs are ewl._pure_payoffs at sin^2.
 _CELLS = {"ne": _ne_cells, "rde": _rde_cells, "sensitivity": _sensitivity_cells}
-# CSV text of the payoffs group, its two cells always floats: _csv_text's, without its per-cell test.
-_PAYOFFS_CSV = "{:.12g},{:.12g}".format
+# CSV text of the payoffs group's tuple, its two cells always floats: _csv_text's, without its per-cell test.
+_PAYOFFS_CSV = "%.12g,%.12g".__mod__
 
 
 def _pair_rows(dg: float, dr: float, axis, quantities, render, row_text, between, cached) -> list[str]:
     """Sweep rows of one (d_g, d_r) pair, one text per angle, its groups joined by ``between``.
 
     ``render(group, cells)`` is a group's text and ``cached`` the same behind the sweep's cache;
-    ``row_text(pi_q, pi_d)`` is the payoffs group's template; ``axis`` holds the angles, in monotone
-    order, their texts and their sin^2. The angles split into ewl._runs, each with its phase: a
-    quantum PD pair's spans between the sides of gamma1, gamma2 and gamma_star, or one span of the
-    classical game. Each run joins the ``cached`` texts of the groups above row scope around a lazy
-    column per group made per row: the payoffs, ``row_text`` over ewl._pure_payoffs, and on the
-    transitional band rde and sensitivity, ``render`` over their _CELLS. Undefined cells are blank.
+    ``row_text((pi_q, pi_d))`` is the payoffs group's template; ``axis`` holds the angles, in
+    monotone order, their texts and their sin^2. The angles split into ewl._runs, each with its
+    phase. A run asked for rde or sensitivity selects its RDEs once for both: per row on the
+    transitional band, where d_g > d_r and _select_rde cannot raise, else once. Each run joins the
+    pair's and its own texts above row scope around a lazy column per group made per row: the
+    payoffs, ``row_text`` over ewl._pure_payoffs, and on the transitional band rde and sensitivity,
+    ``render`` over their _CELLS. Undefined cells are blank.
     """
     params = DilemmaParams(dg, dr)
     cls = game_core.classify_dilemma(params)
     thr = ewl.thresholds(params)
     head = render("strengths", (dg, dr))
     pair = {"class": (cls.kind.value, int(cls.boundary)), "thresholds": thr}  # cells of the pair-scope groups
+    pair = {group: between + cached(group, pair[group]) for group in quantities if group in pair}
+    band = "rde" in quantities or "sensitivity" in quantities
     gammas, texts, squares = axis
     rows = []
     for start, stop, phase in ewl._runs(params, gammas, thr):
         transitional = quantum_rde._on_band(phase, "transitional")  # where rde and sensitivity change per row
+        rdes = (list(map(quantum_rde._select_rde, itertools.repeat(params), gammas[start:stop],
+                         itertools.repeat(phase))) if band and transitional
+                else [_run_rde(params, gammas[start], phase) if band else None])
         # Texts between the groups made per row, each joined once, and each such group's texts.
         columns, text = [itertools.repeat(head + between), texts[start:stop]], ""
         for group in quantities:
             scope = _COLUMNS[group][0]
+            if scope == "pair":
+                text += pair[group]
+                continue
             if scope == "row":  # payoffs
-                column = itertools.starmap(row_text, map(
-                    ewl._pure_payoffs, itertools.repeat(params), squares[start:stop]))
+                column = map(row_text, map(ewl._pure_payoffs, itertools.repeat(params), squares[start:stop]))
             elif scope == "band" and transitional:
                 column = map(render, itertools.repeat(group), map(
-                    _CELLS[group], itertools.repeat(params), gammas[start:stop], itertools.repeat(phase)))
+                    _CELLS[group], itertools.repeat(params), gammas[start:stop], itertools.repeat(phase), rdes))
             else:
-                entry = group, pair[group] if scope == "pair" else _CELLS[group](params, gammas[start], phase)
-                text += between + cached(*entry)
+                text += between + cached(group, _CELLS[group](params, gammas[start], phase, rdes[0]))
                 continue
             columns += [itertools.repeat(text + between), column]
             text = ""
@@ -306,7 +317,7 @@ def cmd_sweep(args) -> int:
     # The payoffs group's template: in JSON _json_text's for finite cells, as pi_q, pi_d lie in [-1, 2].
     render, row_text, chunks, between_groups, between_rows, end = {
         "csv": (_csv_text, _PAYOFFS_CSV, [_csv_line(header), "\n"], ",", "\n", "\n"),
-        "json": (_json_text, _TEMPLATES["payoffs"].format, ["[\n  {\n    "], ",\n    ",
+        "json": (_json_text, _TEMPLATES["payoffs"].__mod__, ["[\n  {\n    "], ",\n    ",
                  "\n  },\n  {\n    ", "\n  }\n]\n"),
     }[args.format]
     # Each angle's text and sin^2, once per sweep.

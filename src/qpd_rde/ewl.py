@@ -17,6 +17,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -308,18 +309,22 @@ def _phase(params: DilemmaParams, gamma: float, thr: PhaseThresholds) -> Phase:
 def _runs(params: DilemmaParams, gammas: list[float], thr: PhaseThresholds) -> list[tuple[int, int, Phase]]:
     """(start, stop, phase) spans of a monotone angle axis: off the quantum PD regime one span of
     _CLASSICAL; on it the spans over which _side of each angle in thr stays the same, each with the
-    _phase of its first angle. Along the axis each side times the axis's direction is nondecreasing,
-    so it changes at most twice, where bisection finds it reaching 0 and 1."""
+    _phase of its first angle. Along the axis each side times the axis's direction is nondecreasing:
+    <= 0 before ``at``, the first angle on or past the threshold, and >= 0 from it. So _side is read
+    at at - 1 and at, and bisected further only on a side where that angle is within the tolerance."""
     if params.d_g <= 0.0 or params.d_r <= 0.0:
         return [(0, len(gammas), _CLASSICAL)]
+    n = len(gammas)
     sign = 1 if gammas[0] <= gammas[-1] else -1
-    cuts = {0, len(gammas)}
+    cuts = {0, n}
     for angle in thr:
         def side(gamma, angle=angle):
             return sign * _side(gamma, angle)
 
-        low = bisect.bisect_left(gammas, 0, key=side)
-        cuts |= {low, bisect.bisect_left(gammas, 1, low, key=side)}
+        at = bisect.bisect_left(gammas, sign * angle, key=None if sign > 0 else operator.neg)
+        low = at if at == 0 or side(gammas[at - 1]) < 0 else bisect.bisect_left(gammas, 0, 0, at - 1, key=side)
+        high = at if at == n or side(gammas[at]) > 0 else bisect.bisect_left(gammas, 1, at + 1, n, key=side)
+        cuts |= {low, high}
     return [(start, stop, _phase(params, gammas[start], thr)) for start, stop in itertools.pairwise(sorted(cuts))]
 
 

@@ -148,20 +148,22 @@ def _select_rde(params: DilemmaParams, gamma: float | None, phase: Phase) -> Rde
 
 def sensitivity_partials(params: DilemmaParams, gamma: float) -> SensitivityReport:
     """Closed-form partials of p* with respect to d_g, d_r and gamma."""
-    return SensitivityReport(*_partials(params, *_in_band(params, gamma, "transitional")))
+    gamma, phase = _in_band(params, gamma, "transitional")
+    return SensitivityReport(*_partials(params, gamma, _select_rde(params, gamma, phase).profile.p))
 
 
-def _partials(params: DilemmaParams, gamma: float, phase: Phase) -> tuple[float, float, float, float]:
-    """p* and its partials in d_g, d_r and gamma at a phase on the transitional band."""
+def _partials(params: DilemmaParams, gamma: float, p_star: float) -> tuple[float, float, float, float]:
+    """p* and its partials in d_g, d_r and gamma on the transitional band, at the caller's p*."""
     dg, dr = params.d_g, params.d_r
-    s2 = math.sin(gamma) ** 2
+    sin = math.sin(gamma)
+    s2 = sin ** 2
     gap2 = (dg - dr) ** 2
     if gap2 == 0.0:
         raise DegenerateDenominator("(d_g - d_r)^2 underflows; the partials are undefined")
-    return (_select_rde(params, gamma, phase).profile.p,
+    return (p_star,
             (dr - (1.0 + 2.0 * dr) * s2) / gap2,
             (-dg + (1.0 + 2.0 * dg) * s2) / gap2,
-            2.0 * _shift(params, 1.0) * math.sin(gamma) * math.cos(gamma) / (dg - dr))
+            2.0 * _shift(params, 1.0) * sin * math.cos(gamma) / (dg - dr))
 
 
 def sensitivity_critical_angles(params: DilemmaParams) -> CriticalAngles:
@@ -178,12 +180,13 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
     ``semi_elasticity_gamma`` is (dp*/dgamma)/p*, reported alongside the
     literal gamma elasticity because the two answer different questions.
     """
-    return _indices(params, *_in_band(params, gamma, "transitional"))
+    gamma, phase = _in_band(params, gamma, "transitional")
+    return _indices(params, gamma, _select_rde(params, gamma, phase).profile.p)
 
 
-def _indices(params: DilemmaParams, gamma: float, phase: Phase) -> SensitivityReport:
-    """sensitivity_indices at a phase on the transitional band."""
-    p_star, partial_dg, partial_dr, partial_gamma = _partials(params, gamma, phase)
+def _indices(params: DilemmaParams, gamma: float, p_star: float) -> SensitivityReport:
+    """sensitivity_indices on the transitional band, at the caller's p*: the RDE's weight on Q."""
+    p_star, partial_dg, partial_dr, partial_gamma = _partials(params, gamma, p_star)
     if p_star == 0.0:
         raise DegenerateBase("sensitivity indices undefined where p* vanishes")
     return SensitivityReport(p_star, partial_dg, partial_dr, partial_gamma,

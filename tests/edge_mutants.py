@@ -3,10 +3,11 @@
 Each mutant flips the strictness of one tolerance comparison in src/qpd_rde/ (or drops the
 leading 0.0 of PayoffMatrix2x2.expected_payoffs, the types from the phase cache's key, or the
 float conversion from the domain check, so that it returns its input unconverted, or makes
-classify_dilemma read the wrong one of a class's two shared records), in a temporary copy of
-src/, tests/ and pyproject.toml, and runs there the tests that pin that edge with an input
-exactly at its bound. A mutant is killed when those tests fail. The unmutated copy must pass
-them first.
+classify_dilemma read the wrong one of a class's two shared records, or makes ewl._runs trust the
+float cut next to a threshold within the angle tolerance or bisect a descending axis as ascending),
+in a temporary copy of src/, tests/ and pyproject.toml, and runs there the tests that pin that edge
+with an input exactly at its bound. A mutant is killed when those tests fail. The unmutated copy
+must pass them first.
 
     python tests/edge_mutants.py    # one line per mutant; exits 1 if any survives
 
@@ -24,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RD, GC, CLI = "src/qpd_rde/risk_dominance.py", "src/qpd_rde/game_core.py", "src/qpd_rde/cli.py"
+RUNS = "tests/test_entry_points.py::test_the_sweeps_runs_are_its_per_row_sides"
 TIE = "tests/test_risk_dominance.py::test_staghunt_tie_is_closed_at_tie_eps"
 PRODUCTS = "tests/test_risk_dominance.py::test_loss_products_tie_is_closed_at_tie_eps"
 SUMS = "tests/test_risk_dominance.py::test_mixed_profile_loss_sums_are_closed_at_tie_eps"
@@ -33,6 +35,12 @@ VERIFY = "tests/test_game_core.py::test_verify_mixed_ne_is_closed_at_tie_eps"
 MUTANTS = [
     ("ewl._side: <= PHASE_TOL to <", "src/qpd_rde/ewl.py", "abs(gamma - angle) <= PHASE_TOL",
      "abs(gamma - angle) < PHASE_TOL", ["tests/test_ewl.py::test_side_is_closed_at_the_angle_tolerance"]),
+    ("ewl._runs: the low cut's side < 0 to <= 0", "src/qpd_rde/ewl.py", "side(gammas[at - 1]) < 0",
+     "side(gammas[at - 1]) <= 0", [RUNS]),
+    ("ewl._runs: the high cut's side > 0 to >= 0", "src/qpd_rde/ewl.py", "side(gammas[at]) > 0",
+     "side(gammas[at]) >= 0", [RUNS]),
+    ("ewl._runs: no key on a descending axis", "src/qpd_rde/ewl.py", "key=None if sign > 0 else operator.neg",
+     "key=None", [RUNS]),
     ("ewl._resolved: typed=True to False", "src/qpd_rde/ewl.py", "maxsize=_PHASES, typed=True",
      "maxsize=_PHASES, typed=False",
      ["tests/test_ewl.py::test_a_plain_tuple_raises_after_its_equal_params_were_cached"]),

@@ -555,8 +555,9 @@ def test_sweep_computes_thresholds_once_per_pair_and_builds_no_matrix(capsys, mo
 @pytest.mark.parametrize("dg, dr", [("0.9", "0.2"), ("0.2", "0.9"), ("0.5", "0.5")])
 @pytest.mark.parametrize("ends", [("0", "1.5707963267948966"), ("1.5707963267948966", "0")])
 def test_sweep_finds_side_changes_by_bisection(capsys, monkeypatch, dg, dr, ends):
-    # O(log n) ewl._side calls per pair, not three per row: the sides change at most twice
-    # per threshold along a monotone angle axis.
+    # A few ewl._side calls per pair, however long the axis: a float bisection finds where each
+    # side may change, and _side is read at the two angles around it and bisected further only
+    # within the angle tolerance. The count includes the _phase and _pure_ne reads per run.
     calls = []
     side = ewl._side
     for module in (ewl, quantum_rde):
@@ -565,7 +566,7 @@ def test_sweep_finds_side_changes_by_bisection(capsys, monkeypatch, dg, dr, ends
                          "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
     assert code == 0, err
     assert len(out.splitlines()) == 1 + 10001
-    assert 0 < len(calls) <= 200
+    assert 0 < len(calls) <= 30
 
 
 def test_sweep_takes_sin_squared_once_per_angle(capsys, monkeypatch):
@@ -655,8 +656,12 @@ ODD_CELLS = (-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, math.na
 @example(-0.0, 5e-324)
 @example(math.inf, math.nan)
 @example(1.0, -1.0)
+@example(-0.0, -0.0)
+@example(-math.inf, math.inf)
+@example(math.nan, -math.inf)
 def test_csv_payoffs_template_is_the_csv_renderer_on_two_floats(pi_q, pi_d):
-    assert cli._PAYOFFS_CSV(pi_q, pi_d) == cli._csv_text("payoffs", (pi_q, pi_d))
+    # The template takes the tuple ewl._pure_payoffs returns.
+    assert cli._PAYOFFS_CSV((pi_q, pi_d)) == cli._csv_text("payoffs", (pi_q, pi_d))
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -686,7 +691,7 @@ def test_pure_payoffs_are_two_floats_on_the_cube(dg, dr, s2):
 @example(-5e-324, 0.0)
 @example(1.0, -1.0)
 def test_json_payoffs_template_is_the_json_renderer_on_two_finite_floats(pi_q, pi_d):
-    assert cli._TEMPLATES["payoffs"].format(pi_q, pi_d) == cli._json_text("payoffs", (pi_q, pi_d))
+    assert cli._TEMPLATES["payoffs"] % (pi_q, pi_d) == cli._json_text("payoffs", (pi_q, pi_d))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -724,6 +729,42 @@ def test_sweep_takes_each_rows_payoffs_once_without_the_csv_renderer(capsys, mon
     per_row_or_run = band_rows + sum(not transitional for _, transitional in runs)
     assert len(cells["rde"]) == len(cells["sensitivity"]) == per_row_or_run
     assert [a[1] for a in cells["rde"]] == [a[1] for a in cells["sensitivity"]]
+
+
+def test_the_sweep_selects_one_rde_per_transitional_row_and_one_per_other_run(capsys, monkeypatch):
+    # Classical pairs, both bands and d_g == d_r, over every phase: the rde and sensitivity
+    # groups read one selection, made per row on the transitional band and per run elsewhere.
+    calls = []
+    select = quantum_rde._select_rde
+    monkeypatch.setattr(quantum_rde, "_select_rde",
+                        lambda params, gamma, phase: calls.append((params, gamma)) or select(params, gamma, phase))
+    code, out, err = run(capsys, "sweep", "--dg-range", "-0.5", "0.9", "3", "--dr-range", "0.2", "0.9", "3",
+                         "--gamma-range", "0", repr(math.pi / 2), "41",
+                         "--quantities", "class,ne,rde,payoffs,sensitivity,thresholds")
+    assert code == 0, err
+    gammas, expected, names, longest = ewl._linspace(0.0, math.pi / 2, 41), [], set(), 0
+    for dg in ewl._linspace(-0.5, 0.9, 3):
+        for dr in ewl._linspace(0.2, 0.9, 3):
+            params = DilemmaParams(dg, dr)
+            for start, stop, phase in ewl._runs(params, gammas, thresholds(params)):
+                transitional = quantum_rde._on_band(phase, "transitional")
+                names.add(phase.name)
+                longest = max(longest, (stop - start) * transitional)
+                expected += [(params, gamma) for gamma in gammas[start:stop if transitional else start + 1]]
+    assert names >= {"classical", "classical-like", "transitional", "coexistence", "fully-quantum"}
+    assert longest > 1  # some transitional run has several rows
+    assert calls == expected
+
+    # The public sensitivity functions select once per point, inside the band and on its seams.
+    params = DilemmaParams(0.9, 0.2)
+    for gamma in (0.5, *thresholds(params)[:2]):
+        for entry in (quantum_rde.sensitivity_partials, quantum_rde.sensitivity_indices):
+            calls.clear()
+            try:
+                entry(params, gamma)
+            except qpd_rde.errors.DegenerateBase:  # p* is 0 at the lower seam
+                pass
+            assert calls == [(params, gamma)]
 
 
 def test_sensitivity_indices_and_the_sweep_build_no_record_twice(capsys, monkeypatch):

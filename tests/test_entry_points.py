@@ -459,8 +459,41 @@ def pd_axes(draw):
     return params, thr, _linspace(start, stop, steps)
 
 
+def seam_axis(d_g, d_r, threshold, offsets, descending=False, steps=None):
+    """A pair, its thresholds and an axis of one threshold shifted by each offset, in axis order,
+    or with ``steps`` the _linspace of that many angles from the first shifted angle to the second."""
+    params = DilemmaParams(d_g, d_r)
+    thr = thresholds(params)
+    angle = getattr(thr, threshold)
+    if steps:
+        return params, thr, _linspace(angle + offsets[0], angle + offsets[1], steps)
+    gammas = sorted(angle + offset for offset in offsets)
+    return params, thr, gammas[::-1] if descending else gammas
+
+
+T = PHASE_TOL
+DENSE = (-3 * T, -2 * T, -T, -T / 2, 0.0, T / 2, T, 2 * T, 3 * T)
+
+
 @settings(SETTINGS, max_examples=300)
 @given(pd_axes())
+# Several angles within PHASE_TOL of each threshold, in both directions; angles within it on one side
+# only; ends at +-PHASE_TOL and +-2 PHASE_TOL; one angle on a threshold; gamma1 and gamma2 within it.
+@example(seam_axis(0.9, 0.2, "gamma1", DENSE))
+@example(seam_axis(0.9, 0.2, "gamma1", DENSE, descending=True))
+@example(seam_axis(0.2, 0.9, "gamma2", DENSE))
+@example(seam_axis(0.2, 0.9, "gamma2", DENSE, descending=True))
+@example(seam_axis(0.9, 0.2, "gamma_star", DENSE))
+@example(seam_axis(0.2, 0.9, "gamma_star", DENSE, descending=True))
+@example(seam_axis(0.9, 0.2, "gamma2", (-2 * T, -T / 2)))
+@example(seam_axis(0.9, 0.2, "gamma2", (T / 2, 2 * T), descending=True))
+@example(seam_axis(0.9, 0.2, "gamma2", (0.0, T / 2, 2 * T)))
+@example(seam_axis(0.9, 0.2, "gamma2", (-2 * T, -T / 2, 0.0), descending=True))
+@example(seam_axis(0.9, 0.2, "gamma1", (-T, T), steps=9))
+@example(seam_axis(0.2, 0.9, "gamma1", (2 * T, -2 * T), steps=13))
+@example(seam_axis(0.9, 0.2, "gamma1", (0.0,)))
+@example(seam_axis(0.2, 0.9, "gamma_star", (0.0,)))
+@example(seam_axis(0.9, 0.899999999, "gamma1", DENSE, descending=True))
 def test_the_sweeps_runs_are_its_per_row_sides(axis):
     """The bisected runs of a pair's angle axis are the spans of equal ewl._side triples of
     gamma1, gamma2 and gamma_star, row by row, each with the phase of every angle in it."""
