@@ -27,8 +27,9 @@ EXIT_CHECK_FAILED = 2
 # The most sweep rows or oracle-check points one request may ask for, checked before any
 # axis is built; the README's "Request size" paragraph gives the reasons for the value.
 MAX_ITEMS = 1_000_000
-# The most texts above row scope one sweep keeps, least recently used out first. The largest
-# benchmark call, one d_g of the 81x81x8 cube, reads 134 texts; the whole cube shares 22.
+# The most texts above row scope one sweep keeps, least recently used out first: those of one pair
+# only (its thresholds, a classical chicken's mixed RDE) leave, so a sweep's memory is about its
+# output. The largest benchmark call, one d_g of the 81x81x8 cube, reads 134 texts; the cube shares 22.
 _TEXTS = 256
 
 # Sweep columns of each quantity, in the order rows lay them out, and its scope: the widest

@@ -203,7 +203,8 @@ _NE_DD = NashEquilibriumRecord(_PURE[1][1], (0.0, 0.0))
 
 
 def _layout_ne(s1: float, s2: float, sucker: float, temptation: float) -> list[NashEquilibriumRecord]:
-    """Row-major pure NEs of the dilemma layout; s1 has the sign of sucker, s2 of 1 - temptation."""
+    """Row-major pure NEs of the dilemma layout; s1 has the sign of sucker, s2 of 1 - temptation: the
+    first action's gain over the second against the second action, and against the first."""
     records = [_NE_CC] if s2 >= 0 else []
     if s1 >= 0 >= s2:
         records += (NashEquilibriumRecord(_PURE[0][1], (sucker, temptation)),

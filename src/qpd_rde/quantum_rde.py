@@ -185,7 +185,7 @@ def sensitivity_indices(params: DilemmaParams, gamma: float) -> SensitivityRepor
 
 
 def _indices(params: DilemmaParams, gamma: float, p_star: float) -> SensitivityReport:
-    """sensitivity_indices on the transitional band, at the caller's p*: the RDE's weight on Q."""
+    """sensitivity_indices at the caller's p*, the RDE's weight on Q, on the band the caller settled."""
     p_star, partial_dg, partial_dr, partial_gamma = _partials(params, gamma, p_star)
     if p_star == 0.0:
         raise DegenerateBase("sensitivity indices undefined where p* vanishes")

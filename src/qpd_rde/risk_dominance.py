@@ -68,7 +68,9 @@ def _select(matrix: PayoffMatrix2x2, cells) -> RdeOutcome:
     """Risk-dominant selection between the two NE cells.
 
     On a tie A plays its first action with weight B's loss at the NE where A
-    plays its second action, over the sum of B's losses; B likewise.
+    plays its second action, over the sum of B's losses; B likewise. Each weight
+    is clamped to [0, 1], as _chicken_weight clamps: a loss within TIE_EPS of 0
+    may have either sign, so the ratio may round outside the interval.
     """
     first, second = _losses(matrix, cells)
     diff = first.product - second.product
@@ -82,7 +84,8 @@ def _select(matrix: PayoffMatrix2x2, cells) -> RdeOutcome:
         raise DegenerateDenominator("tie with vanishing loss sums; mixed profile undefined")
     at_a_second = second if cells[1][0] else first
     at_b_second = second if cells[1][1] else first
-    p, q = at_a_second.loss_b / denom_p, at_b_second.loss_a / denom_q
+    ratios = at_a_second.loss_b / denom_p, at_b_second.loss_a / denom_q
+    p, q = (0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t for t in ratios)
     return RdeOutcome("mixed", StrategyProfile(p, q), matrix.expected_payoffs(p, q))
 
 

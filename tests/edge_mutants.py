@@ -4,10 +4,14 @@ Each mutant flips the strictness of one tolerance comparison in src/qpd_rde/ (or
 leading 0.0 of PayoffMatrix2x2.expected_payoffs, the types from the phase cache's key, or the
 float conversion from the domain check, so that it returns its input unconverted, or makes
 classify_dilemma read the wrong one of a class's two shared records, or makes ewl._runs trust the
-float cut next to a threshold within the angle tolerance or bisect a descending axis as ascending),
+float cut next to a threshold within the angle tolerance or bisect a descending axis as ascending,
+or drops the clamp of the generic selectors' tie weights to [0, 1]),
 in a temporary copy of src/, tests/ and pyproject.toml, and runs there the tests that pin that edge
 with an input exactly at its bound. A mutant is killed when those tests fail. The unmutated copy
-must pass them first.
+must pass them first. The two other check bounds of cli cannot be reached: an oracle-check
+normalization sum in [0.5, 2] minus 1 is exact and a multiple of 2^-53, which 1e-12 is not (outside
+that range it is at least 0.5), and each Table 6 entry's value - target is exact near the target,
+where target +- tol is not a double.
 
     python tests/edge_mutants.py    # one line per mutant; exits 1 if any survives
 
@@ -30,6 +34,7 @@ TIE = "tests/test_risk_dominance.py::test_staghunt_tie_is_closed_at_tie_eps"
 PRODUCTS = "tests/test_risk_dominance.py::test_loss_products_tie_is_closed_at_tie_eps"
 SUMS = "tests/test_risk_dominance.py::test_mixed_profile_loss_sums_are_closed_at_tie_eps"
 VERIFY = "tests/test_game_core.py::test_verify_mixed_ne_is_closed_at_tie_eps"
+CLAMP = "tests/test_risk_dominance.py::test_select_rde_asymmetric_clamps_the_tie_weights"
 
 # (name, file, text, its mutant, the tests that must kill it); each text occurs once in its file.
 MUTANTS = [
@@ -55,6 +60,8 @@ MUTANTS = [
     ("_select: diff < -TIE_EPS to <=", RD, "if diff < -TIE_EPS:", "if diff <= -TIE_EPS:", [PRODUCTS]),
     ("_select: abs(denom_p) <= TIE_EPS to <", RD, "abs(denom_p) <= TIE_EPS", "abs(denom_p) < TIE_EPS", [SUMS]),
     ("_select: abs(denom_q) <= TIE_EPS to <", RD, "abs(denom_q) <= TIE_EPS", "abs(denom_q) < TIE_EPS", [SUMS]),
+    ("_select: the tie's weights unclamped", RD, "p, q = (0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t for t in ratios)",
+     "p, q = ratios", [CLAMP]),
     ("classify_dilemma: the non-PD read ignores the boundary flag", GC,
      "boundary = dg == 0.0 or dr == 0.0", "boundary = False",
      ["tests/test_game_core.py::test_classify_dilemma_on_every_seam"]),

@@ -1,5 +1,5 @@
-"""Whole-program gates: the README's CLI block, the sweep against itself, its payoffs against the
-public function, and the phase cache.
+"""Whole-program gates: the README's CLI block, tables, oracle-check and its negative control, the
+sweep against itself, its payoffs against the public function, and the phase cache.
 
 Each gate runs the installed package end to end on a fixed grid or a seeded stream of points,
 prints one line and passes or fails; they are too slow for Tier-1.
@@ -7,7 +7,8 @@ prints one line and passes or fails; they are too slow for Tier-1.
     python tests/gates.py                      # every gate; exits 1 if any fails
     python tests/gates.py sweep payoffs        # the named gates only
 
-Not part of Tier-1. CI runs it after Tier-1, with the package installed. Beyond the package it
+Not part of Tier-1. CI runs it after Tier-1, with the package installed: the readme-cli, tables and
+oracle gates run its qpd-rde command. Beyond the package it
 needs the standard library, and numpy (a test extra) for the phase cache gate's numpy.float64 points.
 """
 
@@ -43,6 +44,27 @@ def readme_cli() -> bool:
         if run.returncode:
             print(run.stderr, end="")
     return bool(runs) and all(run.returncode == 0 for run in runs)
+
+
+def _command(*argv: str) -> subprocess.CompletedProcess:
+    """One run of the installed qpd-rde command, printed as its exit code and its last line of output."""
+    run = subprocess.run(["qpd-rde", *argv], capture_output=True, text=True)
+    last = (run.stdout + run.stderr).rstrip().rpartition("\n")[2]
+    print(f"exit {run.returncode}: qpd-rde {' '.join(argv)}: {last}")
+    return run
+
+
+def tables() -> bool:
+    """qpd-rde tables must reproduce every entry of the reference tables: exit 0."""
+    return _command("tables").returncode == 0
+
+
+def oracle() -> bool:
+    """qpd-rde oracle-check must pass on the checked grid, and with the tampered gate, its negative
+    control, fail: exit 2 with the line result: FAIL."""
+    checked = _command("oracle-check", "--grid", "31")
+    tampered = _command("oracle-check", "--grid", "3", "--tampered-gate")
+    return checked.returncode == 0 and tampered.returncode == 2 and "result: FAIL" in tampered.stdout.splitlines()
 
 
 def _cli(argv: list[str]) -> str:
@@ -191,8 +213,8 @@ def phase_cache() -> bool:
     return same and bool(hits) and same_typed
 
 
-GATES = {"readme-cli": readme_cli, "sweep": sweep, "sweep-json": sweep_json, "sweep-cache": sweep_cache,
-         "payoffs": payoffs, "phase-cache": phase_cache}
+GATES = {"readme-cli": readme_cli, "tables": tables, "oracle": oracle, "sweep": sweep, "sweep-json": sweep_json,
+         "sweep-cache": sweep_cache, "payoffs": payoffs, "phase-cache": phase_cache}
 
 
 def main(argv: list[str]) -> int:

@@ -1,3 +1,32 @@
+"""The command line: options, exit codes and error lines, the sweep's output and the work its kernel
+does, the check bounds of tables and oracle-check, and the request cap.
+
+A sweep that fails on a later pair of a 3x3x4 sweep writes nothing, to stdout or to --out, in CSV
+and JSON. The sweep kernel's work is bounded, not counted: a one-pair sweep of 10,001 angles makes
+at most 30 ewl._side calls, and three pairs over n angles take at most 1.5 n sines. An all-quantity
+sweep calls ewl._pure_payoffs once per row for its payoffs group (and once per ewl._pure_ne call),
+never hands that group to the renderer, and calls quantum_rde._select_rde once per transitional
+row and once per other run; sensitivity_partials and sensitivity_indices call it once per point. It
+renders each distinct NE group, pure RDE and blank sensitivity group once, keeps at most
+cli._TEXTS texts in its cache (the 81x81x8 JSON cube renders each of its 22 shared texts once),
+builds no PayoffMatrix2x2 and never calls SensitivityReport._replace; a --quantities rde sweep
+renders no class or thresholds group. The rows of a sweep inside one two-NE phase, across gamma*
+and across p* values, are its one-row sweeps. The sha256 of an all-quantity 9x9x7 sweep of the
+whole cube is pinned in both formats, and planted infinite and NaN cells print as json.dumps and
+csv.writer print them. The payoffs templates, cli._PAYOFFS_CSV and cli._TEMPLATES["payoffs"],
+give _csv_text's text for any two floats and _json_text's for any two finite ones, and
+ewl._pure_payoffs returns two finite floats over the cube.
+
+oracle-check's report is pinned by sha256 for --grid 31, --grid 11 on two seeds and --grid 5
+--tampered-gate, and a 1e-11 fault planted in ewl._joint fails it whether it reaches only the grid
+or only the seeded points. Each reachable check bound of tables and oracle-check gets an input
+exactly on it, which passes: a grid pair that deviates by exactly 1e-12 (1 ulp more fails), a
+Table 5 grid gain of exactly TIE_EPS (1 ulp more fails every Table 5 line) and a Table 6 index whose
+finite difference lies exactly 1e-6 * |index| away. Oversized sweeps and oracle grids are refused with ewl._linspace replaced by a
+function that fails if called, and a request of exactly the cap runs. argparse reads the parser's
+negative-number matcher.
+"""
+
 import argparse
 import csv
 import hashlib

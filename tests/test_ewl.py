@@ -1,3 +1,26 @@
+"""The EWL game: the state-vector oracle and the closed forms it checks, the thresholds, the quantum
+NE set, the one reader of each tolerance, and the phase cache.
+
+ewl._grid_states equals final_state bit for bit on the corner grid, an interior grid and random
+points, for both gates, and each pair of ewl._grid_pairs is joint_distribution and final_state at
+its point of product(weights, weights, angles). entangling_gate, final_state and _grid_states equal
+a reference written here bit for bit: the gate built as cos(g/2) I - i sin(g/2) sigma (x) sigma and
+each sum a functools.reduce over all four terms, so the terms the block kernel leaves out are
+summed there, also at the 54 corners where a left-out signed zero could flip a zero amplitude's
+sign (p and q in {0, 1, 5e-324}, gamma in {0, pi/2, 5e-324}). A gate with one of its eight
+off-block entries set to 1e-3 makes final_state and _grid_states raise ValueError and oracle-check
+exit 1. No closed form runs inside the oracle, and final_state checks gamma, then p, then q.
+
+A walk of every package module's syntax tree fails if any function but ewl._side reads PHASE_TOL,
+or any module but game_core constructs a NashEquilibriumRecord, which keeps a second pure-NE rule
+out. Of the phase cache: one point through classify_quantum_ne, select_rde_quantum, select_rde and
+sensitivity_indices takes thresholds once; the warm cache gives what its uncached body gives on
+seeded points (the cube, each threshold and PHASE_TOL either side of it, d_g == d_r, and gamma as
+-0.0, 0, True, a numpy.float64, a 0-d array and out of its domain); 2 * _PHASES angles leave at
+most _PHASES entries; a plain tuple still raises AttributeError; and an out-of-domain point raises
+on every call.
+"""
+
 import ast
 import collections
 import functools

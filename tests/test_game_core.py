@@ -1,3 +1,11 @@
+"""Dilemma construction, classification, expected payoffs, and pure and mixed NEs.
+
+classify_dilemma gives one of its eight shared records on every seam, and classifying the seam
+grid, the classical select_rde, rde_chicken, rde_staghunt, qpd-rde classify and a one-d_g
+all-quantity sweep build no DilemmaClass. A deviation that gains exactly TIE_EPS still passes
+verify_mixed_ne, a matrix of -0.0 entries pays 0.0, and the closed-form modules import no numpy.
+"""
+
 import ast
 import inspect
 import math

@@ -135,7 +135,7 @@ def threshold_points(draw):
 
 @SETTINGS
 @given(threshold_points())
-# The README's 0.4.1 example: (Q,D) and (D,Q) listed as classical-like, (D,D) as transitional.
+# CHANGES.md's 0.4.1 example: (Q,D) and (D,Q) listed as classical-like, (D,D) as transitional.
 @example((DilemmaParams(0.42636586502253654, 0.2663275827900337), 0.40787599873979397))
 @example((DilemmaParams(0.42636586502253654, 0.2663275827900337), 0.407876000739794))
 def test_quantum_ne_set_agrees_with_the_phase(point):

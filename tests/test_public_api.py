@@ -1,5 +1,6 @@
 """The public surface: each module's ``__all__``, the package re-exports and the version, the
-library's private names that the CLI reads, the one phase-to-RDE rule and its one seam snap."""
+library names the README cites, the private names that the CLI reads, the one phase-to-RDE rule and
+its one seam snap."""
 
 import ast
 import inspect
@@ -57,6 +58,24 @@ def test_version_agrees_with_pyproject():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE)
     assert qpd_rde.__version__ == version
+
+
+# The one private library name the README may cite: ewl._resolved, whose cache_clear() empties the
+# phase cache. The README is the user contract; each mechanism is described in its own code.
+README_PRIVATE = {"ewl._resolved"}
+
+
+def test_the_readme_cites_existing_names_and_no_private_one_but_the_pinned():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {module.__name__.rsplit(".", 1)[1]: module for module in [*PUBLIC, cli, errors]}
+    cited = set(re.findall(rf"(?<![\w./])({'|'.join(modules)})\.(\w+)", text))
+    assert ("ewl", "resolve_phase") in cited
+    assert not sorted(f"{module}.{name}" for module, name in cited if not hasattr(modules[module], name))
+    private = {f"{module}.{name}" for module, name in cited if re.match(r"_[^_]", name)}
+    # A private name cited without its module, such as _side.
+    private |= {name for name in re.findall(r"(?<![\w.])_[A-Za-z]\w*", text)
+                if any(name in vars(module) for module in modules.values())}
+    assert private == README_PRIVATE
 
 
 # The private library names cli.py reads: the sweep's per-side helpers, which its scope reuse

@@ -1,3 +1,15 @@
+"""RDE selection across the quantum PD phases, Situ risks, the sensitivity of p*, the group-benefit
+threshold and the unilateral-deviation payoffs.
+
+The closed forms are held to the generic Harsanyi-Selten routines on the pure-quantum matrix and to
+brute-force grids; next to the diagonal the two differ by design (see the README's "Phases and
+seams"). The text of each off-band OutOfPhase equals the f-string it replaced, at 5e-324, 1e-300,
+1 ulp below 1 and a 17-digit float. sensitivity_indices equals, bit for bit or by the same error,
+the partials' record _replace'd with the indices, as it was built before 0.5.19, on seeded
+transitional points, both seams and PHASE_TOL / 2 and 2 * PHASE_TOL off them, pairs 1 ulp apart and
+subnormal strengths whose (d_g - d_r)^2 underflows.
+"""
+
 import math
 
 import numpy as np

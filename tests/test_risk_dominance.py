@@ -1,3 +1,12 @@
+"""Harsanyi-Selten deviation losses and RDE selection on general 2x2 matrices, and the closed-form
+chicken and stag-hunt RDEs.
+
+Each TIE_EPS edge is pinned with an input exactly at it: the stag-hunt tie at |d_g| - d_r =
++-TIE_EPS, loss products TIE_EPS apart and a loss sum of exactly TIE_EPS (undefined). A tie's
+weights, ratios of losses that may round outside [0, 1], are clamped there by both generic
+selectors.
+"""
+
 import numpy as np
 import pytest
 
@@ -232,3 +241,25 @@ def test_mixed_profile_loss_sums_are_closed_at_tie_eps(loss_a, loss_b):
     assert min(loss_a + loss_a, loss_b + loss_b) == TIE_EPS
     with pytest.raises(DegenerateDenominator):
         select_rde_symmetric(matrix)
+
+
+# A loss within TIE_EPS of 0 may have either sign, so a tie's weight, a ratio of losses, may round
+# outside [0, 1]: each generic selector clamps it there, as the closed form clamps the chicken weight.
+
+
+@pytest.mark.parametrize("a, b, weight", [
+    (0.5000000000000003, 0.9999999999999997, 1.0),  # pure_quantum_matrix at gamma2 under a 1-ulp libm
+    (-5e-324, 1.5, 0.0),  # a subnormal sucker payoff of the wrong sign
+])
+def test_select_rde_asymmetric_clamps_the_tie_weights(a, b, weight):
+    matrix = PayoffMatrix2x2([[(1.0, 1.0), (a, b)], [(b, a), (0.0, 0.0)]], labels=("Q", "D"))
+    outcome = select_rde_asymmetric(matrix)
+    assert (outcome.kind, tuple(outcome.profile)) == ("mixed", (weight, weight))
+    assert outcome.payoffs == matrix.expected_payoffs(weight, weight)
+
+
+def test_select_rde_symmetric_clamps_the_tie_weights():
+    # Losses (0.5, -5e-324) at (C,C) and (-5e-324, 0.5) at (D,D): B's weight is -1e-323 unclamped.
+    matrix = PayoffMatrix2x2([[(0.5, 0.0), (5e-324, 5e-324)], [(0.0, 0.0), (0.0, 0.5)]])
+    outcome = select_rde_symmetric(matrix)
+    assert (outcome.kind, tuple(outcome.profile)) == ("mixed", (1.0, 0.0))
