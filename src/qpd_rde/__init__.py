@@ -9,4 +9,4 @@ from .ewl import *
 from .quantum_rde import *
 from . import errors
 
-__version__ = "0.5.23"
+__version__ = "0.5.24"

@@ -192,10 +192,10 @@ def _axis(single, rng, name):
 
 
 def _csv_text(group, cells) -> str:
-    """CSV text of one group of cells: floats to 12 significant digits, None and "" blank, and
-    other cells as csv.writer quotes them. csv.writer never quotes %.12g text and quotes a row
-    of two or more cells cell by cell; only a row of one empty cell does it write as '""'."""
-    return ",".join([f"{x:.12g}" if type(x) is float else "" if x is None or x == "" else _csv_line((x,))
+    """CSV text of one group of cells: floats to 12 significant digits, None blank, and other
+    cells as csv.writer quotes them. csv.writer never quotes %.12g text and quotes a row of two
+    or more cells cell by cell; only a row of one empty cell does it write as '""'."""
+    return ",".join([f"{x:.12g}" if type(x) is float else "" if x is None else _csv_line((x,))
                      for x in cells])
 
 
@@ -216,7 +216,7 @@ def _ne_cells(params: DilemmaParams, gamma: float, phase, rde) -> tuple:
 
 def _rde_cells(params: DilemmaParams, gamma: float, phase, rde) -> tuple:
     """RDE cells; blank at the common threshold of d_g == d_r, where the RDE is undefined (None)."""
-    return _BLANK["rde"] if rde is None else (rde.kind, rde.label or "", *rde.profile, *rde.payoffs)
+    return _BLANK["rde"] if rde is None else (rde.kind, rde.label, *rde.profile, *rde.payoffs)
 
 
 def _sensitivity_cells(params: DilemmaParams, gamma: float, phase, rde) -> tuple:

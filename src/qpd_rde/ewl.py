@@ -85,42 +85,29 @@ _TERMS_Y, _TERMS_X = (tuple(tuple((r == c, k) for c, k in enumerate(row)) for r,
                       for square in (_kron(_SIGMA_Y, _SIGMA_Y), _kron(_SIGMA_X, _SIGMA_X)))
 
 
-class JointDistribution(namedtuple("JointDistribution", "eps1 eps2 eps3 eps4")):
-    """Outcome probabilities over (CC, CD, DC, DD)."""
+JointDistribution = namedtuple("JointDistribution", "eps1 eps2 eps3 eps4")
+JointDistribution.__doc__ = """Outcome probabilities over (CC, CD, DC, DD)."""
 
-    __slots__ = ()
+QuantumPayoffMatrix = namedtuple("QuantumPayoffMatrix", "matrix pi_q pi_d")
+QuantumPayoffMatrix.__doc__ = """Pure-quantum-strategy PayoffMatrix2x2 with its off-diagonal scalars."""
 
+PhaseThresholds = namedtuple("PhaseThresholds", "gamma1 gamma2 gamma_star")
+PhaseThresholds.__doc__ = """Entanglement angles delimiting the NE phases; None when undefined."""
 
-class QuantumPayoffMatrix(namedtuple("QuantumPayoffMatrix", "matrix pi_q pi_d")):
-    """Pure-quantum-strategy PayoffMatrix2x2 with its off-diagonal scalars."""
+Phase = namedtuple("Phase", "name band seam thresholds")
+Phase.__doc__ = """Where gamma sits in the quantum PD phase structure of a (d_g, d_r) pair.
 
-    __slots__ = ()
-
-
-class PhaseThresholds(namedtuple("PhaseThresholds", "gamma1 gamma2 gamma_star")):
-    """Entanglement angles delimiting the NE phases; None when undefined."""
-
-    __slots__ = ()
-
-
-class Phase(namedtuple("Phase", "name band seam thresholds")):
-    """Where gamma sits in the quantum PD phase structure of a (d_g, d_r) pair.
-
-    ``band`` is the pair's two-NE band, "transitional" (d_g > d_r) or
-    "coexistence" (d_r > d_g), and None when d_g == d_r. On a "boundary",
-    ``seam`` names the threshold within PHASE_TOL of gamma: "lower" or "upper".
-    """
-
-    __slots__ = ()
+``band`` is the pair's two-NE band, "transitional" (d_g > d_r) or
+"coexistence" (d_r > d_g), and None when d_g == d_r. On a "boundary",
+``seam`` names the threshold within PHASE_TOL of gamma: "lower" or "upper".
+"""
 
 
 _CLASSICAL = Phase("classical", None, None, None)  # the classical game: no angle, band or thresholds
 
 
-class QuantumNeReport(namedtuple("QuantumNeReport", "phase equilibria")):
-    """Phase name and the list of NashEquilibriumRecord at one angle."""
-
-    __slots__ = ()
+QuantumNeReport = namedtuple("QuantumNeReport", "phase equilibria")
+QuantumNeReport.__doc__ = """Phase name and the list of NashEquilibriumRecord at one angle."""
 
 
 def initial_state(gamma: float) -> tuple[complex, ...]:

@@ -137,10 +137,8 @@ class DilemmaKind(Enum):
     TRIVIAL = "TRIVIAL"
 
 
-class DilemmaClass(namedtuple("DilemmaClass", "kind boundary", defaults=(False,))):
-    """A DilemmaKind, and whether a zero strength puts the pair on a class boundary."""
-
-    __slots__ = ()
+DilemmaClass = namedtuple("DilemmaClass", "kind boundary", defaults=(False,))
+DilemmaClass.__doc__ = """A DilemmaKind, and whether a zero strength puts the pair on a class boundary."""
 
 
 # The eight classes, each indexed by its boundary flag; classify_dilemma returns these records.
@@ -148,10 +146,8 @@ _PD_CLASS, _CH_CLASS, _SH_CLASS, _TRIVIAL_CLASS = (
     (DilemmaClass(kind, False), DilemmaClass(kind, True)) for kind in DilemmaKind)
 
 
-class NashEquilibriumRecord(namedtuple("NashEquilibriumRecord", "profile payoffs")):
-    """A StrategyProfile and its (A, B) payoff pair."""
-
-    __slots__ = ()
+NashEquilibriumRecord = namedtuple("NashEquilibriumRecord", "profile payoffs")
+NashEquilibriumRecord.__doc__ = """A StrategyProfile and its (A, B) payoff pair."""
 
 
 def _dilemma_matrix(sucker: float, temptation: float, labels) -> PayoffMatrix2x2:

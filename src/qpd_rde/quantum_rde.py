@@ -42,31 +42,19 @@ _TIE_LABEL = "U(0.5)xU(0.5)"
 _KIND = {"classical-like": _PD, "transitional": _CH, "coexistence": _SH, "fully-quantum": _TRIVIAL}
 
 
-class RdeReport(namedtuple("RdeReport", "phase rde losses")):
-    """The Phase ("classical", without thresholds, in the classical game), the RdeOutcome, and
-    (StrategyProfile, DeviationLossPair) at each NE of a two-NE class, row-major, or () off one."""
+RdeReport = namedtuple("RdeReport", "phase rde losses")
+RdeReport.__doc__ = """The Phase ("classical", without thresholds, in the classical game), the RdeOutcome, and
+(StrategyProfile, DeviationLossPair) at each NE of a two-NE class, row-major, or () off one."""
 
-    __slots__ = ()
+SituRisk = namedtuple("SituRisk", "risk_a risk_b")
+SituRisk.__doc__ = """Maximum loss each player at an NE can suffer from the opponent deviating."""
 
+SensitivityReport = namedtuple("SensitivityReport", "p_star partial_dg partial_dr partial_gamma "
+                               "index_dg index_dr index_gamma semi_elasticity_gamma", defaults=(None,) * 4)
+SensitivityReport.__doc__ = """Partials and (optionally) indices of the transitional mixing probability."""
 
-class SituRisk(namedtuple("SituRisk", "risk_a risk_b")):
-    """Maximum loss each player at an NE can suffer from the opponent deviating."""
-
-    __slots__ = ()
-
-
-class SensitivityReport(namedtuple(
-        "SensitivityReport", "p_star partial_dg partial_dr partial_gamma "
-        "index_dg index_dr index_gamma semi_elasticity_gamma", defaults=(None,) * 4)):
-    """Partials and (optionally) indices of the transitional mixing probability."""
-
-    __slots__ = ()
-
-
-class CriticalAngles(namedtuple("CriticalAngles", "gamma_g gamma_r")):
-    """Angles where the d_g and d_r partials of the mixing probability change sign."""
-
-    __slots__ = ()
+CriticalAngles = namedtuple("CriticalAngles", "gamma_g gamma_r")
+CriticalAngles.__doc__ = """Angles where the d_g and d_r partials of the mixing probability change sign."""
 
 
 def _on_band(phase: Phase, band: str) -> bool:

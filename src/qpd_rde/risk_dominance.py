@@ -36,10 +36,8 @@ class DeviationLossPair(namedtuple("DeviationLossPair", "loss_a loss_b")):
         return self.loss_a * self.loss_b
 
 
-class RdeOutcome(namedtuple("RdeOutcome", "kind profile payoffs label", defaults=(None,))):
-    """Selected risk-dominant equilibrium on the owning game, of ``kind`` "pure" or "mixed"."""
-
-    __slots__ = ()
+RdeOutcome = namedtuple("RdeOutcome", "kind profile payoffs label", defaults=(None,))
+RdeOutcome.__doc__ = """Selected risk-dominant equilibrium on the owning game, of ``kind`` "pure" or "mixed"."""
 
 
 _RDE_CC = RdeOutcome("pure", _PURE[0][0], (1.0, 1.0), "(C,C)")
@@ -70,7 +68,10 @@ def _select(matrix: PayoffMatrix2x2, cells) -> RdeOutcome:
     On a tie A plays its first action with weight B's loss at the NE where A
     plays its second action, over the sum of B's losses; B likewise. Each weight
     is clamped to [0, 1], as _chicken_weight clamps: a loss within TIE_EPS of 0
-    may have either sign, so the ratio may round outside the interval.
+    may have either sign, so the ratio may round outside the interval. A tie stays
+    "mixed", with no label, even where both weights land on a vertex: that vertex
+    may lie outside the two cells compared, as (1, 1), (Q,Q), does for the pair
+    (Q,D), (D,Q), and (1, 0), (C,D), for the pair (C,C), (D,D).
     """
     first, second = _losses(matrix, cells)
     diff = first.product - second.product

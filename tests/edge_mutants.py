@@ -5,7 +5,8 @@ leading 0.0 of PayoffMatrix2x2.expected_payoffs, the types from the phase cache'
 float conversion from the domain check, so that it returns its input unconverted, or makes
 classify_dilemma read the wrong one of a class's two shared records, or makes ewl._runs trust the
 float cut next to a threshold within the angle tolerance or bisect a descending axis as ascending,
-or drops the clamp of the generic selectors' tie weights to [0, 1]),
+or drops the clamp of the generic selectors' tie weights to [0, 1], or makes the sweep print an
+unlabeled RDE's label as "" where every other entry point prints null),
 in a temporary copy of src/, tests/ and pyproject.toml, and runs there the tests that pin that edge
 with an input exactly at its bound. A mutant is killed when those tests fail. The unmutated copy
 must pass them first. The two other check bounds of cli cannot be reached: an oracle-check
@@ -73,6 +74,8 @@ MUTANTS = [
      ["tests/test_game_core.py::test_expected_payoffs_of_negative_zero_entries_are_positive_zero"]),
     ("oracle-check: max_dev <= 1e-12 to <", CLI, "ok = max_dev <= 1e-12", "ok = max_dev < 1e-12",
      ["tests/test_cli.py::test_oracle_check_deviation_bound_is_closed"]),
+    ("sweep: an unlabeled RDE's label printed as \"\"", CLI, "(rde.kind, rde.label, *rde.profile",
+     '(rde.kind, rde.label or "", *rde.profile', ["tests/test_entry_points.py::test_entry_points_agree"]),
     ("tables: Table 5's <= TIE_EPS to <", CLI, "gamma)) <= game_core.TIE_EPS", "gamma)) < game_core.TIE_EPS",
      ["tests/test_cli.py::test_table5_certification_is_closed_at_tie_eps"]),
     ("tables: Table 6's <= 1e-6 * abs(value) to <", CLI, "<= 1e-6 * abs(value)", "< 1e-6 * abs(value)",

@@ -1,5 +1,6 @@
 """Whole-program gates: the README's CLI block, tables, oracle-check and its negative control, the
-sweep against itself, its payoffs against the public function, and the phase cache.
+sweep against itself, its payoffs against the public function, the phase cache, and a smoke run of
+the benchmark.
 
 Each gate runs the installed package end to end on a fixed grid or a seeded stream of points,
 prints one line and passes or fails; they are too slow for Tier-1.
@@ -213,8 +214,23 @@ def phase_cache() -> bool:
     return same and bool(hits) and same_typed
 
 
+def perfbench_smoke() -> bool:
+    """The benchmark reads the package's public wrappers: a short run of every workload,
+    perfbench/run.py --smoke from the checkout root, must check correct with no failed operation,
+    as the JSON on its last line says."""
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all", "--smoke", "--seconds", "0.2"],
+                         cwd=ROOT, capture_output=True, text=True)
+    try:
+        result = json.loads(run.stdout.rstrip().rpartition("\n")[2])
+    except ValueError:
+        print(f"exit {run.returncode}: no JSON on the last line\n{run.stderr}", end="")
+        return False
+    print(f"exit {run.returncode}: correct {result.get('correct')}, failed {result.get('failed')}")
+    return result.get("correct") is True and result.get("failed") == 0
+
+
 GATES = {"readme-cli": readme_cli, "tables": tables, "oracle": oracle, "sweep": sweep, "sweep-json": sweep_json,
-         "sweep-cache": sweep_cache, "payoffs": payoffs, "phase-cache": phase_cache}
+         "sweep-cache": sweep_cache, "payoffs": payoffs, "phase-cache": phase_cache, "perfbench-smoke": perfbench_smoke}
 
 
 def main(argv: list[str]) -> int:

@@ -237,7 +237,7 @@ GOLDEN_SWEEP = ("sweep", "--dg-range", "-1", "1", "9", "--dr-range", "-1", "1", 
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("json", "d6df11407cafaf7dff726b953acbcfa4020e4bcd4731d2dfd82622b32b2c4ddd"),
+    ("json", "7525147a559d4a920d5274a1ed45d2887008f820c80081b0895369c0abf30aef"),
     ("csv", "c10bddaef57d60387744380657a0fe296321bb7c92afc3af91cb6f56dc8e00c6"),
 ])
 def test_sweep_bytes_are_pinned(capsys, fmt, digest):

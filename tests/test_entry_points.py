@@ -263,7 +263,7 @@ def test_entry_points_agree(point):
                          *outcome.payoffs])
         if rde["rde_label"] is None:
             assert "rde_label: None\n" in run("rde", *pair, *([at] if quantum else []))[1]
-        assert row["rde_label"] == (rde["rde_label"] or "")
+        assert row["rde_label"] == rde["rde_label"]
         assert same([row[cell] for cell in RDE_CELLS if cell != "rde_label"],
                     [rde[key] for key in ("rde_kind", "p", "q", "payoff_a", "payoff_b")])
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qpd_rde
+from qpd_rde import ewl, game_core, quantum_rde, risk_dominance
 from qpd_rde import (
     DeviationLossPair,
     DilemmaClass,
@@ -188,6 +189,24 @@ def test_records_are_tuples():
     assert hash(TRANS) == hash((0.9, 0.2))
     assert sensitivity_partials(TRANS, 0.5)._asdict()["index_dg"] is None
     assert DeviationLossPair(0.5, 0.25).product == 0.125
+
+
+RECORDS_WITH_BEHAVIOUR = {"DilemmaParams", "StrategyProfile", "DeviationLossPair"}  # a domain check, product
+
+
+def test_each_record_is_one_type():
+    """A field-only record is the namedtuple itself; only a record with behaviour subclasses one."""
+    records = {name: cls for module in (game_core, risk_dominance, ewl, quantum_rde) for name in module.__all__
+               if isinstance(cls := getattr(module, name), type) and issubclass(cls, tuple)}
+    assert len(records) == 15 and RECORDS_WITH_BEHAVIOUR <= records.keys()
+    for name, cls in records.items():
+        assert all(hasattr(cls, attr) for attr in ("_fields", "_make", "_replace")), name
+        if name in RECORDS_WITH_BEHAVIOUR:
+            (base,) = cls.__bases__
+            assert base.__bases__ == (tuple,) and base._fields == cls._fields, name
+        else:
+            assert cls.__bases__ == (tuple,) and len(cls.__mro__) == 3, name
+        assert cls.__doc__ and not cls.__doc__.startswith(f"{name}("), name  # its own docstring
 
 
 def test_cold_cli_import_loads_no_dataclasses_inspect_or_typing():
